@@ -26,6 +26,7 @@ from .extremality import (
     BlockHermitian,
     ExtremalityVerdict,
     TpMap,
+    adjoint_index,
     apply_tp,
     blocks_from_vector,
     build_tp_map,
@@ -54,6 +55,10 @@ RESIDUAL_TOL = 1e-9
 # Eigenvalues of the saturated block factors with |x| at or below this are
 # written as exact zeros, forcing the rank drop the step is designed for.
 _CLAMP = 1e-12
+
+# When picking the Hermitian part of a kernel vector, fall back to the
+# anti-Hermitian part once the Hermitian part's norm drops below this.
+_HERM_PREFERENCE = 1e-6
 
 DEFAULT_MAX_LEAVES = 4096
 
@@ -108,22 +113,30 @@ class ExtremalMixture:
         return np.array([c.weight for c in self.components])
 
 
-def _saturated_blocks(eigs, vecs, tau: float, sign: float):
-    """Block factors U diag(1 + sign*tau*lambda) U^dag with exact-zero clamping."""
-    out = []
-    for lam, u in zip(eigs, vecs):
-        if lam.size == 0:
-            out.append(np.zeros((0, 0), dtype=np.complex128))
-            continue
-        vals = 1.0 + sign * tau * lam
-        vals[np.abs(vals) <= _CLAMP] = 0.0
-        if np.any(vals < 0.0):
-            raise SplitError(
-                f"saturated factor has negative eigenvalue {vals.min():.3e}"
-            )
-        m = (u * vals) @ u.conj().T
-        out.append((m + m.conj().T) / 2.0)
-    return out
+def _saturate(vals: np.ndarray) -> np.ndarray:
+    """Saturated factor eigenvalues 1 + tau*lambda, clamped in place.
+
+    Entries with |x| <= _CLAMP become exact zeros; a negative entry means
+    the step overshot and raises SplitError.
+    """
+    vals[np.abs(vals) <= _CLAMP] = 0.0
+    if np.any(vals < 0.0):
+        raise SplitError(f"saturated factor has negative eigenvalue {vals.min():.3e}")
+    return vals
+
+
+def _block_eigh(blocks):
+    """Ascending eigenvalues and eigenvectors of the Hermitian part of each block."""
+    eigs, vecs = [], []
+    for b in blocks:
+        if b.size == 0:
+            eigs.append(np.zeros(0))
+            vecs.append(np.zeros((0, 0), dtype=np.complex128))
+        else:
+            w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
+            eigs.append(w)
+            vecs.append(v)
+    return eigs, vecs
 
 
 def split_once(
@@ -145,16 +158,8 @@ def split_once(
         raise SplitError(
             f"element ranks {element.ranks} do not match map ranks {tp.ranks}"
         )
-    eigs, vecs = [], []
-    for b in element.blocks:
-        if b.size == 0:
-            eigs.append(np.zeros(0))
-            vecs.append(np.zeros((0, 0), dtype=np.complex128))
-        else:
-            w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-            eigs.append(w)
-            vecs.append(v)
-    all_eigs = np.concatenate([e for e in eigs if e.size]) if any(e.size for e in eigs) else np.zeros(0)
+    eigs, vecs = _block_eigh(element.blocks)
+    all_eigs = np.concatenate(eigs)
     if all_eigs.size == 0:
         raise SplitError("element is empty")
     lam_min = float(all_eigs.min())
@@ -179,13 +184,12 @@ def split_once(
     d = tp.dim
     children = []
     for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
-        factors = _saturated_blocks(eigs, vecs, tau, sign)
-        effects = np.empty((len(tp.frames), d, d), dtype=np.complex128)
-        for i, (frame, factor) in enumerate(zip(tp.frames, factors)):
-            if frame.shape[1] == 0:
-                effects[i] = 0.0
-            else:
-                e = frame @ factor @ frame.conj().T
+        # Child effects S_i U_i diag(1 + sign*tau*lambda_i) U_i^dag S_i^dag.
+        effects = np.zeros((len(tp.frames), d, d), dtype=np.complex128)
+        for i, (frame, lam, u) in enumerate(zip(tp.frames, eigs, vecs)):
+            if lam.size:
+                m = (u * _saturate(1.0 + sign * tau * lam)) @ u.conj().T
+                e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
                 effects[i] = (e + e.conj().T) / 2.0
         children.append(FinitePOVM(d, tp.labels, effects))
     total = tau_plus + tau_minus
@@ -199,105 +203,67 @@ def split_once(
     )
 
 
-def _first_kernel_direction(matrix: np.ndarray, ranks, rank_tol: float):
-    """First kernel vector of one walk step, Hermitian part preferred.
+def _hermitian_kernel_vector(matrix: np.ndarray, adjoint, margin_factor: float):
+    """First kernel vector of one walk step, made Hermitian block by block.
 
-    Returns (blocks, eigs, vecs, lam_min) of the chosen Hermitian direction,
-    already flipped so the dominant eigenvalue is the negative one, or None
+    The kernel is cut by the verdict's own rule (margin_factor). Keeps the
+    Hermitian part of the first kernel vector unless it is negligible, in
+    which case the anti-Hermitian part (times -i) is used; the kernel is
+    closed under the adjoint, so both are kernel elements. Returns None
     when the matrix is injective.
     """
-    basis = kernel_basis(matrix, rank_tol)
+    if matrix.shape[1] == 0:
+        raise SplitError("walk emptied the measurement")
+    basis = kernel_basis(matrix, margin_factor)
     if basis.shape[1] == 0:
         return None
-    raw = blocks_from_vector(basis[:, 0], ranks)
-    herm, anti = split_hermitian(raw)
-    norm_herm = np.sqrt(sum(float(np.linalg.norm(b) ** 2) for b in herm))
-    blocks = herm if norm_herm > 1e-6 else anti
-    eigs, vecs = [], []
-    for b in blocks:
-        if b.size == 0:
-            eigs.append(np.zeros(0))
-            vecs.append(np.zeros((0, 0), dtype=np.complex128))
-        else:
-            w, v = np.linalg.eigh(b)
-            eigs.append(w)
-            vecs.append(v)
-    flat = np.concatenate([e for e in eigs if e.size])
-    lam_min, lam_max = float(flat.min()), float(flat.max())
+    herm, anti = split_hermitian(basis[:, 0], adjoint)
+    return herm if np.linalg.norm(herm) > _HERM_PREFERENCE else anti
+
+
+def _saturating_step(lam: np.ndarray):
+    """Step length tau and whether to flip a walk direction with spectrum lam.
+
+    The flip puts the dominant eigenvalue on the negative side. The
+    saturating step is then tau = 1/radius, the smallest possible, which
+    keeps each step's kernel-residual amplification at machine level even
+    when the direction is nearly one-sided.
+    """
+    lam_min, lam_max = float(lam.min()), float(lam.max())
     radius = max(abs(lam_min), abs(lam_max))
     if radius <= 0.0:
         raise SplitError("kernel direction is zero")
-    if lam_max > -lam_min:
-        # Flip so the dominant eigenvalue sits on the negative side. The
-        # saturating step is then tau = 1/radius, the smallest possible,
-        # which keeps each step's kernel-residual amplification at machine
-        # level even when the direction is nearly one-sided.
-        blocks = tuple(-b for b in blocks)
-        eigs = [-w[::-1] for w in eigs]
-        vecs = [v[:, ::-1] for v in vecs]
-        lam_min = -lam_max
-    return blocks, eigs, vecs, lam_min
+    return 1.0 / radius, lam_max > -lam_min
 
 
-def _extremal_direction(
-    tp: TpMap,
-    margin_factor: float = MARGIN_FACTOR,
-    rank_tol: float = RANK_TOL,
-) -> BlockHermitian:
+def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> BlockHermitian:
     """Kernel element pointing at an extreme point of the measurement's face.
 
     Starting from the measurement itself (block coordinates B_i = identity),
-    repeatedly apply the first-kernel-vector rule one-sidedly: saturate
-    toward the negative eigenvalue side, which zeroes at least one block
-    eigenvalue per step, until the current point is extreme. The returned
-    direction D = (B_final - identity), spectrally normalized, is a kernel
-    element of the original map whose + saturation lands exactly on that
-    extreme point, so the caller's split peels one extreme component off.
+    repeatedly take the Hermitian kernel vector of the current point and
+    saturate one-sidedly toward its dominant eigenvalue, which zeroes at
+    least one block eigenvalue per step, until the current point is extreme.
+    The returned direction D = (B_final - identity), spectrally normalized,
+    is a kernel element of the original map whose + saturation lands exactly
+    on that extreme point, so the caller's split peels one extreme component
+    off. Each step takes one SVD.
     """
-    d = tp.dim
-    d2 = d * d
     ranks = tp.ranks
-    rank_one = all(r <= 1 for r in ranks)
-
-    if rank_one:
+    if all(r <= 1 for r in ranks):
         # Blocks are scalars; the map's columns just get rescaled each step.
-        base = tp.matrix  # d^2 x n, column i = vec(S_i S_i^dag)
-        idx = [i for i, r in enumerate(ranks) if r == 1]
-        beta = np.ones(len(idx))
-        first = True
+        beta = np.ones(tp.matrix.shape[1])
         while True:
             active = beta > 0.0
-            cols = base[:, active] * beta[active] if not first else base
-            m = cols.shape[1]
-            if m == 0:
-                raise SplitError("walk emptied the measurement")
-            s, vh = _svd_vals_vh(cols)
-            sigma_max = float(s[0])
-            cutoff = margin_factor * sigma_max * max(d2, m)
-            sigmas = np.zeros(m)
-            sigmas[: s.size] = s
-            kernel = np.flatnonzero(sigmas <= cutoff)
-            if kernel.size == 0:
+            h = _hermitian_kernel_vector(
+                tp.matrix[:, active] * beta[active], slice(None), margin_factor
+            )
+            if h is None:
                 break
-            c = vh[kernel[0]].conj()
-            h = c.real if np.linalg.norm(c.real) > 1e-6 else c.imag
-            radius = float(np.max(np.abs(h)))
-            if radius <= 0.0:
-                raise SplitError("kernel direction is zero")
-            if h.max() > -h.min():
-                # Saturate the dominant entry, not the (possibly tiny)
-                # negative tail: tau stays at 1/radius, so the vector's
-                # kernel residual is never amplified past machine level.
+            h = h.real
+            tau, flip = _saturating_step(h)
+            if flip:
                 h = -h
-            tau = 1.0 / radius
-            step = 1.0 + tau * h
-            step[np.abs(step) <= _CLAMP] = 0.0
-            if np.any(step < 0.0):
-                raise SplitError(f"negative block factor {step.min():.3e} in walk")
-            scale = np.ones(len(idx))
-            scale[active] = step
-            beta = beta * scale
-            first = False
+            beta[active] *= _saturate(1.0 + tau * h)
         delta = beta - 1.0
         blocks = []
         j = 0
@@ -310,58 +276,34 @@ def _extremal_direction(
         element = BlockHermitian(tuple(blocks))
     else:
         blocks_b = [np.eye(r, dtype=np.complex128) for r in ranks]
-        first = True
-        guard = tp.domain_dim + 16
-        for _ in range(guard):
-            if first:
-                factors = [np.eye(r, dtype=np.complex128) for r in ranks]
-                matrix = tp.matrix
-                sub_ranks = list(ranks)
-            else:
-                # Factor each block as B = g g^dag; the walk frame is S g.
-                factors = []
-                sub_ranks = []
-                cols = []
-                for S, B in zip(tp.frames, blocks_b):
-                    if B.shape[0] == 0:
-                        factors.append(np.zeros((0, 0), dtype=np.complex128))
-                        sub_ranks.append(0)
-                        continue
-                    w, v = np.linalg.eigh(B)
-                    keep = w > 1e-12 * max(float(w[-1]), 1.0)
-                    g = v[:, keep] * np.sqrt(w[keep])
-                    factors.append(g)
-                    sub_ranks.append(int(np.count_nonzero(keep)))
-                    cols.append(frame_columns(S @ g))
-                matrix = (
-                    np.hstack(cols)
-                    if cols
-                    else np.zeros((d2, 0), dtype=np.complex128)
-                )
-            m = matrix.shape[1]
-            if m == 0:
-                raise SplitError("walk emptied the measurement")
-            s = np.linalg.svd(matrix, compute_uv=False)
-            cutoff = margin_factor * float(s[0]) * max(d2, m)
-            n_kernel = m - min(m, d2) + int(np.count_nonzero(s <= cutoff))
-            if n_kernel == 0:
+        factors = list(blocks_b)
+        sub_ranks = ranks
+        matrix = tp.matrix
+        for _ in range(tp.domain_dim + 16):
+            vec = _hermitian_kernel_vector(matrix, adjoint_index(sub_ranks), margin_factor)
+            if vec is None:
                 break
-            picked = _first_kernel_direction(matrix, tuple(sub_ranks), rank_tol)
-            if picked is None:
-                break
-            _, eigs, vecs, lam_min = picked
-            tau = 1.0 / abs(lam_min)
-            for i in range(len(ranks)):
-                if sub_ranks[i] == 0:
+            eigs, vecs = _block_eigh(blocks_from_vector(vec, sub_ranks))
+            tau, flip = _saturating_step(np.concatenate(eigs))
+            if flip:
+                eigs = [-w[::-1] for w in eigs]
+                vecs = [v[:, ::-1] for v in vecs]
+            for i, g in enumerate(factors):
+                if g.shape[1] == 0:
                     continue
-                vals = 1.0 + tau * eigs[i]
-                vals[np.abs(vals) <= _CLAMP] = 0.0
-                if np.any(vals < 0.0):
-                    raise SplitError(f"negative block factor {vals.min():.3e} in walk")
-                mfac = (vecs[i] * vals) @ vecs[i].conj().T
-                nb = factors[i] @ mfac @ factors[i].conj().T
+                mfac = (vecs[i] * _saturate(1.0 + tau * eigs[i])) @ vecs[i].conj().T
+                nb = g @ mfac @ g.conj().T
                 blocks_b[i] = (nb + nb.conj().T) / 2.0
-            first = False
+            # Factor each block as B = g g^dag; the next walk frame is S g.
+            factors = []
+            cols = []
+            for S, w, v in zip(tp.frames, *_block_eigh(blocks_b)):
+                keep = w > 1e-12 * max(float(w.max(initial=0.0)), 1.0)
+                g = v[:, keep] * np.sqrt(w[keep])
+                factors.append(g)
+                cols.append(frame_columns(S @ g))
+            sub_ranks = tuple(g.shape[1] for g in factors)
+            matrix = np.hstack(cols)
         else:
             raise SplitError("walk failed to reach an extreme point")
         element = BlockHermitian(
@@ -374,11 +316,6 @@ def _extremal_direction(
     if radius <= 0.0:
         raise SplitError("walk produced a zero direction (node was extreme?)")
     return element.scaled(1.0 / radius)
-
-
-def _svd_vals_vh(a: np.ndarray):
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return s, vh
 
 
 def decompose_extremal(
@@ -416,7 +353,7 @@ def decompose_extremal(
             leaves.append(MixtureComponent(weight, node, verdict))
             continue
         try:
-            direction = _extremal_direction(tp, margin_factor, rank_tol)
+            direction = _extremal_direction(tp, margin_factor)
             split = split_once(node, direction, tp, rank_tol, residual_tol)
         except SplitError as exc:
             raise SplitError(f"split failed at branch '{path or 'root'}': {exc}") from exc
@@ -479,17 +416,23 @@ def verify_barycenter(
     recombined = convex_combine(pairs, label_tol)
     effect_residual = effects_distance(povm, recombined, label_tol)
     label_lists = [povm.labels] + [p.labels for _, p in pairs]
-    universe, raw_maps = align_label_universe(label_lists, label_tol)
-    maps = [np.asarray(m, dtype=np.intp) for m in raw_maps]
+    universe, (own_map, *leaf_maps) = align_label_universe(label_lists, label_tol)
+    # All leaf effects as one stack, so each trial takes one Born call that
+    # still clamps or rejects every entry.
+    stacked = FinitePOVM(
+        povm.dim,
+        tuple(label for _, p in pairs for label in p.labels),
+        np.concatenate([p.effects for _, p in pairs]),
+    )
+    stacked_map = np.concatenate(leaf_maps)
+    stacked_weight = np.concatenate([np.full(p.n_outcomes, w) for w, p in pairs])
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):
         state = gen_random_state(povm.dim, rng=rng, pure=(t % 2 == 0))
         values = rng.standard_normal(len(universe))
-        lhs = float(values[maps[0]] @ born_probabilities(povm, state))
-        rhs = 0.0
-        for (w, leaf), idx in zip(pairs, maps[1:]):
-            rhs += w * float(values[idx] @ born_probabilities(leaf, state))
+        lhs = float(values[own_map] @ born_probabilities(povm, state))
+        rhs = float((stacked_weight * values[stacked_map]) @ born_probabilities(stacked, state))
         worst = max(worst, abs(lhs - rhs))
     return BarycenterReport(
         trials=trials,

@@ -18,20 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, RANK_TOL, check_hermitian, kernel_basis
+from .linalg import PSD_TOL, RANK_TOL, check_hermitian
 from .model import FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
 # below MARGIN_FACTOR * sigma_max * max(d^2, sum r_i^2).
 MARGIN_FACTOR = 1e-10
-
-# When picking the Hermitian part of a kernel vector, fall back to the
-# anti-Hermitian part once the Hermitian part's norm drops below this.
-_HERM_PREFERENCE = 1e-6
-
-
-class KernelEmptyError(RuntimeError):
-    """Raised when a kernel element is requested from an injective map."""
 
 
 @dataclass(frozen=True)
@@ -195,43 +187,23 @@ def is_extreme(
     return verdict_from_tp(build_tp_map(pruned, rank_tol), margin_factor)
 
 
-def split_hermitian(blocks) -> tuple:
-    """Hermitian and anti-Hermitian parts of a block tuple."""
-    herm = tuple((b + b.conj().T) / 2.0 for b in blocks)
-    anti = tuple((b - b.conj().T) / 2.0j for b in blocks)
-    return herm, anti
+def adjoint_index(ranks) -> np.ndarray:
+    """For each entry (j, k) of a stacked row-major block vector, the
+    position of its transposed entry (k, j) in the same block."""
+    parts = []
+    offset = 0
+    for r in ranks:
+        parts.append(offset + np.arange(r * r).reshape(r, r).T.reshape(-1))
+        offset += r * r
+    return np.concatenate(parts)
 
 
-def _blocks_norm(blocks) -> float:
-    return float(np.sqrt(sum(float(np.linalg.norm(b) ** 2) for b in blocks)))
+def split_hermitian(vector: np.ndarray, adjoint) -> tuple:
+    """Hermitian and anti-Hermitian parts of a stacked block vector.
 
-
-def hermitian_kernel_element(
-    tp: TpMap,
-    rank_tol: float = RANK_TOL,
-) -> BlockHermitian:
-    """A Hermitian, spectrally normalized element of the map's kernel.
-
-    Takes the first kernel vector of the assembled matrix, splits it into
-    blocks, and keeps the Hermitian part unless it is negligible, in which
-    case the anti-Hermitian part (times -i) is used; the kernel is closed
-    under the adjoint, so both parts are kernel elements. The result is
-    scaled so the largest block eigenvalue magnitude is 1.
-
-    Raises KernelEmptyError when the map is injective.
+    adjoint indexes each entry's transposed entry (adjoint_index(ranks); a
+    vector of 1x1 blocks is its own transpose, so slice(None) serves).
+    Returns (H, A) with vector = H + iA, both Hermitian block by block.
     """
-    basis = kernel_basis(tp.matrix, rank_tol)
-    if basis.shape[1] == 0:
-        raise KernelEmptyError(
-            "the map is injective (measurement is extreme); no kernel element exists"
-        )
-    raw = blocks_from_vector(basis[:, 0], tp.ranks)
-    herm, anti = split_hermitian(raw)
-    chosen = herm if _blocks_norm(herm) > _HERM_PREFERENCE else anti
-    if _blocks_norm(chosen) <= 1e-12:
-        raise KernelEmptyError("kernel vector vanished after Hermitian projection")
-    element = BlockHermitian(chosen)
-    radius = float(np.max(np.abs(element.eigenvalues())))
-    if radius <= 0.0:
-        raise KernelEmptyError("kernel element has empty spectrum")
-    return element.scaled(1.0 / radius)
+    transposed = vector[adjoint].conj()
+    return (vector + transposed) / 2.0, (vector - transposed) / 2.0j

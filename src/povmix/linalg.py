@@ -1,14 +1,12 @@
 """Dense complex linear algebra with pinned tolerance conventions.
 
-Thin wrappers around numpy's Hermitian eigensolver and SVD that fix the
-semantics the rest of the package relies on: ascending eigenvalue order,
-relative rank cutoffs, and explicit clamping rules for almost-PSD input.
-All functions are pure; nothing mutates its arguments.
+Input coercion, a Hermiticity check and a numerical null space, with the
+tolerances the rest of the package relies on: relative rank cutoffs and
+the PSD and Hermiticity acceptance rules. All functions are pure; nothing
+mutates its arguments.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +19,6 @@ PSD_TOL = 1e-10
 
 # Hermiticity acceptance: ||M - M^dag||_max <= HERM_TOL * (1 + ||M||_max).
 HERM_TOL = 1e-12
-
-
-class SpectralDecomp(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray   # real, shape (d,)
-    eigenvectors: np.ndarray  # unitary columns, shape (d, d)
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -46,12 +37,6 @@ def herm_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def hermitize(m) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2 of a square matrix."""
-    a = as_square_matrix(m)
-    return (a + a.conj().T) / 2.0
-
-
 def check_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Return M coerced to complex128 after verifying it is Hermitian.
 
@@ -65,55 +50,6 @@ def check_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol * scale:.3e}"
         )
     return a
-
-
-def eig_hermitian(m, tol: float = HERM_TOL) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = check_hermitian(m, tol)
-    w, v = np.linalg.eigh(a)
-    return SpectralDecomp(w, v)
-
-
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """Whether the Hermitian matrix M is PSD up to a relative tolerance."""
-    w = eig_hermitian(m).eigenvalues
-    scale = 1.0 + float(np.max(np.abs(w)))
-    return bool(w[0] >= -tol * scale)
-
-
-def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
-    """Positive semidefinite square root S of M with S @ S ~= M.
-
-    Eigenvalues in [-tol * (1 + max|eig|), 0) are clamped to zero; anything
-    below that is an error, since the input then fails the PSD contract.
-    """
-    w, v = eig_hermitian(m)
-    scale = 1.0 + float(np.max(np.abs(w)))
-    if w[0] < -tol * scale:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} below -{tol * scale:.3e}"
-        )
-    w = np.where(w < 0.0, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
-
-
-def range_isometry(m, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the numerical range of a PSD matrix.
-
-    Returns (V, r): V is d x r with orthonormal columns spanning the
-    eigenspaces with eigenvalue > tol * max(lambda_max, 1). The zero matrix
-    yields r = 0 with an empty V.
-    """
-    w, v = eig_hermitian(m)
-    scale = 1.0 + float(np.max(np.abs(w)))
-    if w[0] < -PSD_TOL * scale:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} below -{PSD_TOL * scale:.3e}"
-        )
-    cutoff = tol * max(float(w[-1]), 1.0)
-    keep = w > cutoff
-    return np.ascontiguousarray(v[:, keep]), int(np.count_nonzero(keep))
 
 
 def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
@@ -133,7 +69,7 @@ def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     sigma_max = float(s[0]) if s.size else 0.0
     cutoff = tol * sigma_max * max(rows, cols)
-    sigmas = np.zeros(cols)
-    sigmas[: s.size] = s
-    keep = sigmas <= cutoff
-    return np.ascontiguousarray(vh.conj().T[:, keep])
+    # Singular values come sorted, so the kernel is the trailing rows of vh;
+    # conjugating only those keeps the copy at n x m, not n x n.
+    rank = int(np.count_nonzero(s > cutoff))
+    return vh[rank:].conj().T

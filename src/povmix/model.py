@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .linalg import PSD_TOL, as_square_matrix, eig_hermitian, herm_defect
+from .linalg import PSD_TOL, as_square_matrix, check_hermitian, herm_defect
 
 Label = Union[int, tuple]
 
@@ -124,7 +124,7 @@ class DensityState:
         trace = a.trace()
         if abs(trace - 1.0) > 1e-12:
             raise PovmError(f"state trace {trace} is not 1 within 1e-12")
-        w = eig_hermitian(a).eigenvalues
+        w = np.linalg.eigvalsh(check_hermitian(a))
         scale = 1.0 + float(np.max(np.abs(w)))
         if w[0] < -PSD_TOL * scale:
             raise PovmError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
@@ -205,10 +205,13 @@ def validate_povm(
         scale = 1.0 + float(np.max(np.abs(w)))
         if w[0] < -psd_tol * scale:
             report.non_psd.append((i, float(w[0])))
-    for i in range(povm.n_outcomes):
-        for j in range(i + 1, povm.n_outcomes):
-            if labels_equal(povm.labels[i], povm.labels[j], label_tol):
-                report.duplicate_labels.append((i, j))
+    # Each repeated label is paired with the first label of its group.
+    _, (idx,) = align_label_universe([povm.labels], label_tol)
+    first: dict = {}
+    for j, u in enumerate(idx):
+        i = first.setdefault(u, j)
+        if i != j:
+            report.duplicate_labels.append((i, j))
     residual = float(
         np.max(np.abs(povm.effects.sum(axis=0) - np.eye(povm.dim)))
     )

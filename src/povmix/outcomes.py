@@ -12,8 +12,8 @@ from .model import (
     FinitePOVM,
     Label,
     PovmError,
+    align_label_universe,
     as_label,
-    labels_equal,
 )
 
 _PAULI = {
@@ -62,18 +62,11 @@ class PostProcessing:
                 return dst
         raise PovmError(f"no mapping for source label {source}")
 
-    def sources(self) -> tuple:
-        return tuple(src for src, _ in self.table)
-
 
 def is_injective(pp: PostProcessing, label_tol: float = LABEL_TOL) -> bool:
     """Whether all target labels are pairwise distinct within tolerance."""
-    targets = [dst for _, dst in pp.table]
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            if labels_equal(targets[i], targets[j], label_tol):
-                return False
-    return True
+    universe, _ = align_label_universe([[dst for _, dst in pp.table]], label_tol)
+    return len(universe) == len(pp.table)
 
 
 def apply_postprocessing(
@@ -92,17 +85,10 @@ def apply_postprocessing(
                 f"post-processing needs integer labels, found {label!r}"
             )
         targets.append(pp.target(label))
-    out_labels: list = []
-    out_effects: list = []
-    for target, effect in zip(targets, povm.effects):
-        for i, known in enumerate(out_labels):
-            if labels_equal(target, known, label_tol):
-                out_effects[i] = out_effects[i] + effect
-                break
-        else:
-            out_labels.append(target)
-            out_effects.append(effect.copy())
-    return FinitePOVM(povm.dim, tuple(out_labels), np.array(out_effects))
+    universe, (idx,) = align_label_universe([targets], label_tol)
+    effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
+    np.add.at(effects, idx, povm.effects)
+    return FinitePOVM(povm.dim, universe, effects)
 
 
 def gen_pvm(basis, atol: float = 1e-10) -> FinitePOVM:
@@ -168,6 +154,18 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _symmetrized(raw: np.ndarray):
+    """Effects S^(-1/2) R_k S^(-1/2) with S the sum of the raw effects R_k,
+    or None when S is numerically singular."""
+    total = raw.sum(axis=0)
+    w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
+    if w[0] <= 1e-10 * w[-1]:
+        return None
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    effects = np.einsum("ab,kbc,cd->kad", inv_root, raw, inv_root)
+    return (effects + effects.conj().transpose(0, 2, 1)) / 2.0
+
+
 def gen_random_povm(
     d: int,
     k: int,
@@ -194,15 +192,9 @@ def gen_random_povm(
     gen = _as_rng(seed, rng)
     for _ in range(8):
         a = _complex_normal(gen, (k, d, cap))
-        raw = np.einsum("kac,kbc->kab", a, a.conj())
-        total = raw.sum(axis=0)
-        w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
-        if w[0] <= 1e-10 * w[-1]:
-            continue
-        inv_root = (v / np.sqrt(w)) @ v.conj().T
-        effects = np.einsum("ab,kbc,cd->kad", inv_root, raw, inv_root)
-        effects = (effects + effects.conj().transpose(0, 2, 1)) / 2.0
-        return FinitePOVM(d, tuple(range(k)), effects)
+        effects = _symmetrized(np.einsum("kac,kbc->kab", a, a.conj()))
+        if effects is not None:
+            return FinitePOVM(d, tuple(range(k)), effects)
     raise PovmError("raw effect sum stayed singular after bounded retries")
 
 
@@ -242,14 +234,9 @@ def gen_covariant_sphere(n_points: int, seed=None, rng=None) -> FinitePOVM:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         theta = offset + j * np.pi * (3.0 - np.sqrt(5.0))
         points = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    raw = np.array([bloch_effect(p, 1.0 / n) for p in points])
-    total = raw.sum(axis=0)
-    w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
-    if w[0] <= 1e-10 * w[-1]:
+    effects = _symmetrized(np.array([bloch_effect(p, 1.0 / n) for p in points]))
+    if effects is None:
         raise PovmError("sphere discretization produced a singular effect sum")
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    effects = np.einsum("ab,kbc,cd->kad", inv_root, raw, inv_root)
-    effects = (effects + effects.conj().transpose(0, 2, 1)) / 2.0
     labels = tuple(tuple(float(c) for c in p) for p in points)
     return FinitePOVM(2, labels, effects)
 

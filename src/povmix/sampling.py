@@ -133,11 +133,20 @@ def sample_two_stage(
     bounds = _shard_bounds(n_samples, shards)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         u = _uniforms_at(seed, 2 * lo, 2 * (hi - lo))
-        u_comp, u_out = u[0::2], u[1::2]
-        comp = np.minimum(np.searchsorted(weight_cdf, u_comp, side="right"), m - 1)
-        for c in np.unique(comp):
+        comp = np.searchsorted(weight_cdf, u[0::2], side="right")
+        np.minimum(comp, m - 1, out=comp)
+        sizes = np.bincount(comp, minlength=m)
+        # Group the draws by component with one sort, not one mask over all
+        # n draws per component; counts do not depend on order in a group.
+        # Freeing comp before the gather keeps peak memory where the
+        # per-component masks had it.
+        order = np.argsort(comp, kind="stable")
+        del comp
+        u_grouped = u[1::2][order]
+        ends = np.cumsum(sizes)
+        for c in np.flatnonzero(sizes):
             cdf = leaf_cdfs[c]
-            sel = u_out[comp == c]
+            sel = u_grouped[ends[c] - sizes[c] : ends[c]]
             idx = np.minimum(np.searchsorted(cdf, sel, side="right"), len(cdf) - 1)
             counts += np.bincount(maps[c][idx], minlength=len(universe))
     return OutcomeHistogram(tuple(universe), tuple(counts), n_samples)

@@ -5,15 +5,17 @@ from povmix.decompose import (
     ExtremalMixture,
     MixtureComponent,
     SplitError,
+    _extremal_direction,
     _merge_identical_leaves,
     decompose_extremal,
     split_once,
     verify_barycenter,
 )
 from povmix.extremality import BlockHermitian, build_tp_map, is_extreme
-from povmix.linalg import range_isometry
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_trine
+
+from oracles import frame_oracle
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -23,7 +25,7 @@ def coin():
 
 
 def block_dim(povm):
-    return sum(range_isometry(p)[1] ** 2 for p in povm.effects)
+    return sum(frame_oracle(p).shape[1] ** 2 for p in povm.effects)
 
 
 def reconstruct(mixture):
@@ -46,10 +48,8 @@ def test_split_coin_with_explicit_kernel_element():
 
 def test_split_reconstructs_parent():
     povm = gen_random_povm(3, 5, seed=3)
-    from povmix.extremality import hermitian_kernel_element
-
     tp = build_tp_map(povm)
-    element = hermitian_kernel_element(tp)
+    element = _extremal_direction(tp)
     result = split_once(povm, element, tp=tp)
     mixed = (
         result.weight_plus * result.child_plus.effects
@@ -64,11 +64,9 @@ def test_split_reconstructs_parent():
 def test_split_strictly_shrinks_block_dimension():
     for seed in (0, 4, 9):
         povm = gen_random_povm(2, 5, rank_cap=1, seed=seed)
-        from povmix.extremality import hermitian_kernel_element
-
         tp = build_tp_map(povm)
         parent_dim = block_dim(povm)
-        result = split_once(povm, hermitian_kernel_element(tp), tp=tp)
+        result = split_once(povm, _extremal_direction(tp), tp=tp)
         assert block_dim(result.child_plus) < parent_dim
         assert block_dim(result.child_minus) < parent_dim
 

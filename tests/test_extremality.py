@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from povmix.decompose import SplitError, _extremal_direction
 from povmix.extremality import (
     BlockHermitian,
-    KernelEmptyError,
+    adjoint_index,
     apply_tp,
     blocks_from_vector,
     build_tp_map,
     frame_columns,
-    hermitian_kernel_element,
     is_extreme,
     split_hermitian,
     verdict_from_tp,
@@ -92,12 +92,19 @@ def test_block_vector_round_trip():
 
 def test_split_hermitian_parts():
     rng = np.random.default_rng(3)
-    blocks = tuple(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
-    herm, anti = split_hermitian(blocks)
-    for b, h, a in zip(blocks, herm, anti):
+    ranks = (2, 1, 3)
+    blocks = tuple(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for r in ranks)
+    herm, anti = split_hermitian(BlockHermitian(blocks).to_vector(), adjoint_index(ranks))
+    for b, h, a in zip(
+        blocks, blocks_from_vector(herm, ranks), blocks_from_vector(anti, ranks)
+    ):
         assert np.allclose(h + 1j * a, b, atol=1e-14)
         assert np.allclose(h, h.conj().T, atol=1e-14)
         assert np.allclose(a, a.conj().T, atol=1e-14)
+    # a vector of 1x1 blocks is its own transpose: real and imaginary parts
+    vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    herm, anti = split_hermitian(vec, slice(None))
+    assert np.array_equal(herm, vec.real) and np.array_equal(anti, vec.imag)
 
 
 def test_coin_flip_verdict():
@@ -188,7 +195,7 @@ def test_unitary_covariance_of_verdict():
 def test_kernel_element_annihilated_by_map():
     povm = coin()
     tp = build_tp_map(povm)
-    element = hermitian_kernel_element(tp)
+    element = _extremal_direction(tp)
     # Hermitian blocks, normalized to unit top eigenvalue
     for block in element.blocks:
         assert np.allclose(block, block.conj().T, atol=1e-12)
@@ -197,11 +204,11 @@ def test_kernel_element_annihilated_by_map():
 
     nonextreme = gen_random_povm(3, 4, seed=11)
     tp = build_tp_map(nonextreme)
-    element = hermitian_kernel_element(tp)
+    element = _extremal_direction(tp)
     assert np.max(np.abs(apply_tp(tp, element))) < 1e-9
 
 
 def test_kernel_element_raises_on_extreme_input():
     tp = build_tp_map(gen_trine())
-    with pytest.raises(KernelEmptyError):
-        hermitian_kernel_element(tp)
+    with pytest.raises(SplitError):
+        _extremal_direction(tp)

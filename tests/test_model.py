@@ -68,6 +68,9 @@ def test_validate_povm_flags_each_violation():
     dup = FinitePOVM(2, (0, 0), np.array([I2 / 2, I2 / 2]))
     report = validate_povm(dup)
     assert report.duplicate_labels == [(0, 1)]
+    # each repeated label is paired with the first of its group
+    trip = FinitePOVM(2, (0, 0, 0), np.array([I2 / 2, I2 / 4, I2 / 4]))
+    assert validate_povm(trip).duplicate_labels == [(0, 1), (0, 2)]
 
     unnorm = FinitePOVM(2, (0, 1), np.array([I2 / 2, I2 / 4]))
     report = validate_povm(unnorm)

@@ -30,11 +30,17 @@ def test_postprocessing_table_validation():
 
 
 def test_is_injective():
-    assert is_injective(PostProcessing(((0, 10), (1, 11))))
-    assert not is_injective(PostProcessing(((0, 10), (1, 10))))
-    # point targets closer than the tolerance collide
-    near = PostProcessing(((0, (0.0, 0.0)), (1, (0.0, 1e-12))))
-    assert not is_injective(near)
+    coin = FinitePOVM(2, (0, 1), np.array([np.eye(2) / 2, np.eye(2) / 2]))
+    for table, injective in [
+        (((0, 10), (1, 11)), True),
+        (((0, 10), (1, 10)), False),
+        # point targets closer than the tolerance collide
+        (((0, (0.0, 0.0)), (1, (0.0, 1e-12))), False),
+    ]:
+        pp = PostProcessing(table)
+        assert is_injective(pp) == injective
+        # injective exactly when relabeling keeps every outcome
+        assert (apply_postprocessing(coin, pp).n_outcomes == 2) == injective
 
 
 def test_apply_postprocessing_merges_and_preserves_sum():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmix.decompose import decompose_extremal
+from povmix.decompose import ExtremalMixture, MixtureComponent, decompose_extremal
 from povmix.model import DensityState, FinitePOVM, PovmError
 from povmix.outcomes import gen_pvm, gen_random_povm, gen_random_state
 from povmix.sampling import (
@@ -12,6 +12,8 @@ from povmix.sampling import (
     sample_two_stage,
     tv_distance,
 )
+
+from oracles import born_oracle
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -87,6 +89,37 @@ def test_two_stage_matches_direct_distribution():
     direct = sample_direct(povm, rho, n, seed=21)
     two = sample_two_stage(mixture, rho, n, seed=22)
     assert tv_distance(direct, two) < 0.02
+
+
+def test_two_stage_histogram_matches_per_draw_reference():
+    # five projective leaves with overlapping labels; draw j uses uniforms
+    # 2j (component) and 2j+1 (outcome) of the Philox stream keyed by the seed
+    rng = np.random.default_rng(4)
+    weights = (0.1, 0.15, 0.2, 0.25, 0.3)
+    leaves = []
+    for c in range(5):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, _ = np.linalg.qr(g)
+        pvm = gen_pvm(q)
+        leaves.append(FinitePOVM(2, (c, c + 1), pvm.effects))
+    mixture = ExtremalMixture(
+        2, tuple(MixtureComponent(w, leaf) for w, leaf in zip(weights, leaves)), True
+    )
+    rho = gen_random_state(2, seed=9)
+    n, seed = 3000, 13
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * n)
+    weight_cdf = np.cumsum(weights)
+    expected = {}
+    for j in range(n):
+        c = min(int(np.searchsorted(weight_cdf, u[2 * j], side="right")), 4)
+        cdf = np.cumsum(born_oracle(leaves[c].effects, rho.matrix))
+        k = min(int(np.searchsorted(cdf, u[2 * j + 1], side="right")), 1)
+        label = leaves[c].labels[k]
+        expected[label] = expected.get(label, 0) + 1
+    for shards in (1, 3):
+        hist = sample_two_stage(mixture, rho, n, seed=seed, shards=shards)
+        got = {label: count for label, count in zip(hist.labels, hist.counts) if count}
+        assert got == expected
 
 
 def test_single_component_mixture_sampling():
