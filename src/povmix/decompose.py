@@ -40,6 +40,7 @@ from .model import (
     PRUNE_TOL,
     FinitePOVM,
     PovmError,
+    _prune,
     align_label_universe,
     born_probabilities,
     convex_combine,
@@ -330,19 +331,22 @@ def decompose_extremal(
 ) -> ExtremalMixture:
     """Decompose a measurement into a finite mixture of extreme ones.
 
-    Depth-first: prune and merge, test extremality, emit a leaf or split
-    along the walk-derived kernel element and recurse on both children with
-    multiplied weights. When emitting another pair of children would exceed
-    max_leaves, the remaining branches are emitted unsplit with their
-    non-extreme verdicts and the mixture is flagged incomplete; the convex
-    reconstruction identity holds either way.
+    Depth-first: test extremality, emit a leaf or split along the
+    walk-derived kernel element and recurse on both children with multiplied
+    weights. Labels are merged once, at the root: children carry the root's
+    merged labels, which are pairwise distinct, so below the root only
+    effects with trace at or below prune_tol are dropped. When emitting
+    another pair of children would exceed max_leaves, the remaining branches
+    are emitted unsplit with their non-extreme verdicts and the mixture is
+    flagged incomplete; the convex reconstruction identity holds either way.
     """
-    stack = [(1.0, povm, "")]
+    stack = [(1.0, prune_and_merge(povm, prune_tol, label_tol), "")]
     leaves = []
     complete = True
     while stack:
         weight, node, path = stack.pop()
-        node = prune_and_merge(node, prune_tol, label_tol)
+        if path:  # below the root the labels are already merged
+            node = _prune(node.dim, node.labels, node.effects, prune_tol)
         tp = build_tp_map(node, rank_tol)
         verdict = verdict_from_tp(tp, margin_factor)
         if verdict.is_extreme:

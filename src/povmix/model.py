@@ -8,6 +8,8 @@ exactly, and the two kinds never mix.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
@@ -27,6 +29,14 @@ PRUNE_TOL = 1e-12
 PROB_CLAMP = 1e-12
 
 NORMALIZATION_TOL = 1e-9
+
+# Point labels are bucketed in grid cells this many lookup reaches wide, so
+# a lookup usually touches one cell per coordinate.
+_CELL_REACHES = 32.0
+
+# Least lookup reach. Coordinate differences below it can square to zero in
+# labels_equal's norm, so such points may compare equal even at tol = 0.
+_MIN_REACH = 2.0**-500
 
 
 def as_label(value) -> Label:
@@ -284,24 +294,71 @@ def trace_density(povm: FinitePOVM, prune_tol: float = PRUNE_TOL) -> TraceDensit
     return TraceDensity(povm.dim, povm.labels, weights, tuple(densities))
 
 
+def _floor(q: float) -> float:
+    return float(math.floor(q)) if math.isfinite(q) else q
+
+
+def _cell_keys(lo: float, hi: float) -> list:
+    """Every value floor(q) can take for a float q in [lo, hi] (lo, hi floored).
+
+    Past 2**53 consecutive floats are more than 1 apart, so the next key is
+    the larger of k + 1 and the float after k.
+    """
+    keys = [lo]
+    while keys[-1] < hi:
+        k = keys[-1]
+        keys.append(max(k + 1.0, math.nextafter(k, math.inf)))
+    return keys
+
+
 def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LABEL_TOL):
     """Merge several label lists into one universe, tolerant to point jitter.
 
     Returns (universe, maps) where maps[k][i] is the universe index of the
-    i-th label of list k. Universe order is first occurrence.
+    i-th label of list k. Universe order is first occurrence, and each label
+    maps to the first universe entry it equals under labels_equal.
+
+    Integer labels are found through a dict and point labels through a grid
+    of cells 64 * tol wide, so alignment takes time linear in the number of
+    labels. A point matching an entry is within 2 * tol of it in every
+    coordinate (allowing for rounding in the norm), so only the cells
+    overlapping that box hold candidates.
     """
+    reach = max(2.0 * tol, _MIN_REACH)
+    width = _CELL_REACHES * reach
+    if not width < math.inf:
+        # Infinite or NaN tolerance: every point of one length shares a cell.
+        reach, width = 0.0, math.inf
     universe: list = []
+    by_int: dict = {}
+    by_cell: dict = {}  # cell key -> ascending universe indices
     maps = []
     for labels in label_lists:
         idx = []
         for label in labels:
-            for u, known in enumerate(universe):
-                if labels_equal(label, known, tol):
-                    idx.append(u)
-                    break
-            else:
+            new = len(universe)
+            u = new
+            if isinstance(label, int):
+                u = by_int.setdefault(label, new)
+            elif isinstance(label, tuple):
+                x = [float(c) for c in label]
+                ranges = [
+                    _cell_keys(_floor((c - reach) / width), _floor((c + reach) / width))
+                    for c in x
+                ]
+                keys = list(itertools.product(*ranges))
+                if len(keys) == 1:
+                    candidates = by_cell.get(keys[0], ())
+                else:
+                    candidates = sorted(v for k in keys for v in by_cell.get(k, ()))
+                u = next(
+                    (v for v in candidates if labels_equal(label, universe[v], tol)), new
+                )
+                if u == new:
+                    by_cell.setdefault(tuple(_floor(c / width) for c in x), []).append(u)
+            if u == new:
                 universe.append(label)
-                idx.append(len(universe) - 1)
+            idx.append(u)
         maps.append(idx)
     return tuple(universe), maps
 
@@ -346,6 +403,15 @@ def convex_combine(components, label_tol: float = LABEL_TOL) -> FinitePOVM:
     return FinitePOVM(d, universe, effects)
 
 
+def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOVM:
+    """Drop effects with trace at or below prune_tol; raises if none survive."""
+    traces = np.einsum("kaa->k", effects).real
+    keep = traces > prune_tol
+    if not np.any(keep):
+        raise PovmError("pruning removed every outcome")
+    return FinitePOVM(dim, tuple(u for u, k in zip(labels, keep) if k), effects[keep])
+
+
 def prune_and_merge(
     povm: FinitePOVM,
     prune_tol: float = PRUNE_TOL,
@@ -356,9 +422,4 @@ def prune_and_merge(
     universe, (idx,) = align_label_universe([povm.labels], label_tol)
     effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
     np.add.at(effects, idx, povm.effects)
-    traces = np.einsum("kaa->k", effects).real
-    keep = traces > prune_tol
-    if not np.any(keep):
-        raise PovmError("pruning removed every outcome")
-    labels = tuple(u for u, k in zip(universe, keep) if k)
-    return FinitePOVM(povm.dim, labels, effects[keep])
+    return _prune(povm.dim, universe, effects, prune_tol)

@@ -44,23 +44,23 @@ class PostProcessing:
     table: tuple  # ((source int, target label), ...)
 
     def __post_init__(self):
-        entries = []
-        seen = set()
+        targets = {}
         for src, dst in self.table:
             if not isinstance(src, (int, np.integer)) or isinstance(src, bool):
                 raise PovmError(f"source label {src!r} is not an integer")
             src = int(src)
-            if src in seen:
+            if src in targets:
                 raise PovmError(f"source label {src} mapped twice")
-            seen.add(src)
-            entries.append((src, as_label(dst)))
-        object.__setattr__(self, "table", tuple(entries))
+            targets[src] = as_label(dst)
+        object.__setattr__(self, "table", tuple(targets.items()))
+        # Lookup only: not a field, so eq, hash, repr and JSON see the table.
+        object.__setattr__(self, "_targets", targets)
 
     def target(self, source: int) -> Label:
-        for src, dst in self.table:
-            if src == source:
-                return dst
-        raise PovmError(f"no mapping for source label {source}")
+        try:
+            return self._targets[source]
+        except (KeyError, TypeError):
+            raise PovmError(f"no mapping for source label {source}") from None
 
 
 def is_injective(pp: PostProcessing, label_tol: float = LABEL_TOL) -> bool:

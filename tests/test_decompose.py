@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povmix import decompose, model
 from povmix.decompose import (
     ExtremalMixture,
     MixtureComponent,
@@ -212,3 +213,33 @@ def test_sphere_decomposition_leaf_bound():
     assert mixture.complete
     assert all(c.povm.n_outcomes <= 4 for c in mixture.components)
     assert effects_distance(sphere, reconstruct(mixture)) < 1e-9
+
+
+def test_labels_merge_once_at_the_root(monkeypatch):
+    """Children carry the root's merged labels, so a duplicated input gives
+    the same leaves as the plain one and only the root is merged."""
+    plain = gen_covariant_sphere(50, seed=7)
+    jittered = [tuple(c + 1e-12 for c in label) for label in plain.labels]
+    doubled = FinitePOVM(
+        2,
+        plain.labels + tuple(jittered),
+        np.concatenate([plain.effects / 2, plain.effects / 2]),
+    )
+    merges = 0
+
+    def counting_prune_and_merge(*args, **kwargs):
+        nonlocal merges
+        merges += 1
+        return model.prune_and_merge(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "prune_and_merge", counting_prune_and_merge)
+    expected = decompose_extremal(plain)
+    assert merges == 1
+    got = decompose_extremal(doubled)
+    assert merges == 2
+    assert len(expected.components) > 1
+    assert len(got.components) == len(expected.components)
+    for a, b in zip(got.components, expected.components):
+        assert a.weight == b.weight
+        assert a.povm.labels == b.povm.labels
+        assert np.array_equal(a.povm.effects, b.povm.effects)

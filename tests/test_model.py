@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from povmix import model
 from povmix.model import (
     DensityState,
     FinitePOVM,
     PovmError,
+    align_label_universe,
     as_label,
     born_probabilities,
     convex_combine,
@@ -15,7 +17,12 @@ from povmix.model import (
     trace_density,
     validate_povm,
 )
-from povmix.outcomes import gen_random_povm, gen_random_state, gen_sic_qubit
+from povmix.outcomes import (
+    gen_covariant_sphere,
+    gen_random_povm,
+    gen_random_state,
+    gen_sic_qubit,
+)
 
 from oracles import born_oracle
 
@@ -185,3 +192,102 @@ def test_point_labels_merge_within_tolerance():
     merged = prune_and_merge(povm)
     assert merged.n_outcomes == 1
     assert np.allclose(merged.effects[0], I2)
+
+
+def pairwise_alignment(label_lists, tol):
+    """Reference: every label against every universe entry, first match wins."""
+    universe, maps = [], []
+    for labels in label_lists:
+        idx = []
+        for label in labels:
+            for u, known in enumerate(universe):
+                if labels_equal(label, known, tol):
+                    idx.append(u)
+                    break
+            else:
+                universe.append(label)
+                idx.append(len(universe) - 1)
+        maps.append(idx)
+    return tuple(universe), maps
+
+
+def jittered_points(seed):
+    """3-D points with near-duplicates jittered by 1e-11 to 1e-8, shuffled."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(40, 3))
+    copies = base[rng.integers(0, len(base), size=80)]
+    scale = 10.0 ** rng.uniform(-11.0, -8.0, size=(len(copies), 1))
+    direction = rng.standard_normal(copies.shape)
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    points = np.concatenate([base, copies + scale * direction])
+    return [tuple(float(c) for c in p) for p in points[rng.permutation(len(points))]]
+
+
+def alignment_cases():
+    tol = 1e-9
+    for seed in range(6):
+        points = jittered_points(seed)
+        yield [points[:50], points[50:]], tol
+        yield [points], 3e-9
+    # pairs exactly tol apart, on an axis and on a diagonal
+    for x in (0.0, 0.25, -3.0, 1e6):
+        yield [[(x, 1.0, 0.0), (x + tol, 1.0, 0.0), (x - tol, 1.0, 0.0)]], tol
+        yield [[(x, 0.5), (x + 0.75e-9, 0.5 + 0.75e-9)]], 0.75e-9 * np.sqrt(2.0)
+    # a query within tol of two entries on both sides of a cell boundary
+    # takes the first entry, not the one in the first cell scanned
+    yield [[(0.6e-9,), (-0.6e-9,), (0.0,)], [(0.0, 0.6e-9), (0.0, -0.6e-9), (0.0, 0.0)]], tol
+    # 2-D and 3-D points sharing coordinates
+    yield [[(0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0 + 1e-10), (0.0, 1.0, 1e-10)]], tol
+    # ints and points
+    yield [[0, (0.0,), 1, (1.0,), 0, (1e-10,), True, (1.0 + 1e-10,)], [1, 0, (0.0,)]], tol
+    # exact duplicates at tol = 0, including 0.0 against -0.0
+    yield [[(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-300, 0.0), (5e-324, 0.0)]], 0.0
+    # differences whose squares underflow compare equal even at tol = 0
+    yield [[(0.0, 0.0), (1e-170, 0.0), (1.5e-162, 0.0), (0.0, -1e-200), (1e-150, 0.0)]], 0.0
+    yield [[(0.0,), (-0.0,), 3, 3], [(-0.0,), 3]], 0.0
+    # coordinates near the top of the float range
+    big = [(1e305, 0.0), (1e305, 0.0), (-1.7e308, 1.0), (-1.7e308, 1.0), (1.7e308, 1.0)]
+    yield [big, [(1e305 * (1 + 1e-16), 0.0), (-1.7e308, 1.0 + 1e-10)]], tol
+    yield [big], 0.0
+    # a label that is neither an int nor a tuple is always a new entry
+    yield [[1.5, 1.5, "a", "a", (1.5,)]], tol
+
+
+# labels_equal overflows to inf (no match) on the float-range extremes
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("lists, tol", list(alignment_cases()))
+def test_alignment_matches_pairwise_reference(lists, tol):
+    universe, maps = align_label_universe(lists, tol)
+    ref_universe, ref_maps = pairwise_alignment(lists, tol)
+    assert universe == ref_universe
+    assert maps == ref_maps
+
+
+def test_alignment_jitter_cases_merge():
+    # the seeded point lists do exercise merging
+    points = jittered_points(0)
+    universe, _ = align_label_universe([points], 1e-9)
+    assert 40 <= len(universe) < len(points)
+
+
+@pytest.mark.parametrize("kind", ["points", "ints"])
+def test_alignment_compares_a_bounded_number_of_labels(kind, monkeypatch):
+    """Complexity guard: aligning n distinct labels makes at most 4n
+    equality tests, where the pairwise loop makes about n^2 / 2."""
+    n = 2000
+    if kind == "points":
+        labels = list(gen_covariant_sphere(n, seed=1).labels)
+    else:
+        labels = list(range(n))
+    calls = 0
+
+    def counting_equal(a, b, tol=model.LABEL_TOL):
+        nonlocal calls
+        calls += 1
+        if calls > 4 * n:
+            raise AssertionError(f"more than {4 * n} label comparisons for {n} labels")
+        return labels_equal(a, b, tol)
+
+    monkeypatch.setattr(model, "labels_equal", counting_equal)
+    universe, (idx,) = align_label_universe([labels])
+    assert len(universe) == n and idx == list(range(n))

@@ -25,8 +25,12 @@ def test_postprocessing_table_validation():
         PostProcessing(((0, 1), (0, 2)))  # source mapped twice
     with pytest.raises(PovmError):
         PostProcessing((((0.5,), 1),))  # non-integer source
-    with pytest.raises(PovmError):
+    with pytest.raises(PovmError, match="no mapping for source label 7"):
         pp.target(7)
+    # the lookup table is not part of equality, hashing or the repr
+    same = PostProcessing(((0, 5), (1, (0.0, 1.0))))
+    assert same == pp and hash(same) == hash(pp)
+    assert repr(pp) == "PostProcessing(table=((0, 5), (1, (0.0, 1.0))))"
 
 
 def test_is_injective():
