@@ -28,9 +28,9 @@ from .extremality import (
     TpMap,
     adjoint_index,
     apply_tp,
-    blocks_from_vector,
+    assemble_map,
     build_tp_map,
-    frame_columns,
+    rank_groups,
     split_hermitian,
     verdict_from_tp,
 )
@@ -126,18 +126,9 @@ def _saturate(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _block_eigh(blocks):
-    """Ascending eigenvalues and eigenvectors of the Hermitian part of each block."""
-    eigs, vecs = [], []
-    for b in blocks:
-        if b.size == 0:
-            eigs.append(np.zeros(0))
-            vecs.append(np.zeros((0, 0), dtype=np.complex128))
-        else:
-            w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-            eigs.append(w)
-            vecs.append(v)
-    return eigs, vecs
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def split_once(
@@ -159,12 +150,16 @@ def split_once(
         raise SplitError(
             f"element ranks {element.ranks} do not match map ranks {tp.ranks}"
         )
-    eigs, vecs = _block_eigh(element.blocks)
-    all_eigs = np.concatenate(eigs)
-    if all_eigs.size == 0:
+    # Blocks and frames of equal rank are stacked: one eigh per rank.
+    groups = []
+    for idx in rank_groups(tp.ranks).values():
+        blocks = np.stack([element.blocks[i] for i in idx])
+        lam, u = np.linalg.eigh((blocks + _dagger(blocks)) / 2.0)
+        groups.append((idx, np.stack([tp.frames[i] for i in idx]), lam, u))
+    if not groups:
         raise SplitError("element is empty")
-    lam_min = float(all_eigs.min())
-    lam_max = float(all_eigs.max())
+    lam_min = min(float(lam.min()) for _, _, lam, _ in groups)
+    lam_max = max(float(lam.max()) for _, _, lam, _ in groups)
     radius = max(abs(lam_min), abs(lam_max))
     if radius <= 0.0:
         raise SplitError("element is zero")
@@ -187,11 +182,10 @@ def split_once(
     for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
         # Child effects S_i U_i diag(1 + sign*tau*lambda_i) U_i^dag S_i^dag.
         effects = np.zeros((len(tp.frames), d, d), dtype=np.complex128)
-        for i, (frame, lam, u) in enumerate(zip(tp.frames, eigs, vecs)):
-            if lam.size:
-                m = (u * _saturate(1.0 + sign * tau * lam)) @ u.conj().T
-                e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
-                effects[i] = (e + e.conj().T) / 2.0
+        for idx, frames, lam, u in groups:
+            m = (u * _saturate(1.0 + sign * tau * lam)[:, None, :]) @ _dagger(u)
+            e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
+            effects[idx] = (e + _dagger(e)) / 2.0
         children.append(FinitePOVM(d, tp.labels, effects))
     total = tau_plus + tau_minus
     return SplitResult(
@@ -250,6 +244,7 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     off. Each step takes one SVD.
     """
     ranks = tp.ranks
+    groups = rank_groups(ranks)
     if all(r <= 1 for r in ranks):
         # Blocks are scalars; the map's columns just get rescaled each step.
         beta = np.ones(tp.matrix.shape[1])
@@ -265,58 +260,78 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
             if flip:
                 h = -h
             beta[active] *= _saturate(1.0 + tau * h)
-        delta = beta - 1.0
-        blocks = []
-        j = 0
-        for r in ranks:
-            if r == 0:
-                blocks.append(np.zeros((0, 0), dtype=np.complex128))
-            else:
-                blocks.append(np.array([[delta[j]]], dtype=np.complex128))
-                j += 1
-        element = BlockHermitian(tuple(blocks))
-    else:
-        blocks_b = [np.eye(r, dtype=np.complex128) for r in ranks]
-        factors = list(blocks_b)
-        sub_ranks = ranks
-        matrix = tp.matrix
-        for _ in range(tp.domain_dim + 16):
-            vec = _hermitian_kernel_vector(matrix, adjoint_index(sub_ranks), margin_factor)
-            if vec is None:
-                break
-            eigs, vecs = _block_eigh(blocks_from_vector(vec, sub_ranks))
-            tau, flip = _saturating_step(np.concatenate(eigs))
+        delta = (beta - 1.0).astype(np.complex128)[:, None, None]
+        return _unit_direction(ranks, [(groups[1], delta)])
+    # Per rank r, stacked over its n_r blocks: frames S (n_r, d, r), block
+    # coordinates B (n_r, r, r) and factors G (n_r, r, r) with B = G G^dag.
+    # G's kept columns are a suffix, so a block of sub-rank s uses G[..., r-s:].
+    state = []
+    for r, idx in groups.items():
+        eye = np.broadcast_to(np.eye(r, dtype=np.complex128), (idx.size, r, r))
+        state.append((r, idx, np.stack([tp.frames[i] for i in idx]), eye.copy(), eye.copy()))
+    sub = np.array(ranks)  # current sub-rank of each block
+    top = max(ranks)
+    matrix = tp.matrix
+    for _ in range(tp.domain_dim + 16):
+        vec = _hermitian_kernel_vector(matrix, adjoint_index(sub), margin_factor)
+        if vec is None:
+            break
+        sq = sub * sub
+        offsets = np.cumsum(sq) - sq
+        directions = []  # one eigh of the direction blocks per sub-rank
+        for s, sel in _sub_rank_groups(sub, top):
+            blk = vec[offsets[sel, None] + np.arange(s * s)].reshape(-1, s, s)
+            directions.append((sel, *np.linalg.eigh((blk + _dagger(blk)) / 2.0)))
+        tau, flip = _saturating_step(np.concatenate([w.ravel() for _, w, _ in directions]))
+        # U diag(1 + tau*lambda) U^dag of each block's direction, padded to top.
+        moves = np.zeros((len(ranks), top, top), dtype=np.complex128)
+        for sel, w, v in directions:
             if flip:
-                eigs = [-w[::-1] for w in eigs]
-                vecs = [v[:, ::-1] for v in vecs]
-            for i, g in enumerate(factors):
-                if g.shape[1] == 0:
-                    continue
-                mfac = (vecs[i] * _saturate(1.0 + tau * eigs[i])) @ vecs[i].conj().T
-                nb = g @ mfac @ g.conj().T
-                blocks_b[i] = (nb + nb.conj().T) / 2.0
-            # Factor each block as B = g g^dag; the next walk frame is S g.
-            factors = []
-            cols = []
-            for S, w, v in zip(tp.frames, *_block_eigh(blocks_b)):
-                keep = w > 1e-12 * max(float(w.max(initial=0.0)), 1.0)
-                g = v[:, keep] * np.sqrt(w[keep])
-                factors.append(g)
-                cols.append(frame_columns(S @ g))
-            sub_ranks = tuple(g.shape[1] for g in factors)
-            matrix = np.hstack(cols)
-        else:
-            raise SplitError("walk failed to reach an extreme point")
-        element = BlockHermitian(
-            tuple(
-                b - np.eye(r, dtype=np.complex128) if r else b
-                for b, r in zip(blocks_b, ranks)
-            )
-        )
-    radius = float(np.max(np.abs(element.eigenvalues())))
+                w, v = -w[:, ::-1], v[:, :, ::-1]
+            s = w.shape[1]
+            moves[sel, :s, :s] = (v * _saturate(1.0 + tau * w)[:, None, :]) @ _dagger(v)
+        stacks = []
+        for r, idx, frames, coords, factors in state:
+            for s, pos in _sub_rank_groups(sub[idx], r):
+                g = factors[pos, :, r - s :]
+                nb = g @ moves[idx[pos], :s, :s] @ _dagger(g)
+                coords[pos] = (nb + _dagger(nb)) / 2.0
+            # Factor each block as B = G G^dag; the next walk frame is S G.
+            w, v = np.linalg.eigh((coords + _dagger(coords)) / 2.0)
+            keep = w > 1e-12 * np.maximum(w.max(axis=1, initial=0.0), 1.0)[:, None]
+            factors[...] = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+            sub[idx] = np.count_nonzero(keep, axis=1)
+            for s, pos in _sub_rank_groups(sub[idx], r):
+                stacks.append((idx[pos], frames[pos] @ factors[pos, :, r - s :]))
+        matrix = assemble_map(tp.dim, sub, stacks)
+    else:
+        raise SplitError("walk failed to reach an extreme point")
+    return _unit_direction(
+        ranks, [(idx, coords - np.eye(r, dtype=np.complex128)) for r, idx, _, coords, _ in state]
+    )
+
+
+def _sub_rank_groups(sub: np.ndarray, r: int):
+    """(s, positions) for each sub-rank 1 <= s <= r that some block has."""
+    for s in range(1, r + 1):
+        pos = np.flatnonzero(sub == s)
+        if pos.size:
+            yield s, pos
+
+
+def _unit_direction(ranks, stacks) -> BlockHermitian:
+    """Walk direction blocks, stacked by rank, scaled to spectral radius 1.
+
+    stacks holds (positions, blocks) pairs; rank-0 blocks stay empty.
+    """
+    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for _, b in stacks)
     if radius <= 0.0:
         raise SplitError("walk produced a zero direction (node was extreme?)")
-    return element.scaled(1.0 / radius)
+    blocks = [np.zeros((0, 0), dtype=np.complex128)] * len(ranks)
+    for idx, b in stacks:
+        for i, block in zip(idx, (1.0 / radius) * b):
+            blocks[i] = block
+    return BlockHermitian(tuple(blocks))
 
 
 def decompose_extremal(

@@ -108,11 +108,40 @@ def blocks_from_vector(vector: np.ndarray, ranks) -> tuple:
 
 
 def frame_columns(frame: np.ndarray) -> np.ndarray:
-    """Columns vec(S E_jk S^dag) for one frame S, as a d^2 x r^2 matrix."""
-    d, r = frame.shape
-    if r == 0:
-        return np.zeros((d * d, 0), dtype=np.complex128)
-    return np.einsum("aj,bk->abjk", frame, frame.conj()).reshape(d * d, r * r)
+    """Columns vec(S E_jk S^dag) for one frame S, as a d^2 x r^2 matrix.
+
+    A stack of frames (n, d, r) gives the stack of their matrices (n, d^2, r^2).
+    """
+    *lead, d, r = frame.shape
+    cols = np.einsum("...aj,...bk->...abjk", frame, frame.conj())
+    return cols.reshape(*lead, d * d, r * r)
+
+
+def rank_groups(ranks) -> dict:
+    """Positions of the blocks of each nonzero rank, {r: index array}, r ascending."""
+    groups: dict = {}
+    for i, r in enumerate(ranks):
+        if r:
+            groups.setdefault(int(r), []).append(i)
+    return {r: np.array(groups[r]) for r in sorted(groups)}
+
+
+def assemble_map(dim: int, ranks, stacks) -> np.ndarray:
+    """The d^2 x sum r_i^2 map matrix of frames stacked by rank.
+
+    stacks holds (positions, frames) pairs: frames is (n, d, r) for the n
+    blocks at those positions, all of rank r. Blocks are laid out in
+    position order, so the matrix is the same as frame_columns of each
+    frame side by side.
+    """
+    sq = np.square(np.asarray(ranks, dtype=np.intp))
+    offsets = np.cumsum(sq) - sq
+    matrix = np.empty((dim * dim, int(sq.sum())), dtype=np.complex128)
+    for idx, frames in stacks:
+        r = frames.shape[2]
+        cols = (offsets[idx][:, None] + np.arange(r * r)).reshape(-1)
+        matrix[:, cols] = frame_columns(frames).transpose(1, 0, 2).reshape(dim * dim, -1)
+    return matrix
 
 
 def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
@@ -121,7 +150,9 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     Each frame S_i is sqrt(P_i) restricted to the numerical range of P_i,
     computed directly from the eigendecomposition (eigenvectors above the
     relative rank cutoff, scaled by sqrt of their eigenvalues). Zero effects
-    yield empty frames and contribute no columns.
+    yield empty frames and contribute no columns. Eigenvalues come
+    ascending, so the kept ones are a suffix and frames of equal rank are
+    cut and expanded as one stack.
     """
     w, v = np.linalg.eigh(
         (povm.effects + povm.effects.conj().transpose(0, 2, 1)) / 2.0
@@ -131,17 +162,17 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
         raise PovmError(
             f"effect is not PSD: min eigenvalue {w.min():.3e}"
         )
-    frames = []
-    for i in range(povm.n_outcomes):
-        cutoff = rank_tol * max(float(w[i, -1]), 1.0)
-        keep = w[i] > cutoff
-        frames.append(np.ascontiguousarray(v[i][:, keep] * np.sqrt(w[i, keep])))
-    ranks = tuple(f.shape[1] for f in frames)
     d = povm.dim
-    if any(ranks):
-        matrix = np.hstack([frame_columns(f) for f in frames])
-    else:
-        matrix = np.zeros((d * d, 0), dtype=np.complex128)
+    cutoff = rank_tol * np.maximum(w[:, -1], 1.0)
+    ranks = tuple(int(r) for r in np.count_nonzero(w > cutoff[:, None], axis=1))
+    frames = [np.zeros((d, 0), dtype=np.complex128)] * len(ranks)
+    stacks = []
+    for r, idx in rank_groups(ranks).items():
+        stack = v[idx, :, d - r :] * np.sqrt(w[idx, None, d - r :])
+        stacks.append((idx, stack))
+        for i, frame in zip(idx, stack):
+            frames[i] = frame
+    matrix = assemble_map(d, ranks, stacks)
     return TpMap(d, povm.labels, tuple(frames), ranks, matrix)
 
 
@@ -190,12 +221,12 @@ def is_extreme(
 def adjoint_index(ranks) -> np.ndarray:
     """For each entry (j, k) of a stacked row-major block vector, the
     position of its transposed entry (k, j) in the same block."""
-    parts = []
-    offset = 0
-    for r in ranks:
-        parts.append(offset + np.arange(r * r).reshape(r, r).T.reshape(-1))
-        offset += r * r
-    return np.concatenate(parts)
+    ranks = np.asarray(ranks, dtype=np.intp)
+    sq = ranks * ranks
+    r = np.repeat(ranks, sq)  # rank of each entry's block
+    start = np.repeat(np.cumsum(sq) - sq, sq)
+    j, k = np.divmod(np.arange(r.size) - start, r)
+    return start + k * r + j
 
 
 def split_hermitian(vector: np.ndarray, adjoint) -> tuple:

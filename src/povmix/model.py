@@ -34,13 +34,20 @@ NORMALIZATION_TOL = 1e-9
 # a lookup usually touches one cell per coordinate.
 _CELL_REACHES = 32.0
 
-# Least lookup reach. Coordinate differences below it can square to zero in
-# labels_equal's norm, so such points may compare equal even at tol = 0.
+# Least lookup reach. It keeps the cell width above 0 when tol is 0 (or so
+# small that 64 * tol underflows), so that a coordinate divided by the width
+# stays a number.
 _MIN_REACH = 2.0**-500
 
 
 def as_label(value) -> Label:
     """Normalize a label to an int or a tuple of floats."""
+    if (
+        type(value) is tuple
+        and value
+        and all(type(x) is float and math.isfinite(x) for x in value)
+    ):
+        return value  # already normal
     if isinstance(value, bool):
         raise ValueError("labels must be integers or real points, not bool")
     if isinstance(value, (int, np.integer)):
@@ -60,7 +67,8 @@ def labels_equal(a: Label, b: Label, tol: float = LABEL_TOL) -> bool:
     if isinstance(a, tuple) and isinstance(b, tuple):
         if len(a) != len(b):
             return False
-        return float(np.linalg.norm(np.subtract(a, b))) <= tol
+        # math.dist scales before squaring: no underflow or overflow.
+        return math.dist(a, b) <= tol
     return False
 
 

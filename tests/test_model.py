@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,29 @@ def test_labels():
     assert not labels_equal(2, (2.0,))  # kinds never mix
     assert labels_equal((0.0, 1.0), (0.0, 1.0 + 1e-10))
     assert not labels_equal((0.0, 1.0), (0.0, 1.01))
+
+
+def test_as_label_returns_normal_points_unchanged():
+    point = (0.5, -1.0, 0.0)
+    assert as_label(point) is point
+    # everything else is normalized as before: items become Python floats
+    for value in [(1, 2.0), [0.5], (np.float64(0.5), 1.0), np.array([0.5, 1.0])]:
+        label = as_label(value)
+        assert type(label) is tuple and all(type(x) is float for x in label)
+        assert label == tuple(float(x) for x in value)
+    for bad in [True, (), (float("nan"), 1.0), (1.0, float("inf")), "a", None]:
+        with pytest.raises(ValueError):
+            as_label(bad)
+
+
+def test_labels_equal_scales_tiny_and_huge_differences():
+    # squared differences would underflow to 0 and overflow to inf
+    assert not labels_equal((0.0, 0.0), (1e-170, 0.0), 0.0)
+    assert labels_equal((0.0, 0.0), (1e-170, 0.0), 1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not labels_equal((-1.7e308, 1.0), (1.7e308, 1.0), 0.0)
+        assert labels_equal((-1.7e308, 1.0), (-1.7e308, 1.0), 0.0)
 
 
 def test_povm_construction_errors():
@@ -242,7 +267,7 @@ def alignment_cases():
     yield [[0, (0.0,), 1, (1.0,), 0, (1e-10,), True, (1.0 + 1e-10,)], [1, 0, (0.0,)]], tol
     # exact duplicates at tol = 0, including 0.0 against -0.0
     yield [[(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-300, 0.0), (5e-324, 0.0)]], 0.0
-    # differences whose squares underflow compare equal even at tol = 0
+    # differences whose squares underflow in double precision, told apart at tol = 0
     yield [[(0.0, 0.0), (1e-170, 0.0), (1.5e-162, 0.0), (0.0, -1e-200), (1e-150, 0.0)]], 0.0
     yield [[(0.0,), (-0.0,), 3, 3], [(-0.0,), 3]], 0.0
     # coordinates near the top of the float range
@@ -253,8 +278,6 @@ def alignment_cases():
     yield [[1.5, 1.5, "a", "a", (1.5,)]], tol
 
 
-# labels_equal overflows to inf (no match) on the float-range extremes
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("lists, tol", list(alignment_cases()))
 def test_alignment_matches_pairwise_reference(lists, tol):
     universe, maps = align_label_universe(lists, tol)
