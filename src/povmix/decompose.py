@@ -241,7 +241,8 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     The returned direction D = (B_final - identity), spectrally normalized,
     is a kernel element of the original map whose + saturation lands exactly
     on that extreme point, so the caller's split peels one extreme component
-    off. Each step takes one SVD.
+    off. Each step takes one SVD, and blocks of equal rank are stacked, so
+    it makes one eigh per rank group, not one per block.
     """
     ranks = tp.ranks
     groups = rank_groups(ranks)
