@@ -186,7 +186,7 @@ def split_once(
             m = (u * _saturate(1.0 + sign * tau * lam)[:, None, :]) @ _dagger(u)
             e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
             effects[idx] = (e + _dagger(e)) / 2.0
-        children.append(FinitePOVM(d, tp.labels, effects))
+        children.append(FinitePOVM._with_normal_labels(d, tp.labels, effects))
     total = tau_plus + tau_minus
     return SplitResult(
         weight_plus=tau_minus / total,
@@ -231,48 +231,83 @@ def _saturating_step(lam: np.ndarray):
     return 1.0 / radius, lam_max > -lam_min
 
 
+def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_factor: float):
+    """Saturating walk on scalar coordinates: columns[:, j] carries weight scale[j].
+
+    Each step takes a kernel vector of the first d^2 + 1 active weighted
+    columns (d^2 = rows), padded with zeros a kernel element of them all,
+    and saturates it, which zeroes at least one weight and keeps the
+    weighted column sum. Stops once at most stop weights are nonzero or the
+    active columns are injective; returns the new weights.
+    """
+    scale = scale.copy()
+    width = columns.shape[0] + 1
+    for _ in range(columns.shape[1] + 16):
+        active = np.flatnonzero(scale > 0.0)
+        if active.size <= stop:
+            return scale
+        sub = active[:width]
+        h = _hermitian_kernel_vector(columns[:, sub] * scale[sub], slice(None), margin_factor)
+        if h is None:
+            return scale
+        h = h.real
+        tau, flip = _saturating_step(h)
+        if flip:
+            h = -h
+        scale[sub] *= _saturate(1.0 + tau * h)
+    raise SplitError("walk failed to reach an extreme point")
+
+
 def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> BlockHermitian:
     """Kernel element pointing at an extreme point of the measurement's face.
 
     Starting from the measurement itself (block coordinates B_i = identity),
-    repeatedly take the Hermitian kernel vector of the current point and
-    saturate one-sidedly toward its dominant eigenvalue, which zeroes at
-    least one block eigenvalue per step, until the current point is extreme.
-    The returned direction D = (B_final - identity), spectrally normalized,
-    is a kernel element of the original map whose + saturation lands exactly
-    on that extreme point, so the caller's split peels one extreme component
-    off. Each step takes one SVD, and blocks of equal rank are stacked, so
-    it makes one eigh per rank group, not one per block.
+    the walk moves along kernel directions, zeroing at least one block
+    eigenvalue per step, until the current point is extreme. The returned
+    direction D = (B_final - identity), spectrally normalized, is a kernel
+    element of the original map whose + saturation lands exactly on that
+    extreme point, so the caller's split peels one extreme component off.
+
+    Phase 1 (recombination) runs while more than 2(d^2 + 1) effects are
+    active: it cuts them, in outcome order, into 2(d^2 + 1) contiguous
+    groups, walks the groups' summed effects c_i vec(S_i S_i^dag) down to at
+    most d^2 groups and scales each effect by its group's weight, so every
+    block stays B_i = c_i I and each round drops more than half the effects.
+    Phase 2 finishes from B_i = c_i I: rank-one blocks by the same scalar
+    walk over single columns, other ranks by the stacked general walk on the
+    map with columns scaled by c_i (tp.matrix itself when every c_i is 1).
+    Each general step takes one SVD and one eigh per rank group.
     """
     ranks = tp.ranks
     groups = rank_groups(ranks)
+    d2 = tp.dim * tp.dim
+    sq = np.square(np.array(ranks))
+    offsets = np.cumsum(sq) - sq
+    # vec(S_i S_i^dag) of each block: the sum of its diagonal columns.
+    columns = np.zeros((d2, len(ranks)), dtype=np.complex128)
+    for r, idx in groups.items():
+        columns[:, idx] = tp.matrix[:, offsets[idx, None] + np.arange(r) * (r + 1)].sum(axis=2)
+    scale = (sq > 0).astype(np.float64)  # c_i
+    while np.count_nonzero(scale) > 2 * (d2 + 1):
+        active = np.flatnonzero(scale)
+        starts = np.arange(2 * (d2 + 1)) * active.size // (2 * (d2 + 1))
+        summed = np.add.reduceat(columns[:, active] * scale[active], starts, axis=1)
+        gamma = _scalar_walk(summed, np.ones(starts.size), d2, margin_factor)
+        scale[active] *= np.repeat(gamma, np.diff(starts, append=active.size))
     if all(r <= 1 for r in ranks):
-        # Blocks are scalars; the map's columns just get rescaled each step.
-        beta = np.ones(tp.matrix.shape[1])
-        while True:
-            active = beta > 0.0
-            h = _hermitian_kernel_vector(
-                tp.matrix[:, active] * beta[active], slice(None), margin_factor
-            )
-            if h is None:
-                break
-            h = h.real
-            tau, flip = _saturating_step(h)
-            if flip:
-                h = -h
-            beta[active] *= _saturate(1.0 + tau * h)
-        delta = (beta - 1.0).astype(np.complex128)[:, None, None]
-        return _unit_direction(ranks, [(groups[1], delta)])
+        delta = _scalar_walk(columns, scale, 0, margin_factor)[groups[1]] - 1.0
+        return _unit_direction(ranks, [(groups[1], delta.astype(np.complex128)[:, None, None])])
     # Per rank r, stacked over its n_r blocks: frames S (n_r, d, r), block
     # coordinates B (n_r, r, r) and factors G (n_r, r, r) with B = G G^dag.
     # G's kept columns are a suffix, so a block of sub-rank s uses G[..., r-s:].
     state = []
     for r, idx in groups.items():
-        eye = np.broadcast_to(np.eye(r, dtype=np.complex128), (idx.size, r, r))
-        state.append((r, idx, np.stack([tp.frames[i] for i in idx]), eye.copy(), eye.copy()))
-    sub = np.array(ranks)  # current sub-rank of each block
+        c = scale[idx, None, None]
+        eye = np.eye(r, dtype=np.complex128)
+        state.append((r, idx, np.stack([tp.frames[i] for i in idx]), c * eye, np.sqrt(c) * eye))
+    sub = np.where(scale > 0.0, ranks, 0)  # current sub-rank of each block
     top = max(ranks)
-    matrix = tp.matrix
+    matrix = (tp.matrix * np.repeat(scale, sq))[:, np.repeat(scale > 0.0, sq)]
     for _ in range(tp.domain_dim + 16):
         vec = _hermitian_kernel_vector(matrix, adjoint_index(sub), margin_factor)
         if vec is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, RANK_TOL, check_hermitian
+from .linalg import PSD_TOL, RANK_TOL
 from .model import FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
@@ -83,28 +83,6 @@ class BlockHermitian:
         if not self.blocks:
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate([b.reshape(-1) for b in self.blocks])
-
-    def eigenvalues(self) -> np.ndarray:
-        """All block eigenvalues, ascending."""
-        vals = [np.linalg.eigvalsh(check_hermitian(b)) for b in self.blocks if b.size]
-        if not vals:
-            return np.zeros(0)
-        return np.sort(np.concatenate(vals))
-
-    def scaled(self, factor: float) -> "BlockHermitian":
-        return BlockHermitian(tuple(factor * b for b in self.blocks))
-
-
-def blocks_from_vector(vector: np.ndarray, ranks) -> tuple:
-    """Cut a stacked coefficient vector into row-major r_i x r_i blocks."""
-    blocks = []
-    offset = 0
-    for r in ranks:
-        blocks.append(vector[offset : offset + r * r].reshape(r, r))
-        offset += r * r
-    if offset != vector.size:
-        raise ValueError(f"vector length {vector.size} does not match ranks {tuple(ranks)}")
-    return tuple(blocks)
 
 
 def frame_columns(frame: np.ndarray) -> np.ndarray:

@@ -99,7 +99,18 @@ class FinitePOVM:
         if d < 1:
             raise PovmError(f"dimension must be >= 1, got {self.dim}")
         labels = tuple(as_label(x) for x in self.labels)
-        effects = np.array(self.effects, dtype=np.complex128, copy=True)
+        self._set(d, labels, np.array(self.effects, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def _with_normal_labels(cls, dim: int, labels: tuple, effects: np.ndarray) -> "FinitePOVM":
+        """A measurement over labels that are already normal, such as a
+        parent's labels or a subset of them: skips as_label, keeps the effect
+        checks, and takes ownership of effects (made read-only, not copied)."""
+        povm = object.__new__(cls)
+        povm._set(dim, labels, np.asarray(effects, dtype=np.complex128))
+        return povm
+
+    def _set(self, d: int, labels: tuple, effects: np.ndarray) -> None:
         if effects.ndim != 3 or effects.shape[1:] != (d, d):
             raise PovmError(
                 f"effects must have shape (k, {d}, {d}), got {effects.shape}"
@@ -412,12 +423,17 @@ def convex_combine(components, label_tol: float = LABEL_TOL) -> FinitePOVM:
 
 
 def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOVM:
-    """Drop effects with trace at or below prune_tol; raises if none survive."""
+    """Drop effects with trace at or below prune_tol; raises if none survive.
+
+    labels must already be normal, as a measurement's own labels are.
+    """
     traces = np.einsum("kaa->k", effects).real
     keep = traces > prune_tol
     if not np.any(keep):
         raise PovmError("pruning removed every outcome")
-    return FinitePOVM(dim, tuple(u for u, k in zip(labels, keep) if k), effects[keep])
+    return FinitePOVM._with_normal_labels(
+        dim, tuple(u for u, k in zip(labels, keep) if k), effects[keep]
+    )
 
 
 def prune_and_merge(

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from povmix import decompose, model
+from povmix import decompose, linalg, model
 from povmix.decompose import (
     ExtremalMixture,
     MixtureComponent,
@@ -12,7 +14,7 @@ from povmix.decompose import (
     split_once,
     verify_barycenter,
 )
-from povmix.extremality import BlockHermitian, build_tp_map, is_extreme
+from povmix.extremality import MARGIN_FACTOR, BlockHermitian, build_tp_map, is_extreme
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_trine
 
@@ -243,3 +245,83 @@ def test_labels_merge_once_at_the_root(monkeypatch):
         assert a.weight == b.weight
         assert a.povm.labels == b.povm.labels
         assert np.array_equal(a.povm.effects, b.povm.effects)
+
+
+def face_dim(povm):
+    """Real dimension of the Hermitian kernel of the map at the decomposition
+    root: domain_dim - rank, with rank cut by the verdict's rule."""
+    tp = build_tp_map(model.prune_and_merge(povm))
+    return linalg.kernel_basis(tp.matrix, MARGIN_FACTOR).shape[1]
+
+
+def certificate_corpus():
+    """25 seeded random measurements per d in {2, 3, 4}, rank caps as in
+    acceptance criterion 2."""
+    rng = np.random.default_rng(2012)
+    for d in (2, 3, 4):
+        for _ in range(25):
+            k = int(rng.integers(2, 3 * d * d + 1))
+            cap = min(d, max(1, int((100 / k) ** 0.5)))
+            while k * cap < d:
+                cap += 1
+            yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
+
+
+def test_leaf_count_certificate_on_corpus():
+    """Each split peels an extreme point off and leaves the rest on a proper
+    face, so a decomposition has at most dim F + 1 leaves."""
+    tight = 0
+    for povm in certificate_corpus():
+        mixture = decompose_extremal(povm)
+        assert mixture.complete
+        bound = face_dim(povm) + 1
+        assert len(mixture.components) <= bound
+        tight += len(mixture.components) == bound
+    assert tight > 0
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_sphere_leaf_count_meets_certificate(n):
+    sphere = gen_covariant_sphere(n, seed=7)
+    assert face_dim(sphere) == n - 4
+    assert len(decompose_extremal(sphere).components) == n - 3
+
+
+def test_walk_kernel_svds_grow_with_log_outcomes(monkeypatch):
+    """Complexity guard: recombination drops more than half the active
+    effects per round, so a root walk takes O(d^2 log N) kernel SVDs, not N."""
+    n, d = 400, 2
+    sphere = gen_covariant_sphere(n, seed=7)
+    tp = build_tp_map(sphere)
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return linalg.kernel_basis(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "kernel_basis", counted)
+    direction = _extremal_direction(tp)
+    assert calls <= (d * d + 2) * (math.ceil(math.log2(n)) + 2)
+    child = split_once(sphere, direction, tp).child_plus
+    assert is_extreme(child).is_extreme
+    assert block_dim(child) <= d * d
+
+
+def test_recombination_walk_on_higher_ranks():
+    """More than 2(d^2 + 1) effects of rank 2, and the pruned minus child,
+    whose ranks are mixed: the walk runs its recombination phase, then the
+    general-rank walk, and its direction peels an extreme point off."""
+    d = 3
+    povm = gen_random_povm(d, 27, rank_cap=2, seed=5)
+    rank_sets = []
+    for _ in range(2):
+        tp = build_tp_map(povm)
+        rank_sets.append(set(tp.ranks))
+        assert povm.n_outcomes > 2 * (d * d + 1)
+        split = split_once(povm, _extremal_direction(tp), tp)
+        assert is_extreme(split.child_plus).is_extreme
+        assert block_dim(split.child_plus) <= d * d
+        child = split.child_minus
+        povm = model._prune(d, child.labels, child.effects, model.PRUNE_TOL)
+    assert rank_sets == [{2}, {1, 2}]

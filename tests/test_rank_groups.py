@@ -24,7 +24,6 @@ from povmix.extremality import (
     BlockHermitian,
     TpMap,
     adjoint_index,
-    blocks_from_vector,
     build_tp_map,
 )
 from povmix.linalg import RANK_TOL
@@ -64,6 +63,16 @@ def ref_adjoint_index(ranks):
     return np.concatenate(parts)
 
 
+def ref_blocks_from_vector(vector, ranks):
+    """Cut a stacked coefficient vector into row-major r_i x r_i blocks."""
+    blocks = []
+    offset = 0
+    for r in ranks:
+        blocks.append(vector[offset : offset + r * r].reshape(r, r))
+        offset += r * r
+    return tuple(blocks)
+
+
 def ref_block_eigh(blocks):
     eigs, vecs = [], []
     for b in blocks:
@@ -88,7 +97,7 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
         vec = _hermitian_kernel_vector(matrix, ref_adjoint_index(sub_ranks), margin_factor)
         if vec is None:
             break
-        eigs, vecs = ref_block_eigh(blocks_from_vector(vec, sub_ranks))
+        eigs, vecs = ref_block_eigh(ref_blocks_from_vector(vec, sub_ranks))
         tau, flip = _saturating_step(np.concatenate(eigs))
         if flip:
             eigs = [-w[::-1] for w in eigs]
@@ -110,10 +119,9 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
         matrix = np.hstack(cols)
     else:
         raise AssertionError("reference walk did not end")
-    element = BlockHermitian(
-        tuple(b - np.eye(r, dtype=np.complex128) if r else b for b, r in zip(blocks_b, ranks))
-    )
-    return element.scaled(1.0 / float(np.max(np.abs(element.eigenvalues()))))
+    blocks = [b - np.eye(r, dtype=np.complex128) if r else b for b, r in zip(blocks_b, ranks)]
+    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks if b.size)
+    return BlockHermitian(tuple((1.0 / radius) * b for b in blocks))
 
 
 def ref_split_once(element, tp):
