@@ -268,20 +268,23 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     element of the original map whose + saturation lands exactly on that
     extreme point, so the caller's split peels one extreme component off.
 
-    Phase 1 (recombination) runs while more than 2(d^2 + 1) effects are
-    active: it cuts them, in outcome order, into 2(d^2 + 1) contiguous
-    groups, walks the groups' summed effects c_i vec(S_i S_i^dag) down to at
-    most d^2 groups and scales each effect by its group's weight, so every
-    block stays B_i = c_i I and each round drops more than half the effects.
-    Phase 2 finishes from B_i = c_i I: rank-one blocks by the same scalar
-    walk over single columns, other ranks by the stacked general walk on the
-    map with columns scaled by c_i (tp.matrix itself when every c_i is 1).
-    Each general step takes one SVD and one eigh per rank group.
+    Recombination runs while more than 2(d^2 + 1) effects are active: it
+    cuts them, in outcome order, into 2(d^2 + 1) contiguous groups, walks
+    the groups' summed effects c_i vec(S_i S_i^dag) down to at most d^2
+    groups and scales each effect by its group's weight, so every block
+    stays B_i = c_i I and each round drops more than half the effects. The
+    same scalar walk then runs over single effects until their columns are
+    injective. If every live block has rank one, the point is extreme (a
+    rank-one block's map column is its scalar column), and the walk ends.
+    Otherwise the stacked general walk refines the blocks. It holds only
+    frames and factors G_i with B_i = G_i G_i^dag; a step takes one SVD of
+    the map with columns of S_i G_i and one eigh per current sub-rank, and
+    updates G_i <- G_i U_i sqrt(1 + tau lambda_i), dropping saturated roots.
     """
-    ranks = tp.ranks
+    ranks = np.array(tp.ranks)
     groups = rank_groups(ranks)
     d2 = tp.dim * tp.dim
-    sq = np.square(np.array(ranks))
+    sq = ranks * ranks
     offsets = np.cumsum(sq) - sq
     # vec(S_i S_i^dag) of each block: the sum of its diagonal columns.
     columns = np.zeros((d2, len(ranks)), dtype=np.complex128)
@@ -294,20 +297,25 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         summed = np.add.reduceat(columns[:, active] * scale[active], starts, axis=1)
         gamma = _scalar_walk(summed, np.ones(starts.size), d2, margin_factor)
         scale[active] *= np.repeat(gamma, np.diff(starts, append=active.size))
-    if all(r <= 1 for r in ranks):
-        delta = _scalar_walk(columns, scale, 0, margin_factor)[groups[1]] - 1.0
-        return _unit_direction(ranks, [(groups[1], delta.astype(np.complex128)[:, None, None])])
-    # Per rank r, stacked over its n_r blocks: frames S (n_r, d, r), block
-    # coordinates B (n_r, r, r) and factors G (n_r, r, r) with B = G G^dag.
-    # G's kept columns are a suffix, so a block of sub-rank s uses G[..., r-s:].
-    state = []
-    for r, idx in groups.items():
-        c = scale[idx, None, None]
-        eye = np.eye(r, dtype=np.complex128)
-        state.append((r, idx, np.stack([tp.frames[i] for i in idx]), c * eye, np.sqrt(c) * eye))
-    sub = np.where(scale > 0.0, ranks, 0)  # current sub-rank of each block
-    top = max(ranks)
-    matrix = (tp.matrix * np.repeat(scale, sq))[:, np.repeat(scale > 0.0, sq)]
+    scale = _scalar_walk(columns, scale, 0, margin_factor)
+    live = scale > 0.0
+    if np.all(ranks[live] == 1):
+        return _unit_direction(
+            ranks,
+            [(idx, (scale[idx, None, None] - 1.0) * np.eye(r, dtype=np.complex128))
+             for r, idx in groups.items()],
+        )
+    # Per rank r, stacked over its n_r blocks: frames S (n_r, d, r) and
+    # factors G (n_r, r, r) with B = G G^dag. Saturated roots come first, so
+    # G's kept columns are a suffix: a block of sub-rank s uses G[..., r-s:].
+    state = [
+        (r, idx, np.stack([tp.frames[i] for i in idx]),
+         np.sqrt(scale[idx, None, None]) * np.eye(r, dtype=np.complex128))
+        for r, idx in groups.items()
+    ]
+    sub = np.where(live, ranks, 0)  # current sub-rank of each block
+    top = ranks.max()
+    matrix = (tp.matrix * np.repeat(scale, sq))[:, np.repeat(live, sq)]
     for _ in range(tp.domain_dim + 16):
         vec = _hermitian_kernel_vector(matrix, adjoint_index(sub), margin_factor)
         if vec is None:
@@ -315,44 +323,37 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         sq = sub * sub
         offsets = np.cumsum(sq) - sq
         directions = []  # one eigh of the direction blocks per sub-rank
-        for s, sel in _sub_rank_groups(sub, top):
+        for s, sel in rank_groups(sub).items():
             blk = vec[offsets[sel, None] + np.arange(s * s)].reshape(-1, s, s)
             directions.append((sel, *np.linalg.eigh((blk + _dagger(blk)) / 2.0)))
         tau, flip = _saturating_step(np.concatenate([w.ravel() for _, w, _ in directions]))
-        # U diag(1 + tau*lambda) U^dag of each block's direction, padded to top.
-        moves = np.zeros((len(ranks), top, top), dtype=np.complex128)
+        # U sqrt(1 + tau*lambda) of each block's direction, padded to top.
+        roots = np.zeros((len(ranks), top, top), dtype=np.complex128)
+        new_sub = sub.copy()
         for sel, w, v in directions:
             if flip:
                 w, v = -w[:, ::-1], v[:, :, ::-1]
-            s = w.shape[1]
-            moves[sel, :s, :s] = (v * _saturate(1.0 + tau * w)[:, None, :]) @ _dagger(v)
+            sat = _saturate(1.0 + tau * w)
+            roots[sel, : w.shape[1], : w.shape[1]] = v * np.sqrt(sat)[:, None, :]
+            new_sub[sel] = np.count_nonzero(sat, axis=1)
         stacks = []
-        for r, idx, frames, coords, factors in state:
-            for s, pos in _sub_rank_groups(sub[idx], r):
-                g = factors[pos, :, r - s :]
-                nb = g @ moves[idx[pos], :s, :s] @ _dagger(g)
-                coords[pos] = (nb + _dagger(nb)) / 2.0
-            # Factor each block as B = G G^dag; the next walk frame is S G.
-            w, v = np.linalg.eigh((coords + _dagger(coords)) / 2.0)
-            keep = w > 1e-12 * np.maximum(w.max(axis=1, initial=0.0), 1.0)[:, None]
-            factors[...] = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
-            sub[idx] = np.count_nonzero(keep, axis=1)
-            for s, pos in _sub_rank_groups(sub[idx], r):
+        for r, idx, frames, factors in state:
+            for s, pos in rank_groups(sub[idx]).items():
+                factors[pos, :, r - s :] = factors[pos, :, r - s :] @ roots[idx[pos], :s, :s]
+            for s, pos in rank_groups(new_sub[idx]).items():
                 stacks.append((idx[pos], frames[pos] @ factors[pos, :, r - s :]))
+        sub = new_sub
         matrix = assemble_map(tp.dim, sub, stacks)
     else:
         raise SplitError("walk failed to reach an extreme point")
-    return _unit_direction(
-        ranks, [(idx, coords - np.eye(r, dtype=np.complex128)) for r, idx, _, coords, _ in state]
-    )
-
-
-def _sub_rank_groups(sub: np.ndarray, r: int):
-    """(s, positions) for each sub-rank 1 <= s <= r that some block has."""
-    for s in range(1, r + 1):
-        pos = np.flatnonzero(sub == s)
-        if pos.size:
-            yield s, pos
+    stacks = []
+    for r, idx, _, factors in state:
+        coords = np.zeros((idx.size, r, r), dtype=np.complex128)
+        for s, pos in rank_groups(sub[idx]).items():
+            g = factors[pos, :, r - s :]
+            coords[pos] = g @ _dagger(g)
+        stacks.append((idx, coords - np.eye(r, dtype=np.complex128)))
+    return _unit_direction(ranks, stacks)
 
 
 def _unit_direction(ranks, stacks) -> BlockHermitian:

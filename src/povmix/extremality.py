@@ -97,11 +97,9 @@ def frame_columns(frame: np.ndarray) -> np.ndarray:
 
 def rank_groups(ranks) -> dict:
     """Positions of the blocks of each nonzero rank, {r: index array}, r ascending."""
-    groups: dict = {}
-    for i, r in enumerate(ranks):
-        if r:
-            groups.setdefault(int(r), []).append(i)
-    return {r: np.array(groups[r]) for r in sorted(groups)}
+    ranks = np.asarray(ranks)
+    groups = {r: np.flatnonzero(ranks == r) for r in range(1, int(ranks.max(initial=0)) + 1)}
+    return {r: idx for r, idx in groups.items() if idx.size}
 
 
 def assemble_map(dim: int, ranks, stacks) -> np.ndarray:

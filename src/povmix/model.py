@@ -132,9 +132,6 @@ class FinitePOVM:
     def n_outcomes(self) -> int:
         return len(self.labels)
 
-    def outcome(self, i: int) -> tuple:
-        return self.labels[i], self.effects[i]
-
     def __iter__(self):
         return iter(zip(self.labels, self.effects))
 

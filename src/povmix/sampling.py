@@ -74,6 +74,9 @@ def _uniforms_at(seed, start: int, count: int) -> np.ndarray:
 def _shard_bounds(n: int, shards: int):
     if shards < 1:
         raise PovmError(f"shards must be >= 1, got {shards}")
+    # At most 2^17 draws per piece keeps the per-draw temporaries to a few
+    # MB for any n; results do not depend on the cut.
+    shards = max(shards, -(-n // (1 << 17)))
     return [(s * n) // shards for s in range(shards + 1)]
 
 

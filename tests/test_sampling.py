@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from povmix.decompose import ExtremalMixture, MixtureComponent, decompose_extremal
-from povmix.model import DensityState, FinitePOVM, PovmError
+from povmix import sampling
+from povmix.model import DensityState, FinitePOVM, PovmError, born_probabilities
 from povmix.outcomes import gen_pvm, gen_random_povm, gen_random_state
 from povmix.sampling import (
     OutcomeHistogram,
@@ -79,6 +80,27 @@ def test_shard_count_never_changes_results():
     base2 = sample_two_stage(mixture, rho, 9973, seed=5, shards=1)
     for shards in (2, 7, 12):
         assert sample_two_stage(mixture, rho, 9973, seed=5, shards=shards) == base2
+
+
+def test_long_runs_draw_in_pieces_with_unchanged_counts(monkeypatch):
+    povm = gen_random_povm(2, 5, seed=4)
+    rho = gen_random_state(2, seed=6)
+    n = 3 * 2**17 + 5
+    cdf = np.cumsum(born_probabilities(povm, rho))
+    u = np.random.Generator(np.random.Philox(key=5)).random(n)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), povm.n_outcomes - 1)
+    pieces = []
+
+    def recording(seed, start, count):
+        pieces.append(count)
+        return _uniforms_at(seed, start, count)
+
+    monkeypatch.setattr(sampling, "_uniforms_at", recording)
+    assert sample_direct(povm, rho, n, seed=5).counts == tuple(np.bincount(idx, minlength=5))
+    assert len(pieces) == 4 and max(pieces) <= 2**17
+    pieces.clear()
+    sample_two_stage(decompose_extremal(povm), rho, n, seed=5)
+    assert len(pieces) == 4 and max(pieces) <= 2 * 2**17
 
 
 def test_two_stage_matches_direct_distribution():
