@@ -26,12 +26,10 @@ from .extremality import (
     BlockHermitian,
     ExtremalityVerdict,
     TpMap,
-    adjoint_index,
     apply_tp,
-    assemble_map,
     build_tp_map,
+    frame_columns,
     rank_groups,
-    split_hermitian,
     verdict_from_tp,
 )
 from .linalg import RANK_TOL, kernel_basis
@@ -198,22 +196,13 @@ def split_once(
     )
 
 
-def _hermitian_kernel_vector(matrix: np.ndarray, adjoint, margin_factor: float):
-    """First kernel vector of one walk step, made Hermitian block by block.
-
-    The kernel is cut by the verdict's own rule (margin_factor). Keeps the
-    Hermitian part of the first kernel vector unless it is negligible, in
-    which case the anti-Hermitian part (times -i) is used; the kernel is
-    closed under the adjoint, so both are kernel elements. Returns None
-    when the matrix is injective.
-    """
+def _kernel_vector(matrix: np.ndarray, margin_factor: float):
+    """First kernel vector of one walk step's map, cut by the verdict's own
+    rule (margin_factor); None when the map is injective."""
     if matrix.shape[1] == 0:
         raise SplitError("walk emptied the measurement")
     basis = kernel_basis(matrix, margin_factor)
-    if basis.shape[1] == 0:
-        return None
-    herm, anti = split_hermitian(basis[:, 0], adjoint)
-    return herm if np.linalg.norm(herm) > _HERM_PREFERENCE else anti
+    return basis[:, 0] if basis.shape[1] else None
 
 
 def _saturating_step(lam: np.ndarray):
@@ -247,10 +236,11 @@ def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_facto
         if active.size <= stop:
             return scale
         sub = active[:width]
-        h = _hermitian_kernel_vector(columns[:, sub] * scale[sub], slice(None), margin_factor)
-        if h is None:
+        v = _kernel_vector(columns[:, sub] * scale[sub], margin_factor)
+        if v is None:
             return scale
-        h = h.real
+        # The kernel is closed under conjugation, so both parts lie in it.
+        h = v.real if np.linalg.norm(v.real) > _HERM_PREFERENCE else v.imag
         tau, flip = _saturating_step(h)
         if flip:
             h = -h
@@ -276,10 +266,12 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     same scalar walk then runs over single effects until their columns are
     injective. If every live block has rank one, the point is extreme (a
     rank-one block's map column is its scalar column), and the walk ends.
-    Otherwise the stacked general walk refines the blocks. It holds only
-    frames and factors G_i with B_i = G_i G_i^dag; a step takes one SVD of
-    the map with columns of S_i G_i and one eigh per current sub-rank, and
-    updates G_i <- G_i U_i sqrt(1 + tau lambda_i), dropping saturated roots.
+    Otherwise the general walk refines the at most d^2 live blocks, held as
+    one stack of t x t blocks (t the largest live rank): frames and factors
+    G_i with B_i = G_i G_i^dag, padded with zero columns in front. A step
+    takes one SVD of the map with columns of S_i G_i, one eigh of the whole
+    stack, and updates G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated
+    roots become zero columns in front.
     """
     ranks = np.array(tp.ranks)
     groups = rank_groups(ranks)
@@ -298,76 +290,69 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         gamma = _scalar_walk(summed, np.ones(starts.size), d2, margin_factor)
         scale[active] *= np.repeat(gamma, np.diff(starts, append=active.size))
     scale = _scalar_walk(columns, scale, 0, margin_factor)
-    live = scale > 0.0
-    if np.all(ranks[live] == 1):
-        return _unit_direction(
-            ranks,
-            [(idx, (scale[idx, None, None] - 1.0) * np.eye(r, dtype=np.complex128))
-             for r, idx in groups.items()],
-        )
-    # Per rank r, stacked over its n_r blocks: frames S (n_r, d, r) and
-    # factors G (n_r, r, r) with B = G G^dag. Saturated roots come first, so
-    # G's kept columns are a suffix: a block of sub-rank s uses G[..., r-s:].
-    state = [
-        (r, idx, np.stack([tp.frames[i] for i in idx]),
-         np.sqrt(scale[idx, None, None]) * np.eye(r, dtype=np.complex128))
-        for r, idx in groups.items()
-    ]
-    sub = np.where(live, ranks, 0)  # current sub-rank of each block
-    top = ranks.max()
-    matrix = (tp.matrix * np.repeat(scale, sq))[:, np.repeat(live, sq)]
+    live = np.flatnonzero(scale)
+    r = ranks[live]
+    t = int(r.max())
+    if t == 1:
+        return _unit_direction(ranks, live, scale[live, None, None].astype(np.complex128))
+    # The live blocks as one stack, padded in front to t x t: frames S and
+    # factors G with B = G G^dag. Saturated roots come first, so a block of
+    # sub-rank s lives in the trailing s x s window of G.
+    pos = np.arange(t)
+    frames = np.zeros((live.size, tp.dim, t), dtype=np.complex128)
+    for i, j in enumerate(live):
+        frames[i, :, t - r[i] :] = tp.frames[j]
+    factors = np.zeros((live.size, t, t), dtype=np.complex128)
+    factors[:, pos, pos] = np.sqrt(scale[live, None]) * (pos >= t - r[:, None])
+    sub = r
     for _ in range(tp.domain_dim + 16):
-        vec = _hermitian_kernel_vector(matrix, adjoint_index(sub), margin_factor)
+        kept = pos >= t - sub[:, None]
+        mask = kept[:, :, None] & kept[:, None, :]
+        # The (live, live) columns are the current map, in block order.
+        matrix = frame_columns(frames @ factors).transpose(1, 0, 2).reshape(d2, -1)
+        vec = _kernel_vector(matrix[:, mask.ravel()], margin_factor)
         if vec is None:
             break
-        sq = sub * sub
-        offsets = np.cumsum(sq) - sq
-        directions = []  # one eigh of the direction blocks per sub-rank
-        for s, sel in rank_groups(sub).items():
-            blk = vec[offsets[sel, None] + np.arange(s * s)].reshape(-1, s, s)
-            directions.append((sel, *np.linalg.eigh((blk + _dagger(blk)) / 2.0)))
-        tau, flip = _saturating_step(np.concatenate([w.ravel() for _, w, _ in directions]))
-        # U sqrt(1 + tau*lambda) of each block's direction, padded to top.
-        roots = np.zeros((len(ranks), top, top), dtype=np.complex128)
-        new_sub = sub.copy()
-        for sel, w, v in directions:
-            if flip:
-                w, v = -w[:, ::-1], v[:, :, ::-1]
-            sat = _saturate(1.0 + tau * w)
-            roots[sel, : w.shape[1], : w.shape[1]] = v * np.sqrt(sat)[:, None, :]
-            new_sub[sel] = np.count_nonzero(sat, axis=1)
-        stacks = []
-        for r, idx, frames, factors in state:
-            for s, pos in rank_groups(sub[idx]).items():
-                factors[pos, :, r - s :] = factors[pos, :, r - s :] @ roots[idx[pos], :s, :s]
-            for s, pos in rank_groups(new_sub[idx]).items():
-                stacks.append((idx[pos], frames[pos] @ factors[pos, :, r - s :]))
-        sub = new_sub
-        matrix = assemble_map(tp.dim, sub, stacks)
+        x = np.zeros_like(factors)
+        x[mask] = vec
+        h = (x + _dagger(x)) / 2.0
+        if np.linalg.norm(h) <= _HERM_PREFERENCE:
+            h = (x - _dagger(x)) / 2.0j
+        # A unit kernel vector has every |lambda| <= 1: dead entries (-4) sort first.
+        h[:, pos, pos] = np.where(kept, h[:, pos, pos], -4.0)
+        w, u = np.linalg.eigh(h)
+        tau, flip = _saturating_step(w[kept])
+        if flip:  # negate and reverse each live suffix
+            order = np.where(kept, 2 * t - 1 - sub[:, None] - pos, pos)
+            w = -np.take_along_axis(w, order, axis=1)
+            u = np.take_along_axis(u, order[:, None, :], axis=2)
+        sat = _saturate(np.where(kept, 1.0 + tau * w, 0.0))
+        factors = factors @ (u * np.sqrt(sat)[:, None, :])
+        sub = np.count_nonzero(sat, axis=1)
     else:
         raise SplitError("walk failed to reach an extreme point")
-    stacks = []
-    for r, idx, _, factors in state:
-        coords = np.zeros((idx.size, r, r), dtype=np.complex128)
-        for s, pos in rank_groups(sub[idx]).items():
-            g = factors[pos, :, r - s :]
-            coords[pos] = g @ _dagger(g)
-        stacks.append((idx, coords - np.eye(r, dtype=np.complex128)))
-    return _unit_direction(ranks, stacks)
+    return _unit_direction(ranks, live, factors @ _dagger(factors))
 
 
-def _unit_direction(ranks, stacks) -> BlockHermitian:
-    """Walk direction blocks, stacked by rank, scaled to spectral radius 1.
+def _unit_direction(ranks, live, coords) -> BlockHermitian:
+    """Walk direction B_final - I, scaled to spectral radius 1.
 
-    stacks holds (positions, blocks) pairs; rank-0 blocks stay empty.
+    coords stacks the final B_i of the live blocks, each in the trailing
+    r_i x r_i window of one t x t block; every other block ends at B_i = 0.
     """
-    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for _, b in stacks)
+    t = coords.shape[-1]
+    pos = np.arange(t)
+    coords[:, pos, pos] -= pos >= t - ranks[live, None]
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(coords))))
+    if live.size < np.count_nonzero(ranks):
+        radius = max(radius, 1.0)
     if radius <= 0.0:
         raise SplitError("walk produced a zero direction (node was extreme?)")
-    blocks = [np.zeros((0, 0), dtype=np.complex128)] * len(ranks)
-    for idx, b in stacks:
-        for i, block in zip(idx, (1.0 / radius) * b):
-            blocks[i] = block
+    # Blocks of one rank share their dead direction; blocks are never written.
+    dead = [(-1.0 / radius) * np.eye(r, dtype=np.complex128) for r in range(ranks.max() + 1)]
+    blocks = [dead[r] for r in ranks]
+    for i, b in zip(live, coords):
+        blocks[i] = (1.0 / radius) * b[t - ranks[i] :, t - ranks[i] :]
     return BlockHermitian(tuple(blocks))
 
 
@@ -421,18 +406,22 @@ def decompose_extremal(
 
 
 def _merge_identical_leaves(leaves, label_tol: float, atol: float = 1e-8):
+    """Sum the weights of leaves whose effects agree within atol.
+
+    Leaves carry subsets of the root's merged labels, so effects are compared
+    only between leaves with the same label tuple.
+    """
     merged = []
+    buckets = {}  # label tuple -> positions in merged
     for leaf in leaves:
-        for i, kept in enumerate(merged):
-            if (
-                kept.povm.n_outcomes == leaf.povm.n_outcomes
-                and effects_distance(kept.povm, leaf.povm, label_tol) <= atol
-            ):
-                merged[i] = MixtureComponent(
-                    kept.weight + leaf.weight, kept.povm, kept.verdict
-                )
+        bucket = buckets.setdefault(leaf.povm.labels, [])
+        for i in bucket:
+            kept = merged[i]
+            if effects_distance(kept.povm, leaf.povm, label_tol) <= atol:
+                merged[i] = MixtureComponent(kept.weight + leaf.weight, kept.povm, kept.verdict)
                 break
         else:
+            bucket.append(len(merged))
             merged.append(leaf)
     return merged
 

@@ -102,24 +102,6 @@ def rank_groups(ranks) -> dict:
     return {r: idx for r, idx in groups.items() if idx.size}
 
 
-def assemble_map(dim: int, ranks, stacks) -> np.ndarray:
-    """The d^2 x sum r_i^2 map matrix of frames stacked by rank.
-
-    stacks holds (positions, frames) pairs: frames is (n, d, r) for the n
-    blocks at those positions, all of rank r. Blocks are laid out in
-    position order, so the matrix is the same as frame_columns of each
-    frame side by side.
-    """
-    sq = np.square(np.asarray(ranks, dtype=np.intp))
-    offsets = np.cumsum(sq) - sq
-    matrix = np.empty((dim * dim, int(sq.sum())), dtype=np.complex128)
-    for idx, frames in stacks:
-        r = frames.shape[2]
-        cols = (offsets[idx][:, None] + np.arange(r * r)).reshape(-1)
-        matrix[:, cols] = frame_columns(frames).transpose(1, 0, 2).reshape(dim * dim, -1)
-    return matrix
-
-
 def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     """Assemble the sandwich map of a measurement.
 
@@ -142,13 +124,15 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     cutoff = rank_tol * np.maximum(w[:, -1], 1.0)
     ranks = tuple(int(r) for r in np.count_nonzero(w > cutoff[:, None], axis=1))
     frames = [np.zeros((d, 0), dtype=np.complex128)] * len(ranks)
-    stacks = []
+    sq = np.square(np.array(ranks, dtype=np.intp))
+    offsets = np.cumsum(sq) - sq
+    matrix = np.empty((d * d, int(sq.sum())), dtype=np.complex128)
     for r, idx in rank_groups(ranks).items():
         stack = v[idx, :, d - r :] * np.sqrt(w[idx, None, d - r :])
-        stacks.append((idx, stack))
         for i, frame in zip(idx, stack):
             frames[i] = frame
-    matrix = assemble_map(d, ranks, stacks)
+        cols = (offsets[idx][:, None] + np.arange(r * r)).reshape(-1)
+        matrix[:, cols] = frame_columns(stack).transpose(1, 0, 2).reshape(d * d, -1)
     return TpMap(d, povm.labels, tuple(frames), ranks, matrix)
 
 
@@ -192,25 +176,3 @@ def is_extreme(
     """
     pruned = prune_and_merge(povm)
     return verdict_from_tp(build_tp_map(pruned, rank_tol), margin_factor)
-
-
-def adjoint_index(ranks) -> np.ndarray:
-    """For each entry (j, k) of a stacked row-major block vector, the
-    position of its transposed entry (k, j) in the same block."""
-    ranks = np.asarray(ranks, dtype=np.intp)
-    sq = ranks * ranks
-    r = np.repeat(ranks, sq)  # rank of each entry's block
-    start = np.repeat(np.cumsum(sq) - sq, sq)
-    j, k = np.divmod(np.arange(r.size) - start, r)
-    return start + k * r + j
-
-
-def split_hermitian(vector: np.ndarray, adjoint) -> tuple:
-    """Hermitian and anti-Hermitian parts of a stacked block vector.
-
-    adjoint indexes each entry's transposed entry (adjoint_index(ranks); a
-    vector of 1x1 blocks is its own transpose, so slice(None) serves).
-    Returns (H, A) with vector = H + iA, both Hermitian block by block.
-    """
-    transposed = vector[adjoint].conj()
-    return (vector + transposed) / 2.0, (vector - transposed) / 2.0j

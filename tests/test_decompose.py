@@ -166,6 +166,24 @@ def test_decompose_with_merge_keeps_identity():
     assert effects_distance(povm, reconstruct(merged)) < 1e-9
 
 
+def test_merge_compares_effects_only_within_label_buckets(monkeypatch):
+    """Merging is linear in leaves: effects are compared only between leaves
+    with the same label tuple, so sphere-200 makes at most one comparison per
+    leaf (all pairs would make about 19 000)."""
+    sphere = gen_covariant_sphere(200, seed=7)
+    calls = 0
+
+    def counting_effects_distance(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return effects_distance(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "effects_distance", counting_effects_distance)
+    mixture = decompose_extremal(sphere, merge_leaves=True)
+    assert mixture.complete
+    assert calls <= len(mixture.components)
+
+
 def test_mixture_invariants_enforced():
     trine = gen_trine()
     with pytest.raises(Exception):

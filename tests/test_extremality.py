@@ -4,12 +4,10 @@ import pytest
 from povmix.decompose import SplitError, _extremal_direction
 from povmix.extremality import (
     BlockHermitian,
-    adjoint_index,
     apply_tp,
     build_tp_map,
     frame_columns,
     is_extreme,
-    split_hermitian,
     verdict_from_tp,
 )
 from povmix.model import FinitePOVM
@@ -74,28 +72,6 @@ def test_apply_tp_matches_direct_sandwich():
         for frame, block in zip(tp.frames, element.blocks)
     )
     assert np.allclose(apply_tp(tp, element), direct, atol=1e-12)
-
-
-def test_split_hermitian_parts():
-    rng = np.random.default_rng(3)
-    ranks = (2, 1, 3)
-    blocks = tuple(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for r in ranks)
-    vec = BlockHermitian(blocks).to_vector()
-    assert vec.shape == (4 + 1 + 9,)
-    herm, anti = split_hermitian(vec, adjoint_index(ranks))
-    ends = np.cumsum([r * r for r in ranks])
-
-    def cut(v):
-        return [p.reshape(r, r) for p, r in zip(np.split(v, ends[:-1]), ranks)]
-
-    for b, h, a in zip(blocks, cut(herm), cut(anti)):
-        assert np.allclose(h + 1j * a, b, atol=1e-14)
-        assert np.allclose(h, h.conj().T, atol=1e-14)
-        assert np.allclose(a, a.conj().T, atol=1e-14)
-    # a vector of 1x1 blocks is its own transpose: real and imaginary parts
-    vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    herm, anti = split_hermitian(vec, slice(None))
-    assert np.array_equal(herm, vec.real) and np.array_equal(anti, vec.imag)
 
 
 def test_coin_flip_verdict():

@@ -1,8 +1,10 @@
-"""The decomposition path on blocks stacked by rank, against per-block code.
+"""The decomposition path on stacked blocks, against per-block code.
 
-The reference functions below evaluate the walk, the split and the map one
-block at a time. Stacking changes no arithmetic inside a block, so every
-output must be equal bit for bit, not just close.
+The split and the map stack blocks of equal rank; the general walk holds its
+live blocks as one stack padded to t x t. The reference functions below
+evaluate each of them one block at a time, the walk on the same padded
+blocks. Stacking changes no arithmetic inside a block, so every output must
+be equal bit for bit, not just close.
 """
 
 from collections import Counter
@@ -13,7 +15,7 @@ import pytest
 from povmix import decompose
 from povmix.decompose import (
     _extremal_direction,
-    _hermitian_kernel_vector,
+    _kernel_vector,
     _saturate,
     _saturating_step,
     split_once,
@@ -22,11 +24,11 @@ from povmix.extremality import (
     MARGIN_FACTOR,
     BlockHermitian,
     TpMap,
-    adjoint_index,
     build_tp_map,
+    verdict_from_tp,
 )
 from povmix.linalg import RANK_TOL
-from povmix.model import PRUNE_TOL, FinitePOVM, _prune
+from povmix.model import PRUNE_TOL, FinitePOVM, _prune, prune_and_merge
 from povmix.outcomes import gen_random_povm
 
 
@@ -53,15 +55,6 @@ def ref_build_tp_map(povm, rank_tol=RANK_TOL):
     return TpMap(d, povm.labels, tuple(frames), ranks, matrix)
 
 
-def ref_adjoint_index(ranks):
-    parts = []
-    offset = 0
-    for r in ranks:
-        parts.append(offset + np.arange(r * r).reshape(r, r).T.reshape(-1))
-        offset += r * r
-    return np.concatenate(parts)
-
-
 def ref_blocks_from_vector(vector, ranks):
     """Cut a stacked coefficient vector into row-major r_i x r_i blocks."""
     blocks = []
@@ -86,34 +79,73 @@ def ref_block_eigh(blocks):
 
 
 def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
-    """The general-rank walk, one eigh, matmul and frame per block.
+    """The general-rank walk, one eigh, matmul and frame per padded block.
 
-    Each block keeps a factor g with coordinates B = g g^dag; a step maps
-    g to g U sqrt(1 + tau*lambda) and drops the columns that saturate to zero.
+    On these inputs the scalar walk keeps every block at B = I, so the walk
+    starts there. Each block of nonzero rank r keeps a frame and a factor g,
+    padded with zero columns in front to t x t (t the largest rank), with
+    coordinates B = g g^dag; a block of sub-rank s lives in the trailing
+    s x s window. A step writes -4 on each block's dead diagonal, so the dead
+    eigenvalues sort first, reverses only the live suffix on a flip, maps g
+    to g U sqrt(1 + tau*lambda) and zeroes the saturated columns.
     """
-    ranks = tp.ranks
-    factors = [np.eye(r, dtype=np.complex128) for r in ranks]
-    matrix = tp.matrix
+    d = tp.dim
+    live = [i for i, r in enumerate(tp.ranks) if r]
+    t = max(tp.ranks)
+    frames, factors, subs = [], [], []
+    for i in live:
+        r = tp.ranks[i]
+        frame = np.zeros((d, t), dtype=np.complex128)
+        frame[:, t - r :] = tp.frames[i]
+        g = np.zeros((t, t), dtype=np.complex128)
+        g[t - r :, t - r :] = np.eye(r)
+        frames.append(frame)
+        factors.append(g)
+        subs.append(r)
     for _ in range(tp.domain_dim + 16):
-        sub_ranks = tuple(g.shape[1] for g in factors)
-        vec = _hermitian_kernel_vector(matrix, ref_adjoint_index(sub_ranks), margin_factor)
+        cols = [
+            ref_frame_columns(f @ g).reshape(d * d, t, t)[:, t - s :, t - s :].reshape(d * d, -1)
+            for f, g, s in zip(frames, factors, subs)
+        ]
+        vec = _kernel_vector(np.hstack(cols), margin_factor)
         if vec is None:
             break
-        eigs, vecs = ref_block_eigh(ref_blocks_from_vector(vec, sub_ranks))
-        tau, flip = _saturating_step(np.concatenate(eigs))
-        if flip:
-            eigs = [-w[::-1] for w in eigs]
-            vecs = [v[:, ::-1] for v in vecs]
-        for i, g in enumerate(factors):
-            if g.shape[1]:
-                sat = _saturate(1.0 + tau * eigs[i])
-                factors[i] = (g @ (vecs[i] * np.sqrt(sat)))[:, sat > 0.0]
-        matrix = np.hstack([ref_frame_columns(S @ g) for S, g in zip(tp.frames, factors)])
+        xs = []
+        for x, s in zip(ref_blocks_from_vector(vec, subs), subs):
+            padded = np.zeros((t, t), dtype=np.complex128)
+            padded[t - s :, t - s :] = x
+            xs.append(padded)
+        hs = [(x + x.conj().T) / 2.0 for x in xs]
+        if np.sqrt(sum(np.linalg.norm(h) ** 2 for h in hs)) <= decompose._HERM_PREFERENCE:
+            hs = [(x - x.conj().T) / 2.0j for x in xs]
+        eigs, vecs = [], []
+        for h, s in zip(hs, subs):
+            h[np.arange(t - s), np.arange(t - s)] = -4.0
+            w, u = np.linalg.eigh(h)
+            eigs.append(w)
+            vecs.append(u)
+        tau, flip = _saturating_step(np.concatenate([w[t - s :] for w, s in zip(eigs, subs)]))
+        for k, s in enumerate(subs):
+            w, u = eigs[k], vecs[k]
+            if flip:
+                w = np.concatenate([w[: t - s], -w[t - s :][::-1]])
+                u = np.concatenate([u[:, : t - s], u[:, t - s :][:, ::-1]], axis=1)
+            sat = _saturate(np.concatenate([np.zeros(t - s), 1.0 + tau * w[t - s :]]))
+            factors[k] = factors[k] @ (u * np.sqrt(sat))
+            subs[k] = np.count_nonzero(sat)
     else:
         raise AssertionError("reference walk did not end")
-    blocks = [g @ g.conj().T - np.eye(r, dtype=np.complex128) for g, r in zip(factors, ranks)]
-    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks if b.size)
-    return BlockHermitian(tuple((1.0 / radius) * b for b in blocks))
+    blocks = []
+    for g, i in zip(factors, live):
+        b = g @ g.conj().T
+        b[np.arange(t - tp.ranks[i], t), np.arange(t - tp.ranks[i], t)] -= 1.0
+        blocks.append(b)
+    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks)
+    out = [np.zeros((0, 0), dtype=np.complex128)] * len(tp.ranks)
+    for b, i in zip(blocks, live):
+        r = tp.ranks[i]
+        out[i] = (1.0 / radius) * b[t - r :, t - r :]
+    return BlockHermitian(tuple(out))
 
 
 def ref_split_once(element, tp):
@@ -207,16 +239,10 @@ def test_rank_one_split_is_bit_identical():
             assert_same_split(node, _extremal_direction(tp), tp)
 
 
-def test_adjoint_index_matches_per_block_reference():
-    for ranks in [(2, 0, 1, 3, 3, 1), (1,), (0, 4), (2, 2, 2)]:
-        assert np.array_equal(adjoint_index(ranks), ref_adjoint_index(ranks))
-        assert np.array_equal(adjoint_index(np.array(ranks)), ref_adjoint_index(ranks))
-
-
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
-    """Complexity guard: a walk step makes one eigh per sub-rank group, not
-    one per outcome (per-block code makes about k per step), and no eigh of
-    block coordinates."""
+    """Complexity guard: a general walk step makes one eigh of the whole
+    stack, not one per outcome or sub-rank, and the walk ends with one
+    eigvalsh; the scalar walk makes none."""
     d, k = 4, 24
     povm = gen_random_povm(d, k, rank_cap=2, seed=3)
     tp = build_tp_map(povm)
@@ -229,13 +255,64 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
 
         return counted
 
+    scalar_walk = decompose._scalar_walk
+
+    def counting_scalar_steps(*args):
+        before = counts["steps"]
+        try:
+            return scalar_walk(*args)
+        finally:
+            counts["scalar steps"] += counts["steps"] - before
+
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigh", np.linalg.eigvalsh))
     monkeypatch.setattr(decompose, "kernel_basis", counting("steps", decompose.kernel_basis))
+    monkeypatch.setattr(decompose, "_scalar_walk", counting_scalar_steps)
     element = _extremal_direction(tp)
-    steps = counts["steps"]
-    assert steps > d
-    assert counts["eigh"] <= 2 * steps
+    # one kernel SVD per general step, plus the last one, which finds none
+    general_steps = counts["steps"] - counts["scalar steps"]
+    assert general_steps > d
+    assert counts["eigh"] <= general_steps
     counts.clear()
     split_once(povm, element, tp)
     assert 0 < counts["eigh"] <= d
+
+
+def corpus_povms(per_d=(7, 7, 6)):
+    """The leading draws of the criterion-2 corpus for d = 2, 3, 4."""
+    for (d, master), count in zip(((2, 1002), (3, 1003), (4, 1004)), per_d):
+        rng = np.random.default_rng(master)
+        for _ in range(count):
+            k = int(rng.integers(2, 3 * d * d + 1))
+            cap = min(d, max(1, int((100 / k) ** 0.5)))
+            yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
+
+
+def split_chain(povm, max_splits=256):
+    """The splits of a decomposition's peel chain: split each node along its
+    walk direction and go on with the pruned minus child until it is extreme."""
+    node = prune_and_merge(povm)
+    for _ in range(max_splits):
+        tp = build_tp_map(node)
+        if verdict_from_tp(tp).is_extreme:
+            return
+        split = split_once(node, _extremal_direction(tp), tp)
+        yield split
+        child = split.child_minus
+        node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+    raise AssertionError("peel chain did not end")
+
+
+def test_walk_lands_on_an_extreme_point():
+    """Every + child of a walk-directed split is extreme: the walk ends at an
+    extreme point of the face, and the + saturation lands on it."""
+    povms = [povm for _, povm in inputs()] + list(corpus_povms())
+    assert len(povms) == 25
+    splits = 0
+    for povm in povms:
+        for split in split_chain(povm):
+            plus = split.child_plus
+            child = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
+            assert verdict_from_tp(build_tp_map(child)).is_extreme
+            splits += 1
+    assert splits > len(povms)
