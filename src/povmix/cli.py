@@ -120,7 +120,10 @@ def _cmd_validate(args, cfg: Config) -> int:
 def _cmd_extremal_check(args, cfg: Config) -> int:
     povm = _load_povm(args.povm)
     verdict = is_extreme(
-        povm, margin_factor=cfg.extremality_margin_factor, rank_tol=cfg.rank_tol
+        povm,
+        margin_factor=cfg.extremality_margin_factor,
+        rank_tol=cfg.rank_tol,
+        label_tol=cfg.label_tol,
     )
     print(serialize.dumps(serialize.verdict_to_jsonable(verdict)))
     return 0 if verdict.is_extreme else 2
@@ -171,7 +174,12 @@ def _cmd_sample(args, cfg: Config) -> int:
         )
     else:
         hist = sample_two_stage(
-            _load_mixture(args.input), state, args.n, seed=seed, shards=args.shards
+            _load_mixture(args.input),
+            state,
+            args.n,
+            seed=seed,
+            shards=args.shards,
+            label_tol=cfg.label_tol,
         )
     print(serialize.dumps(serialize.histogram_to_jsonable(hist)))
     return 0

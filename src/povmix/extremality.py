@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PSD_TOL, RANK_TOL
-from .model import FinitePOVM, PovmError, prune_and_merge
+from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
 # below MARGIN_FACTOR * sigma_max * max(d^2, sum r_i^2).
@@ -168,11 +168,12 @@ def is_extreme(
     povm: FinitePOVM,
     margin_factor: float = MARGIN_FACTOR,
     rank_tol: float = RANK_TOL,
+    label_tol: float = LABEL_TOL,
 ) -> ExtremalityVerdict:
     """Decide extremality of a measurement.
 
-    Zero effects and coincident labels are cleaned up first, so the verdict
-    refers to the measurement's nonzero outcomes.
+    Zero effects and labels that coincide within label_tol are cleaned up
+    first, so the verdict refers to the measurement's nonzero outcomes.
     """
-    pruned = prune_and_merge(povm)
+    pruned = prune_and_merge(povm, label_tol=label_tol)
     return verdict_from_tp(build_tp_map(pruned, rank_tol), margin_factor)

@@ -4,6 +4,11 @@ Randomness comes from a counter-based generator (numpy's Philox keyed by the
 seed), and draw number j of a run always consumes fixed counter positions:
 index j for direct sampling, the pair (2j, 2j+1) for two-stage sampling.
 Sharding a run therefore changes nothing about the merged histogram.
+
+Each draw's outcome is exactly min(searchsorted(cdf, u, "right"), k - 1),
+the outcome of a binary search, found through a table of equal bins over
+[0, 1) (see _BinTable). A piece of n draws costs O(n) for any number of
+mixture components, and the tables hold O(sum of outcome counts) entries.
 """
 
 from __future__ import annotations
@@ -87,6 +92,58 @@ def _checked_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+class _BinTable:
+    """Exact indexed search ("guide table", Chen and Asau 1974) over m CDFs.
+
+    Called with uniforms u in [0, 1) and, per draw, the index c of its CDF,
+    it returns values_c[min(searchsorted(cdf_c, u, "right"), k_c - 1)]: the
+    outcome of a binary search, draw by draw, for nondecreasing CDFs. The
+    values default to the outcome index within each CDF.
+
+    CDF c cuts [0, 1) into 2^b >= 16 k_c equal bins. Multiplying by a power
+    of two is exact, so int(u * 2^b) is u's bin. A bin that holds no CDF
+    value has one outcome, read from a table; the draws landing in one of
+    the at most k_c marked bins, at most 1/16 of [0, 1), get one segmented
+    binary search on the keys c + 1j * cdf_c, which numpy orders by c and
+    then by cdf_c. A call is O(n) for n draws; the tables hold at most
+    32 sum(k_c) entries.
+    """
+
+    def __init__(self, cdfs, values=None):
+        sizes = np.array([len(cdf) for cdf in cdfs])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        cdf = np.concatenate(cdfs)
+        self.keys = owner + 1j * cdf
+        self.last = np.cumsum(sizes) - 1
+        if values is None:
+            values = np.arange(len(cdf)) - (self.last + 1 - sizes)[owner]
+        self.values = np.asarray(values, dtype=np.intp)
+        # frexp's exponent of 16 k - 1 is its bit length: 2^b >= 16 k.
+        self.scale = np.ldexp(1.0, np.frexp(16 * sizes - 1)[1])
+        bins = self.scale.astype(np.intp)
+        self.offset = np.cumsum(bins) - bins
+        # Each bin's outcome, as if a draw sat on its left edge; exact for
+        # every draw in a bin that holds no CDF value.
+        bin_owner = np.repeat(np.arange(len(sizes)), bins)
+        edges = (np.arange(bins.sum()) - self.offset[bin_owner]) / self.scale[bin_owner]
+        at = np.searchsorted(self.keys, bin_owner + 1j * edges, side="right")
+        self.table = self.values[np.minimum(at, self.last[bin_owner])]
+        inner = (cdf * self.scale[owner]).astype(np.intp)
+        held = (inner >= 0) & (inner < bins[owner])
+        self.marked = np.zeros(bins.sum(), dtype=bool)
+        self.marked[self.offset[owner[held]] + inner[held]] = True
+
+    def __call__(self, u: np.ndarray, c=0) -> np.ndarray:
+        cell = (u * self.scale[c]).astype(np.intp)
+        cell += self.offset[c]
+        out = self.table[cell]
+        hit = np.flatnonzero(self.marked[cell])
+        c_hit = np.broadcast_to(c, u.shape)[hit]
+        at = np.searchsorted(self.keys, c_hit + 1j * u[hit], side="right")
+        out[hit] = self.values[np.minimum(at, self.last[c_hit])]
+        return out
+
+
 def sample_direct(
     povm: FinitePOVM,
     state: DensityState,
@@ -99,14 +156,12 @@ def sample_direct(
         raise PovmError(f"state dim {state.dim} != measurement dim {povm.dim}")
     if n_samples < 1:
         raise PovmError(f"need n_samples >= 1, got {n_samples}")
-    cdf = _checked_cdf(born_probabilities(povm, state))
+    draw = _BinTable([_checked_cdf(born_probabilities(povm, state))])
     k = povm.n_outcomes
     counts = np.zeros(k, dtype=np.int64)
     bounds = _shard_bounds(n_samples, shards)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        u = _uniforms_at(seed, lo, hi - lo)
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), k - 1)
-        counts += np.bincount(idx, minlength=k)
+        counts += np.bincount(draw(_uniforms_at(seed, lo, hi - lo)), minlength=k)
     return OutcomeHistogram(povm.labels, tuple(counts), n_samples)
 
 
@@ -116,42 +171,29 @@ def sample_two_stage(
     n_samples: int,
     seed=0,
     shards: int = 1,
+    label_tol: float = LABEL_TOL,
 ) -> OutcomeHistogram:
     """Draw by first picking a mixture component, then one of its outcomes.
 
     Each draw consumes two uniforms; the histogram ranges over the union of
-    the component label sets.
+    the component label sets, aligned within label_tol.
     """
     if state.dim != mixture.dim:
         raise PovmError(f"state dim {state.dim} != mixture dim {mixture.dim}")
     if n_samples < 1:
         raise PovmError(f"need n_samples >= 1, got {n_samples}")
     leaves = [c.povm for c in mixture.components]
-    weight_cdf = _checked_cdf(np.array(mixture.weights))
-    leaf_cdfs = [_checked_cdf(born_probabilities(p, state)) for p in leaves]
-    universe, raw_maps = align_label_universe([p.labels for p in leaves])
-    maps = [np.asarray(m, dtype=np.intp) for m in raw_maps]
-    m = len(leaves)
+    pick = _BinTable([_checked_cdf(np.array(mixture.weights))])
+    universe, maps = align_label_universe([p.labels for p in leaves], label_tol)
+    outcome = _BinTable(
+        [_checked_cdf(born_probabilities(p, state)) for p in leaves],
+        np.concatenate(maps),
+    )
     counts = np.zeros(len(universe), dtype=np.int64)
     bounds = _shard_bounds(n_samples, shards)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         u = _uniforms_at(seed, 2 * lo, 2 * (hi - lo))
-        comp = np.searchsorted(weight_cdf, u[0::2], side="right")
-        np.minimum(comp, m - 1, out=comp)
-        sizes = np.bincount(comp, minlength=m)
-        # Group the draws by component with one sort, not one mask over all
-        # n draws per component; counts do not depend on order in a group.
-        # Freeing comp before the gather keeps peak memory where the
-        # per-component masks had it.
-        order = np.argsort(comp, kind="stable")
-        del comp
-        u_grouped = u[1::2][order]
-        ends = np.cumsum(sizes)
-        for c in np.flatnonzero(sizes):
-            cdf = leaf_cdfs[c]
-            sel = u_grouped[ends[c] - sizes[c] : ends[c]]
-            idx = np.minimum(np.searchsorted(cdf, sel, side="right"), len(cdf) - 1)
-            counts += np.bincount(maps[c][idx], minlength=len(universe))
+        counts += np.bincount(outcome(u[1::2], pick(u[0::2])), minlength=len(universe))
     return OutcomeHistogram(tuple(universe), tuple(counts), n_samples)
 
 

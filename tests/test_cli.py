@@ -12,8 +12,14 @@ import pytest
 
 import povmix
 from povmix.cli import main
-from povmix.serialize import dumps, state_to_jsonable
-from povmix.model import DensityState
+from povmix.decompose import ExtremalMixture, MixtureComponent
+from povmix.serialize import (
+    dumps,
+    mixture_to_jsonable,
+    povm_to_jsonable,
+    state_to_jsonable,
+)
+from povmix.model import DensityState, FinitePOVM
 
 
 def run(capsys, *argv):
@@ -195,6 +201,45 @@ def test_config_file_defaults(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "unknown keys" in err
 
+
+
+def test_config_label_tol_reaches_extremal_check_and_two_stage(tmp_path, capsys, monkeypatch):
+    # (0, 0, 1) and (0, 0, 1 + 1e-7) are two outcomes under the default
+    # label_tol and one under label_tol = 1e-6
+    up, near_up, down = (0.0, 0.0, 1.0), (0.0, 0.0, 1.0 + 1e-7), (0.0, 0.0, -1.0)
+    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
+    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
+    povm = tmp_path / "p.json"
+    povm.write_text(
+        dumps(povm_to_jsonable(FinitePOVM(2, (up, near_up, down), np.array([p0 / 2, p0 / 2, p1]))))
+    )
+    mixture = ExtremalMixture(
+        2,
+        tuple(
+            MixtureComponent(0.5, FinitePOVM(2, (label, down), np.array([p0, p1])))
+            for label in (up, near_up)
+        ),
+        True,
+    )
+    mix = tmp_path / "mix.json"
+    mix.write_text(dumps(mixture_to_jsonable(mixture)))
+    state = tmp_path / "rho.json"
+    state.write_text(dumps(state_to_jsonable(DensityState(2, np.eye(2) / 2))))
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("POVMIX_CONFIG", str(cfg))
+
+    for label_tol, verdict_code, n_labels in ((None, 2, 3), (1e-6, 0, 2)):
+        if label_tol is None:
+            cfg.unlink(missing_ok=True)
+        else:
+            cfg.write_text(json.dumps({"label_tol": label_tol}))
+        code, _, _ = run(capsys, "extremal-check", str(povm))
+        assert code == verdict_code
+        code, out, _ = run(
+            capsys, "sample", "two-stage", str(mix), "--state", str(state), "--n", "1000"
+        )
+        assert code == 0
+        assert len(json.loads(out)["counts"]) == n_labels
 
 def _pipeline(tmp_path, povmix_cmd, a):
     """Run ``gen --kind ea --a <a> | extremal-check -`` through a real sh pipe.

@@ -91,6 +91,19 @@ def test_trine_verdict():
     assert verdict.margin > 0.1
 
 
+def test_label_tol_merges_before_the_verdict():
+    # two halves of one projector at labels 1e-7 apart: a coarse-grained
+    # mixture at the default label_tol, one PVM outcome at label_tol = 1e-6
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    povm = FinitePOVM(
+        2,
+        ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0 + 1e-7), (0.0, 0.0, -1.0)),
+        np.array([p0 / 2, p0 / 2, p1], dtype=np.complex128),
+    )
+    assert not is_extreme(povm).is_extreme
+    assert is_extreme(povm, label_tol=1e-6).is_extreme
+
+
 def test_pvms_are_extreme():
     rng = np.random.default_rng(4)
     for d in (2, 3, 5):

@@ -1,12 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmix.decompose import ExtremalMixture, MixtureComponent, decompose_extremal
 from povmix import sampling
 from povmix.model import DensityState, FinitePOVM, PovmError, born_probabilities
-from povmix.outcomes import gen_pvm, gen_random_povm, gen_random_state
+from povmix.outcomes import (
+    gen_covariant_sphere,
+    gen_pvm,
+    gen_random_povm,
+    gen_random_state,
+)
 from povmix.sampling import (
     OutcomeHistogram,
+    _BinTable,
     _uniforms_at,
     merge_histograms,
     sample_direct,
@@ -196,3 +205,113 @@ def test_sampling_rejects_bad_inputs():
         sample_direct(povm, rho, 0)
     with pytest.raises(PovmError):
         sample_direct(povm, rho, 10, shards=0)
+
+
+@st.composite
+def cdfs(draw, max_k=12):
+    """A nondecreasing CDF: zero weights repeat values, tiny ones put several
+    values in one bin, power-of-two totals put values on bin edges (the
+    coin's 0.5), and the last value is 1 or 1 +- 1e-10."""
+    weights = draw(
+        st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 1e-6]), min_size=1, max_size=max_k)
+    )
+    weights[-1] += sum(weights) < 1
+    total = sum(weights)
+    if total == int(total) and draw(st.booleans()):
+        weights[-1] += (1 << int(total - 1).bit_length()) - total
+    end = draw(st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]))
+    return np.cumsum(weights) / sum(weights) * end
+
+
+def hard_uniforms(cdf_list, seed, n=2000):
+    """Uniforms in [0, 1): random ones, every CDF value and bin edge of up to
+    2^13 bins, and the floats next to each."""
+    points = np.concatenate(
+        [*cdf_list, np.arange(8192) / 8192, np.random.default_rng(seed).random(n)]
+    )
+    points = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1)])
+    return points[(points >= 0) & (points < 1)]
+
+
+def binary_search(cdf, u):
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdfs(), st.integers(0, 2**32 - 1))
+def test_bin_table_matches_binary_search_draw_by_draw(cdf, seed):
+    u = hard_uniforms([cdf], seed)
+    assert np.array_equal(_BinTable([cdf])(u), binary_search(cdf, u))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(cdfs(max_k=4), min_size=1, max_size=8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bin_table_over_many_cdfs_matches_binary_search(cdf_list, wide, seed):
+    # one 300-outcome leaf among 4-outcome leaves must not widen the others'
+    # tables: they hold O(sum k) entries, not components x the widest table
+    rng = np.random.default_rng(seed)
+    if wide:
+        w = rng.integers(0, 3, size=300).astype(float)
+        w[-1] += 1
+        cdf_list.insert(int(rng.integers(len(cdf_list) + 1)), np.cumsum(w) / w.sum())
+    sizes = [len(c) for c in cdf_list]
+    values = rng.permutation(sum(sizes))
+    table = _BinTable(cdf_list, values)
+    assert table.table.size == table.marked.size < 32 * sum(sizes)
+
+    u = hard_uniforms(cdf_list, seed)
+    c = rng.integers(len(cdf_list), size=u.size)
+    expected = np.empty(u.size, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    for j, cdf in enumerate(cdf_list):
+        sel = c == j
+        expected[sel] = values[starts[j] + binary_search(cdf, u[sel])]
+    assert np.array_equal(table(u, c), expected)
+
+
+def test_two_stage_with_one_wide_leaf_matches_binary_search():
+    leaves = [gen_random_povm(2, 4, seed=s) for s in range(5)]
+    leaves.insert(2, gen_covariant_sphere(300, seed=1))
+    weights = np.array([0.1, 0.2, 0.25, 0.15, 0.2, 0.1])
+    mixture = ExtremalMixture(
+        2, tuple(MixtureComponent(w, leaf) for w, leaf in zip(weights, leaves)), False
+    )
+    rho = gen_random_state(2, seed=8)
+    n, seed = 50000, 3
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * n)
+    comp = binary_search(np.cumsum(weights), u[0::2])
+    expected = Counter()
+    for c, leaf in enumerate(leaves):
+        idx = binary_search(np.cumsum(born_probabilities(leaf, rho)), u[1::2][comp == c])
+        expected.update(leaf.labels[i] for i in idx)
+    hist = sample_two_stage(mixture, rho, n, seed=seed, shards=2)
+    assert dict(zip(hist.labels, hist.counts)) == expected
+
+
+def test_two_stage_searches_do_not_grow_with_components(monkeypatch):
+    """Complexity guard: two-stage sampling makes a fixed number of binary
+    searches per piece, however many components the mixture has, and never
+    sorts its draws."""
+    rho = gen_random_state(2, seed=6)
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np, "searchsorted", counting("searchsorted", np.searchsorted))
+    monkeypatch.setattr(np, "argsort", counting("argsort", np.argsort))
+    pieces = 4
+    seen = []
+    for povm in (gen_random_povm(2, 5, seed=4), gen_covariant_sphere(100, seed=7)):
+        mixture = decompose_extremal(povm)
+        counts.clear()
+        sample_two_stage(mixture, rho, 20000, seed=5, shards=pieces)
+        seen.append((len(mixture.components), counts["searchsorted"]))
+        assert counts["argsort"] == 0
+    (few, calls_few), (many, calls_many) = seen
+    assert many > 10 * few
+    assert calls_few == calls_many <= 2 * (pieces + 1)
