@@ -132,11 +132,9 @@ def _cmd_extremal_check(args, cfg: Config) -> int:
 def _cmd_decompose(args, cfg: Config) -> int:
     povm = _load_povm(args.povm)
     max_leaves = cfg.max_leaves if args.max_leaves is None else args.max_leaves
-    merge = args.merge or cfg.merge_leaves
     mixture = decompose_extremal(
         povm,
         max_leaves=max_leaves,
-        merge_leaves=merge,
         margin_factor=cfg.extremality_margin_factor,
         rank_tol=cfg.rank_tol,
         label_tol=cfg.label_tol,
@@ -252,7 +250,6 @@ def _build_parser() -> _Parser:
     dec.add_argument("povm")
     dec.add_argument("-o", "--output", default="-")
     dec.add_argument("--max-leaves", type=int)
-    dec.add_argument("--merge", action="store_true")
     dec.set_defaults(func=_cmd_decompose)
 
     den = sub.add_parser("density", help="trace weights and unit-trace densities")

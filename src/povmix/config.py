@@ -29,7 +29,6 @@ class Config:
     label_tol: float = LABEL_TOL
     extremality_margin_factor: float = MARGIN_FACTOR
     max_leaves: int = DEFAULT_MAX_LEAVES
-    merge_leaves: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class Config:
             raise PovmError("config key 'max_leaves' must be an integer")
         if self.max_leaves < 1:
             raise PovmError(f"config key 'max_leaves' must be >= 1, got {self.max_leaves}")
-        if not isinstance(self.merge_leaves, bool):
-            raise PovmError("config key 'merge_leaves' must be a boolean")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise PovmError("config key 'seed' must be an integer")
 

@@ -8,15 +8,17 @@ each with strictly smaller rank profile, and
     P = w_+ P_+ + w_- P_-,   w_+ = tau_- / (tau_+ + tau_-),
                              w_- = tau_+ / (tau_+ + tau_-).
 
-Recursing on both children terminates because the integer sum of squared
-effect ranks strictly decreases along every branch. The kernel element fed
-to each split is derived from a deterministic walk to an extreme point of
-the current face, which keeps the recursion tree linear in the rank profile
-instead of exponential.
+The kernel element fed to each split comes from a deterministic walk to an
+extreme point of the current face, so the + child is that extreme point and
+the - child lies on a proper face of P. The decomposition is therefore a
+peel chain, Caratheodory on the face F of the input: peel one extreme point
+off, continue on the remainder, and stop once the remainder is extreme,
+after at most dim F + 1 leaves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +93,9 @@ class ExtremalMixture:
     """A convex mixture over measurements, with a completeness flag.
 
     When complete, every component passed the extremality test; when the
-    leaf budget was exhausted, unfinished branches are carried as components
-    with their (non-extreme) verdicts so the mixture still reconstructs the
-    input exactly.
+    leaf budget was exhausted, the unfinished remainder is the last component,
+    with its non-extreme verdict, so the mixture still reconstructs the input
+    exactly. Weights are finite, non-negative and sum to 1.
     """
 
     dim: int
@@ -101,8 +103,11 @@ class ExtremalMixture:
     complete: bool
 
     def __post_init__(self):
+        for i, c in enumerate(self.components):
+            if not (math.isfinite(c.weight) and c.weight >= 0.0):
+                raise PovmError(f"component {i} has weight {c.weight!r}, not finite and >= 0")
         total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise PovmError(f"component weights sum to {total!r}, not 1 within 1e-12")
         if any(c.povm.dim != self.dim for c in self.components):
             raise PovmError("component dimension mismatch")
@@ -359,7 +364,6 @@ def _unit_direction(ranks, live, coords) -> BlockHermitian:
 def decompose_extremal(
     povm: FinitePOVM,
     max_leaves: int = DEFAULT_MAX_LEAVES,
-    merge_leaves: bool = False,
     margin_factor: float = MARGIN_FACTOR,
     rank_tol: float = RANK_TOL,
     prune_tol: float = PRUNE_TOL,
@@ -368,62 +372,47 @@ def decompose_extremal(
 ) -> ExtremalMixture:
     """Decompose a measurement into a finite mixture of extreme ones.
 
-    Depth-first: test extremality, emit a leaf or split along the
-    walk-derived kernel element and recurse on both children with multiplied
-    weights. Labels are merged once, at the root: children carry the root's
-    merged labels, which are pairwise distinct, so below the root only
-    effects with trace at or below prune_tol are dropped. When emitting
-    another pair of children would exceed max_leaves, the remaining branches
-    are emitted unsplit with their non-extreme verdicts and the mixture is
-    flagged incomplete; the convex reconstruction identity holds either way.
+    A peel chain: while the remainder R_k (at first the input, weight 1) is
+    not extreme, split it along the walk-derived kernel element, emit the +
+    child E_k as a leaf with weight w * w_+, and continue on the - child
+    R_(k+1) with weight w * w_-. A + child that is not extreme raises
+    SplitError. E_k has weight on the direction the - saturation zeroes, so
+    it lies outside the face of R_(k+1), which holds every later leaf: no two
+    leaves coincide, and the chain has at most dim F + 1 leaves. Labels are
+    merged once, at the root: children carry the root's merged labels,
+    which are pairwise distinct, so below the root only effects with trace
+    at or below prune_tol are dropped. Once max_leaves - 1 leaves are
+    peeled, the remainder is emitted with its non-extreme verdict and the
+    mixture is flagged incomplete; the convex reconstruction identity holds
+    either way.
     """
-    stack = [(1.0, prune_and_merge(povm, prune_tol, label_tol), "")]
     leaves = []
-    complete = True
-    while stack:
-        weight, node, path = stack.pop()
-        if path:  # below the root the labels are already merged
-            node = _prune(node.dim, node.labels, node.effects, prune_tol)
+    weight = 1.0
+    node = prune_and_merge(povm, prune_tol, label_tol)
+    while True:
         tp = build_tp_map(node, rank_tol)
         verdict = verdict_from_tp(tp, margin_factor)
-        if verdict.is_extreme:
-            leaves.append(MixtureComponent(weight, node, verdict))
-            continue
-        if len(leaves) + len(stack) + 2 > max_leaves:
-            complete = False
-            leaves.append(MixtureComponent(weight, node, verdict))
-            continue
+        if verdict.is_extreme or len(leaves) >= max_leaves - 1:
+            break
         try:
             direction = _extremal_direction(tp, margin_factor)
             split = split_once(node, direction, tp, rank_tol, residual_tol)
         except SplitError as exc:
-            raise SplitError(f"split failed at branch '{path or 'root'}': {exc}") from exc
-        stack.append((weight * split.weight_minus, split.child_minus, path + "-"))
-        stack.append((weight * split.weight_plus, split.child_plus, path + "+"))
-    if merge_leaves:
-        leaves = _merge_identical_leaves(leaves, label_tol)
-    return ExtremalMixture(povm.dim, tuple(leaves), complete)
-
-
-def _merge_identical_leaves(leaves, label_tol: float, atol: float = 1e-8):
-    """Sum the weights of leaves whose effects agree within atol.
-
-    Leaves carry subsets of the root's merged labels, so effects are compared
-    only between leaves with the same label tuple.
-    """
-    merged = []
-    buckets = {}  # label tuple -> positions in merged
-    for leaf in leaves:
-        bucket = buckets.setdefault(leaf.povm.labels, [])
-        for i in bucket:
-            kept = merged[i]
-            if effects_distance(kept.povm, leaf.povm, label_tol) <= atol:
-                merged[i] = MixtureComponent(kept.weight + leaf.weight, kept.povm, kept.verdict)
-                break
-        else:
-            bucket.append(len(merged))
-            merged.append(leaf)
-    return merged
+            raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
+        plus = split.child_plus
+        plus = _prune(plus.dim, plus.labels, plus.effects, prune_tol)
+        plus_verdict = verdict_from_tp(build_tp_map(plus, rank_tol), margin_factor)
+        if not plus_verdict.is_extreme:
+            raise SplitError(
+                f"split failed at leaf {len(leaves)}: the + child is not extreme "
+                f"(margin {plus_verdict.margin:.3e}, threshold {plus_verdict.threshold:.3e})"
+            )
+        leaves.append(MixtureComponent(weight * split.weight_plus, plus, plus_verdict))
+        weight *= split.weight_minus
+        minus = split.child_minus
+        node = _prune(minus.dim, minus.labels, minus.effects, prune_tol)
+    leaves.append(MixtureComponent(weight, node, verdict))
+    return ExtremalMixture(povm.dim, tuple(leaves), verdict.is_extreme)
 
 
 @dataclass(frozen=True)

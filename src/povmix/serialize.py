@@ -9,6 +9,7 @@ exact in-memory values. Parse errors name the offending path, e.g.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -151,6 +152,8 @@ def mixture_from_jsonable(obj, path: str = "") -> ExtremalMixture:
     for i, entry in enumerate(entries):
         here = f"{prefix}components[{i}]"
         weight = _real_at(_get(entry, "weight", here), f"{here}.weight")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ParseError(f"{here}.weight", f"expected a finite weight >= 0, got {weight!r}")
         povm = povm_from_jsonable(_get(entry, "povm", here), f"{here}.povm")
         components.append(MixtureComponent(weight, povm))
     return ExtremalMixture(dim, tuple(components), complete)

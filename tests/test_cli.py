@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 import povmix
 from povmix.cli import main
+from povmix.config import Config
 from povmix.decompose import ExtremalMixture, MixtureComponent
 from povmix.serialize import (
     dumps,
@@ -201,6 +204,16 @@ def test_config_file_defaults(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "unknown keys" in err
 
+
+def test_readme_configuration_lists_every_config_key():
+    """The JSON block under README "Configuration" names exactly the Config
+    keys, with their defaults, so the two cannot drift apart."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    documented = json.loads(block)
+    assert list(documented) == [f.name for f in dataclasses.fields(Config)]
+    assert Config(**documented) == Config()
 
 
 def test_config_label_tol_reaches_extremal_check_and_two_stage(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from povmix.decompose import (
     MixtureComponent,
     SplitError,
     _extremal_direction,
-    _merge_identical_leaves,
     decompose_extremal,
     split_once,
     verify_barycenter,
@@ -140,48 +140,40 @@ def test_decompose_budget_marks_incomplete():
     assert any(not c.verdict.is_extreme for c in mixture.components)
     # the emitted mixture still recombines to the input exactly
     assert effects_distance(povm, reconstruct(mixture)) < 1e-9
+    # A budget below the full count cuts the chain: m - 1 peeled extreme
+    # leaves, then the non-extreme remainder, and the same leaves as the
+    # full chain up to the cut.
+    full = decompose_extremal(povm).components
+    assert len(full) > 3
+    for m in range(1, len(full)):
+        cut = decompose_extremal(povm, max_leaves=m)
+        assert not cut.complete
+        assert len(cut.components) == m
+        assert [c.verdict.is_extreme for c in cut.components] == [True] * (m - 1) + [False]
+        for a, b in zip(cut.components[:-1], full):
+            assert a.weight == b.weight
+            assert np.array_equal(a.povm.effects, b.povm.effects)
+        assert effects_distance(povm, reconstruct(cut)) < 1e-9
 
 
-def test_merge_identical_leaves():
-    z = FinitePOVM(2, (0, 1), np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
-    v = is_extreme(z)
-    leaves = [
-        MixtureComponent(0.25, z, v),
-        MixtureComponent(0.25, gen_trine(), is_extreme(gen_trine())),
-        MixtureComponent(0.5, z, v),
-    ]
-    merged = _merge_identical_leaves(leaves, 1e-9)
-    assert len(merged) == 2
-    weights = {c.povm.n_outcomes: c.weight for c in merged}
-    assert weights[2] == pytest.approx(0.75)
-    assert weights[3] == pytest.approx(0.25)
-
-
-def test_decompose_with_merge_keeps_identity():
-    povm = gen_random_povm(2, 5, rank_cap=1, seed=21)
-    plain = decompose_extremal(povm)
-    merged = decompose_extremal(povm, merge_leaves=True)
-    assert len(merged.components) <= len(plain.components)
-    assert abs(sum(merged.weights) - 1.0) < 1e-12
-    assert effects_distance(povm, reconstruct(merged)) < 1e-9
-
-
-def test_merge_compares_effects_only_within_label_buckets(monkeypatch):
-    """Merging is linear in leaves: effects are compared only between leaves
-    with the same label tuple, so sphere-200 makes at most one comparison per
-    leaf (all pairs would make about 19 000)."""
-    sphere = gen_covariant_sphere(200, seed=7)
+def test_chain_raises_when_a_peeled_child_is_not_extreme(monkeypatch):
+    """The chain invariant is checked: a + child that fails the extremality
+    test raises SplitError naming its leaf index instead of being split."""
+    povm = gen_random_povm(3, 6, rank_cap=2, seed=5)
     calls = 0
 
-    def counting_effects_distance(*args, **kwargs):
+    def bad_second_split(node, *args, **kwargs):
         nonlocal calls
         calls += 1
-        return effects_distance(*args, **kwargs)
+        result = split_once(node, *args, **kwargs)
+        # the remainder itself is not extreme: hand it back as the + child
+        return dataclasses.replace(result, child_plus=node) if calls == 2 else result
 
-    monkeypatch.setattr(decompose, "effects_distance", counting_effects_distance)
-    mixture = decompose_extremal(sphere, merge_leaves=True)
-    assert mixture.complete
-    assert calls <= len(mixture.components)
+    assert len(decompose_extremal(povm).components) > 2
+    monkeypatch.setattr(decompose, "split_once", bad_second_split)
+    with pytest.raises(SplitError, match=r"leaf 1: the \+ child is not extreme"):
+        decompose_extremal(povm)
+    assert calls == 2
 
 
 def test_mixture_invariants_enforced():
@@ -190,6 +182,10 @@ def test_mixture_invariants_enforced():
         ExtremalMixture(2, (MixtureComponent(0.9, trine),), True)  # weights != 1
     with pytest.raises(Exception):
         ExtremalMixture(3, (MixtureComponent(1.0, trine),), True)  # dim mismatch
+    # negative or non-finite weights, also when the sum reads 1 or NaN
+    for weights in [(0.6, -0.1, 0.5), (math.nan,), (0.5, math.nan, 0.5), (math.inf, 1.0)]:
+        with pytest.raises(model.PovmError, match="not finite and >= 0"):
+            ExtremalMixture(2, tuple(MixtureComponent(w, trine) for w in weights), True)
 
 
 def test_verify_barycenter_accepts_true_mixture():
@@ -296,6 +292,26 @@ def test_leaf_count_certificate_on_corpus():
         assert len(mixture.components) <= bound
         tight += len(mixture.components) == bound
     assert tight > 0
+
+
+def assert_leaves_pairwise_distinct(mixture):
+    """No two leaves with the same label tuple agree within 1e-8, so summing
+    identical leaves would change nothing."""
+    by_labels = {}
+    for c in mixture.components:
+        by_labels.setdefault(c.povm.labels, []).append(c.povm)
+    for same in by_labels.values():
+        for i, a in enumerate(same):
+            for b in same[i + 1 :]:
+                assert effects_distance(a, b) > 1e-8
+
+
+def test_chain_leaves_are_pairwise_distinct():
+    """Each peeled leaf lies outside the face that holds every later leaf,
+    so merging identical leaves had nothing to merge."""
+    assert_leaves_pairwise_distinct(decompose_extremal(gen_covariant_sphere(200, seed=7)))
+    for povm in certificate_corpus():
+        assert_leaves_pairwise_distinct(decompose_extremal(povm))
 
 
 @pytest.mark.parametrize("n", [50, 100, 200])

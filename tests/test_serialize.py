@@ -151,3 +151,15 @@ def test_mixture_weight_sum_still_enforced_after_parse():
     doc["components"][0]["weight"] = doc["components"][0]["weight"] + 0.5
     with pytest.raises(Exception):
         mixture_from_jsonable(doc)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), -0.25, float("inf")])
+def test_mixture_weight_must_be_finite_and_non_negative(weight):
+    """A bad weight is reported at its JSON path, also when it arrives as the
+    NaN or Infinity literal that json.loads accepts."""
+    mixture = decompose_extremal(gen_random_povm(2, 3, seed=6))
+    doc = mixture_to_jsonable(mixture)
+    doc["components"][-1]["weight"] = weight
+    with pytest.raises(ParseError) as err:
+        mixture_from_jsonable(loads(dumps(doc)))
+    assert err.value.path == f"components[{len(doc['components']) - 1}].weight"
