@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +131,12 @@ def _cmd_extremal_check(args, cfg: Config) -> int:
 
 
 def _cmd_decompose(args, cfg: Config) -> int:
+    if args.max_leaves is not None:
+        cfg = replace(cfg, max_leaves=args.max_leaves)  # the config key's >= 1 check
     povm = _load_povm(args.povm)
-    max_leaves = cfg.max_leaves if args.max_leaves is None else args.max_leaves
     mixture = decompose_extremal(
         povm,
-        max_leaves=max_leaves,
+        max_leaves=cfg.max_leaves,
         margin_factor=cfg.extremality_margin_factor,
         rank_tol=cfg.rank_tol,
         label_tol=cfg.label_tol,

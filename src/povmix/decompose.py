@@ -43,8 +43,6 @@ from .model import (
     _prune,
     align_label_universe,
     born_probabilities,
-    convex_combine,
-    effects_distance,
     prune_and_merge,
 )
 from .outcomes import gen_random_state
@@ -442,24 +440,30 @@ def verify_barycenter(
     Draws random (state, outcome function) pairs, alternating pure and mixed
     states, and compares the expectation functional of the measurement with
     the weighted sum over components; also reports the effect-wise max-norm
-    residual of the convex recombination.
+    residual of the convex recombination. The labels of the measurement and
+    of every leaf are aligned once, and both checks read that alignment.
     """
+    if trials < 1:
+        raise PovmError(f"trials must be >= 1, got {trials}")
     if mixture.dim != povm.dim:
         raise PovmError(f"mixture dim {mixture.dim} != measurement dim {povm.dim}")
     pairs = [(c.weight, c.povm) for c in mixture.components]
-    recombined = convex_combine(pairs, label_tol)
-    effect_residual = effects_distance(povm, recombined, label_tol)
     label_lists = [povm.labels] + [p.labels for _, p in pairs]
     universe, (own_map, *leaf_maps) = align_label_universe(label_lists, label_tol)
     # All leaf effects as one stack, so each trial takes one Born call that
     # still clamps or rejects every entry.
-    stacked = FinitePOVM(
+    stacked = FinitePOVM._with_normal_labels(
         povm.dim,
         tuple(label for _, p in pairs for label in p.labels),
         np.concatenate([p.effects for _, p in pairs]),
     )
     stacked_map = np.concatenate(leaf_maps)
     stacked_weight = np.concatenate([np.full(p.n_outcomes, w) for w, p in pairs])
+    own = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
+    recombined = np.zeros_like(own)
+    np.add.at(own, own_map, povm.effects)
+    np.add.at(recombined, stacked_map, stacked_weight[:, None, None] * stacked.effects)
+    effect_residual = float(np.max(np.abs(own - recombined)))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):

@@ -1,9 +1,14 @@
 """JSON encoding of measurements, mixtures, states, and histograms.
 
-Complex entries are [re, im] pairs, matrices row-major. Floats go through
-Python's shortest round-trip repr, so emitted documents re-parse to the
-exact in-memory values. Parse errors name the offending path, e.g.
-"outcomes[3].effect[1][2]".
+Complex entries are [re, im] pairs, matrices row-major. Documents are
+written on one line by the C encoder; floats go through Python's shortest
+round-trip repr, so they re-parse to the exact in-memory values.
+
+A measurement's effects are read as one array after one type check: only
+JSON integers and reals pass, so true, null and strings are rejected
+rather than read as 1.0, NaN or text. Parse errors name the offending
+path, e.g. "outcomes[3].effect[1][2][0]"; paths are built only when
+something fails, by walking the input to its first bad entry.
 """
 
 from __future__ import annotations
@@ -20,11 +25,16 @@ from .model import (
     FinitePOVM,
     PovmError,
     TraceDensity,
-    as_label,
     label_to_jsonable,
 )
 from .outcomes import PostProcessing
 from .sampling import OutcomeHistogram
+
+# The types a JSON number parses to; bool is a subclass of int, not one of these.
+_REALS = {int, float}
+
+# What each axis of a (rows, columns, [re, im]) matrix holds, for messages.
+_AXES = ("rows", "entries", "parts [re, im]")
 
 
 class ParseError(PovmError):
@@ -41,6 +51,13 @@ def _get(obj, key, path):
     return obj[key]
 
 
+def _field(entries: list, key: str, path_of) -> list:
+    """entries[i][key] for every i; path_of(i) is built only on failure."""
+    if all(type(e) is dict and key in e for e in entries):
+        return [e[key] for e in entries]
+    return [_get(e, key, path_of(i)) for i, e in enumerate(entries)]
+
+
 def _int_at(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(path, f"expected an integer, got {value!r}")
@@ -50,7 +67,10 @@ def _int_at(value, path) -> int:
 def _real_at(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(path, f"expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(path, "integer too large for a float") from None
 
 
 def _list_at(value, path) -> list:
@@ -59,52 +79,96 @@ def _list_at(value, path) -> list:
     return value
 
 
+def _point(value):
+    """value as a normal point label (see model.as_label), or None."""
+    if type(value) is list and value and _REALS.issuperset(map(type, value)):
+        try:
+            point = tuple(map(float, value))
+        except OverflowError:
+            return None
+        if all(map(math.isfinite, point)):
+            return point
+    return None
+
+
 def _label_at(value, path):
+    """The normal label at path, or a ParseError naming the bad part."""
     if isinstance(value, bool):
         raise ParseError(path, "label must be an integer or an array of reals")
     if isinstance(value, int):
-        return value
+        return int(value)
     if isinstance(value, list):
         point = tuple(_real_at(v, f"{path}[{i}]") for i, v in enumerate(value))
-        try:
-            return as_label(point)
-        except ValueError as exc:
-            raise ParseError(path, str(exc)) from exc
+        if point and all(map(math.isfinite, point)):
+            return point
+        raise ParseError(path, f"point label must be a nonempty finite vector, got {value!r}")
     raise ParseError(path, "label must be an integer or an array of reals")
 
 
-def _pair_at(value, path) -> complex:
-    pair = _list_at(value, path)
-    if len(pair) != 2:
-        raise ParseError(path, f"expected an [re, im] pair, got length {len(pair)}")
-    return complex(_real_at(pair[0], f"{path}[0]"), _real_at(pair[1], f"{path}[1]"))
+def _labels_at(values: list, path_of) -> tuple:
+    """Normal labels; path_of(i) is built only for a label that fails."""
+    labels = []
+    for i, value in enumerate(values):
+        label = value if type(value) is int else _point(value)
+        labels.append(_label_at(value, path_of(i)) if label is None else label)
+    return tuple(labels)
+
+
+def _reals_at(value, shape: tuple, path):
+    """value as nested lists of floats of the given shape, entry by entry."""
+    if not shape:
+        return _real_at(value, path)
+    items = _list_at(value, path)
+    if len(items) != shape[0]:
+        raise ParseError(path, f"expected {shape[0]} {_AXES[-len(shape)]}, got {len(items)}")
+    return [_reals_at(v, shape[1:], f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _matrices_at(values: list, dim: int, path_of) -> np.ndarray:
+    """(len(values), dim, dim) complex array from nested [re, im] pairs.
+
+    One numpy conversion after one type check of every entry. If either
+    fails, the values are walked to the first bad entry, under path_of(i)
+    for values[i]; numpy would read true as 1.0 and null as NaN. Entries
+    must be finite.
+    """
+    shape = (len(values), dim, dim, 2)
+    reals = None
+    try:
+        raw = np.array(values, dtype=object)
+        if raw.shape == shape and _REALS.issuperset(map(type, raw.ravel())):
+            reals = raw.astype(np.float64)
+    except (ValueError, OverflowError):
+        pass
+    if reals is None:
+        reals = np.array(
+            [_reals_at(v, shape[1:], path_of(i)) for i, v in enumerate(values)],
+            dtype=np.float64,
+        ).reshape(shape)
+    finite = np.isfinite(reals)
+    if not finite.all():  # the NaN and Infinity literals that json.loads accepts
+        first = tuple(np.argwhere(~finite)[0])
+        where = path_of(first[0]) + "".join(f"[{k}]" for k in first[1:])
+        raise ParseError(where, f"expected a finite number, got {reals[first]!r}")
+    return reals.view(np.complex128).reshape(shape[:3])
 
 
 def matrix_to_jsonable(matrix) -> list:
+    """A matrix, or a stack of them, as nested [re, im] pairs."""
     m = np.asarray(matrix, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_jsonable(value, dim: int, path) -> np.ndarray:
-    rows = _list_at(value, path)
-    if len(rows) != dim:
-        raise ParseError(path, f"expected {dim} rows, got {len(rows)}")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        row = _list_at(row, f"{path}[{i}]")
-        if len(row) != dim:
-            raise ParseError(f"{path}[{i}]", f"expected {dim} entries, got {len(row)}")
-        for j, entry in enumerate(row):
-            out[i, j] = _pair_at(entry, f"{path}[{i}][{j}]")
-    return out
+    return _matrices_at([value], dim, lambda _: path)[0]
 
 
 def povm_to_jsonable(povm: FinitePOVM) -> dict:
     return {
         "dim": povm.dim,
         "outcomes": [
-            {"label": label_to_jsonable(label), "effect": matrix_to_jsonable(effect)}
-            for label, effect in povm
+            {"label": label_to_jsonable(label), "effect": effect}
+            for label, effect in zip(povm.labels, matrix_to_jsonable(povm.effects))
         ],
     }
 
@@ -117,15 +181,15 @@ def povm_from_jsonable(obj, path: str = "") -> FinitePOVM:
     outcomes = _list_at(_get(obj, "outcomes", path), f"{prefix}outcomes")
     if not outcomes:
         raise ParseError(f"{prefix}outcomes", "at least one outcome required")
-    labels = []
-    effects = np.empty((len(outcomes), dim, dim), dtype=np.complex128)
-    for i, entry in enumerate(outcomes):
-        here = f"{prefix}outcomes[{i}]"
-        labels.append(_label_at(_get(entry, "label", here), f"{here}.label"))
-        effects[i] = matrix_from_jsonable(
-            _get(entry, "effect", here), dim, f"{here}.effect"
-        )
-    return FinitePOVM(dim, tuple(labels), effects)
+
+    def here(i):
+        return f"{prefix}outcomes[{i}]"
+
+    labels = _labels_at(_field(outcomes, "label", here), lambda i: f"{here(i)}.label")
+    effects = _matrices_at(
+        _field(outcomes, "effect", here), dim, lambda i: f"{here(i)}.effect"
+    )
+    return FinitePOVM._with_normal_labels(dim, labels, effects)
 
 
 def mixture_to_jsonable(mixture: ExtremalMixture) -> dict:
@@ -186,12 +250,16 @@ def histogram_from_jsonable(obj, path: str = "") -> OutcomeHistogram:
     prefix = f"{path}." if path else ""
     n = _int_at(_get(obj, "n", path), f"{prefix}n")
     entries = _list_at(_get(obj, "counts", path), f"{prefix}counts")
-    labels, counts = [], []
-    for i, entry in enumerate(entries):
-        here = f"{prefix}counts[{i}]"
-        labels.append(_label_at(_get(entry, "label", here), f"{here}.label"))
-        counts.append(_int_at(_get(entry, "count", here), f"{here}.count"))
-    return OutcomeHistogram(tuple(labels), tuple(counts), n)
+
+    def here(i):
+        return f"{prefix}counts[{i}]"
+
+    labels = _labels_at(_field(entries, "label", here), lambda i: f"{here(i)}.label")
+    counts = tuple(
+        c if type(c) is int else _int_at(c, f"{here(i)}.count")
+        for i, c in enumerate(_field(entries, "count", here))
+    )
+    return OutcomeHistogram(labels, counts, n)
 
 
 def postprocessing_to_jsonable(pp: PostProcessing) -> dict:
@@ -258,10 +326,10 @@ def trace_density_to_jsonable(td: TraceDensity) -> dict:
 def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
     prefix = f"{path}." if path else ""
     dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
-    labels = [
-        _label_at(v, f"{prefix}labels[{i}]")
-        for i, v in enumerate(_list_at(_get(obj, "labels", path), f"{prefix}labels"))
-    ]
+    labels = _labels_at(
+        _list_at(_get(obj, "labels", path), f"{prefix}labels"),
+        lambda i: f"{prefix}labels[{i}]",
+    )
     weights = [
         _real_at(v, f"{prefix}weights[{i}]")
         for i, v in enumerate(_list_at(_get(obj, "weights", path), f"{prefix}weights"))
@@ -271,11 +339,12 @@ def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
         None if v is None else matrix_from_jsonable(v, dim, f"{prefix}densities[{i}]")
         for i, v in enumerate(raw)
     ]
-    return TraceDensity(dim, tuple(labels), np.asarray(weights), tuple(densities))
+    return TraceDensity(dim, labels, np.asarray(weights), tuple(densities))
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    """One line of JSON; pipe it through python -m json.tool to indent it."""
+    return json.dumps(obj)
 
 
 def loads(text: str):
@@ -285,3 +354,5 @@ def loads(text: str):
         raise ParseError(
             f"line {exc.lineno} column {exc.colno}", f"malformed JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise ParseError("", f"malformed JSON: {exc}") from exc

@@ -94,6 +94,25 @@ def test_decompose_budget_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_decompose_rejects_max_leaves_below_one(tmp_path, capsys, value):
+    povm = tmp_path / "p.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--k", "6", "--seed", "4", "-o", str(povm))
+    code, out, err = run(capsys, "decompose", str(povm), "--max-leaves", value)
+    assert code == 1 and out == ""
+    assert f"'max_leaves' must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_barycenter_rejects_trials_below_one(tmp_path, capsys, value):
+    povm, mix = tmp_path / "p.json", tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--k", "4", "--seed", "2", "-o", str(povm))
+    run(capsys, "decompose", str(povm), "-o", str(mix))
+    code, out, err = run(capsys, "verify-barycenter", str(povm), str(mix), "--trials", value)
+    assert code == 1 and out == ""
+    assert f"trials must be >= 1, got {value}" in err
+
+
 def test_density_output(tmp_path, capsys):
     povm = tmp_path / "p.json"
     run(capsys, "gen", "--kind", "random", "--d", "3", "--k", "4", "--seed", "5", "-o", str(povm))

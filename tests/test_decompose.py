@@ -199,7 +199,9 @@ def test_verify_barycenter_accepts_true_mixture():
     assert report.weight_sum == pytest.approx(1.0, abs=1e-12)
 
 
-def test_verify_barycenter_flags_tampering():
+def tampered_mixture():
+    """A decomposition of a random qubit measurement with its first leaf
+    rotated slightly, so it no longer recombines to the measurement."""
     povm = gen_random_povm(2, 4, rank_cap=1, seed=19)
     mixture = decompose_extremal(povm)
     # perturb one leaf: rotate its effects slightly
@@ -219,8 +221,57 @@ def test_verify_barycenter_flags_tampering():
         + mixture.components[1:],
         True,
     )
+    return povm, tampered
+
+
+def test_verify_barycenter_flags_tampering():
+    povm, tampered = tampered_mixture()
     report = verify_barycenter(povm, tampered, trials=32, seed=5)
     assert not report.within(1e-8)
+
+
+def decomposed(povm):
+    return povm, decompose_extremal(povm)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: decomposed(gen_covariant_sphere(200, seed=7)),
+        lambda: decomposed(list(certificate_corpus())[-1]),
+        tampered_mixture,
+    ],
+    ids=["sphere-200", "corpus", "tampered"],
+)
+def test_effect_residual_matches_recombination_oracle(make):
+    """The residual read off the one alignment equals the distance to the
+    convex recombination, computed the long way."""
+    povm, mixture = make()
+    report = verify_barycenter(povm, mixture, trials=2, seed=3)
+    assert report.effect_residual == effects_distance(povm, reconstruct(mixture))
+
+
+def test_verify_barycenter_aligns_labels_once(monkeypatch):
+    sphere = gen_covariant_sphere(50, seed=7)
+    mixture = decompose_extremal(sphere)
+    original, calls = model.align_label_universe, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "align_label_universe", counted)
+    monkeypatch.setattr(model, "align_label_universe", counted)
+    assert verify_barycenter(sphere, mixture).within(1e-8)
+    assert calls == 1
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_barycenter_rejects_trials_below_one(trials):
+    povm = gen_random_povm(2, 4, seed=1)
+    with pytest.raises(model.PovmError, match="trials must be >= 1"):
+        verify_barycenter(povm, decompose_extremal(povm), trials=trials)
 
 
 def test_sphere_decomposition_leaf_bound():
@@ -281,12 +332,17 @@ def certificate_corpus():
             yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
 
 
-def test_leaf_count_certificate_on_corpus():
+@pytest.fixture(scope="module")
+def corpus_decompositions():
+    """(povm, decomposition) over certificate_corpus(), decomposed once."""
+    return [(povm, decompose_extremal(povm)) for povm in certificate_corpus()]
+
+
+def test_leaf_count_certificate_on_corpus(corpus_decompositions):
     """Each split peels an extreme point off and leaves the rest on a proper
     face, so a decomposition has at most dim F + 1 leaves."""
     tight = 0
-    for povm in certificate_corpus():
-        mixture = decompose_extremal(povm)
+    for povm, mixture in corpus_decompositions:
         assert mixture.complete
         bound = face_dim(povm) + 1
         assert len(mixture.components) <= bound
@@ -306,12 +362,12 @@ def assert_leaves_pairwise_distinct(mixture):
                 assert effects_distance(a, b) > 1e-8
 
 
-def test_chain_leaves_are_pairwise_distinct():
+def test_chain_leaves_are_pairwise_distinct(corpus_decompositions):
     """Each peeled leaf lies outside the face that holds every later leaf,
     so merging identical leaves had nothing to merge."""
     assert_leaves_pairwise_distinct(decompose_extremal(gen_covariant_sphere(200, seed=7)))
-    for povm in certificate_corpus():
-        assert_leaves_pairwise_distinct(decompose_extremal(povm))
+    for _, mixture in corpus_decompositions:
+        assert_leaves_pairwise_distinct(mixture)
 
 
 @pytest.mark.parametrize("n", [50, 100, 200])

@@ -163,3 +163,77 @@ def test_mixture_weight_must_be_finite_and_non_negative(weight):
     with pytest.raises(ParseError) as err:
         mixture_from_jsonable(loads(dumps(doc)))
     assert err.value.path == f"components[{len(doc['components']) - 1}].weight"
+
+
+HUGE = int("9" * 401)  # parses as a JSON integer; float() of it overflows
+
+
+def _malformed(slot, bad):
+    """A document with bad at one number slot, its parser, and the slot's path."""
+    if slot == "effect":
+        doc = povm_to_jsonable(gen_covariant_sphere(6, seed=1))
+        doc["outcomes"][2]["effect"][1][0][1] = bad
+        return doc, povm_from_jsonable, "outcomes[2].effect[1][0][1]"
+    if slot == "label":
+        doc = povm_to_jsonable(gen_covariant_sphere(6, seed=1))
+        doc["outcomes"][4]["label"][2] = bad
+        return doc, povm_from_jsonable, "outcomes[4].label[2]"
+    if slot == "weight":
+        doc = mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6)))
+        doc["components"][1]["weight"] = bad
+        return doc, mixture_from_jsonable, "components[1].weight"
+    doc = state_to_jsonable(gen_random_state(3, seed=2))
+    doc["matrix"][2][1][0] = bad
+    return doc, state_from_jsonable, "matrix[2][1][0]"
+
+
+@pytest.mark.parametrize("bad", [True, None, "x", HUGE], ids=["true", "null", "str", "huge"])
+@pytest.mark.parametrize("slot", ["effect", "label", "weight", "state"])
+def test_malformed_number_is_reported_at_its_path(slot, bad):
+    """numpy would read true as 1.0 and null as NaN, and float() of a huge
+    integer overflows: each must be a ParseError at the exact path, also
+    after a trip through the JSON text."""
+    doc, parse, path = _malformed(slot, bad)
+    for source in (doc, loads(dumps(doc))):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.path == path
+
+
+def test_effect_rows_of_a_huge_dimension_are_reported_not_allocated():
+    doc = {"dim": 10**6, "outcomes": [{"label": 0, "effect": [[[1.0, 0.0]]]}]}
+    with pytest.raises(ParseError, match="expected 1000000 rows, got 1") as err:
+        povm_from_jsonable(doc)
+    assert err.value.path == "outcomes[0].effect"
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="malformed JSON"):
+        loads('{"dim": ' + "9" * 5000 + "}")
+
+
+def test_sphere_mixture_round_trip_is_bit_exact_on_one_line():
+    povm = gen_covariant_sphere(200, seed=7)
+    mixture = decompose_extremal(povm)
+    text = dumps(mixture_to_jsonable(mixture))
+    assert "\n" not in text
+    back = mixture_from_jsonable(loads(text))
+    assert back.dim == mixture.dim and back.complete == mixture.complete
+    assert len(back.components) == len(mixture.components)
+    for a, b in zip(back.components, mixture.components):
+        assert a.weight == b.weight
+        assert a.povm.labels == b.povm.labels
+        assert np.array_equal(a.povm.effects, b.povm.effects)
+        # the signs of zeros survive too
+        assert a.povm.effects.tobytes() == b.povm.effects.tobytes()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("slot", ["effect", "state"])
+def test_non_finite_matrix_entry_is_reported_at_its_path(slot, literal):
+    """json.loads accepts these literals; a matrix entry must be finite."""
+    marker = 12345.5
+    doc, parse, path = _malformed(slot, marker)
+    with pytest.raises(ParseError, match="expected a finite number") as err:
+        parse(loads(dumps(doc).replace(repr(marker), literal)))
+    assert err.value.path == path
