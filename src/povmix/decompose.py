@@ -31,7 +31,6 @@ from .extremality import (
     apply_tp,
     build_tp_map,
     frame_columns,
-    rank_groups,
     verdict_from_tp,
 )
 from .linalg import RANK_TOL, kernel_basis
@@ -132,6 +131,21 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _live_eigh(h: np.ndarray, kept: np.ndarray):
+    """eigh of a stack of Hermitian t x t blocks, live on the coordinates kept.
+
+    h must be zero off kept. Its dead diagonal gets a value below every live
+    eigenvalue (below the stack's Gershgorin bound), so the dead eigenpairs
+    sort first; live marks each block's trailing count(kept) positions.
+    """
+    t = h.shape[-1]
+    pos = np.arange(t)
+    floor = -1.0 - 2.0 * float(np.abs(h).sum(axis=-1).max(initial=0.0))
+    h[:, pos, pos] = np.where(kept, h[:, pos, pos], floor)
+    w, u = np.linalg.eigh(h)
+    return w, u, pos >= t - np.count_nonzero(kept, axis=1)[:, None]
+
+
 def split_once(
     povm: FinitePOVM,
     element: BlockHermitian,
@@ -143,7 +157,9 @@ def split_once(
 
     The element must have both positive and negative eigenvalues and must
     actually annihilate under the map (up to residual_tol after scaling by
-    the saturation parameters); either failure raises SplitError.
+    the saturation parameters); either failure raises SplitError. The
+    blocks are padded into one stack, each in the trailing window of its
+    map frame, and split with one eigh of that stack.
     """
     if tp is None:
         tp = build_tp_map(povm, rank_tol)
@@ -151,16 +167,15 @@ def split_once(
         raise SplitError(
             f"element ranks {element.ranks} do not match map ranks {tp.ranks}"
         )
-    # Blocks and frames of equal rank are stacked: one eigh per rank.
-    groups = []
-    for idx in rank_groups(tp.ranks).values():
-        blocks = np.stack([element.blocks[i] for i in idx])
-        lam, u = np.linalg.eigh((blocks + _dagger(blocks)) / 2.0)
-        groups.append((idx, np.stack([tp.frames[i] for i in idx]), lam, u))
-    if not groups:
+    if tp.domain_dim == 0:
         raise SplitError("element is empty")
-    lam_min = min(float(lam.min()) for _, _, lam, _ in groups)
-    lam_max = max(float(lam.max()) for _, _, lam, _ in groups)
+    n, d, t = tp.frames.shape
+    kept = np.arange(t) >= t - np.array(tp.ranks)[:, None]
+    x = np.zeros((n, t, t), dtype=np.complex128)
+    x[kept[:, :, None] & kept[:, None, :]] = element.to_vector()
+    lam, u, live = _live_eigh((x + _dagger(x)) / 2.0, kept)
+    lam_min = float(lam[live].min())
+    lam_max = float(lam[live].max())
     radius = max(abs(lam_min), abs(lam_max))
     if radius <= 0.0:
         raise SplitError("element is zero")
@@ -178,16 +193,13 @@ def split_once(
             f"element is not in the kernel: ||T(D)|| = {residual:.3e} "
             f"with tau = {max(tau_plus, tau_minus):.3e}"
         )
-    d = tp.dim
     children = []
     for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
         # Child effects S_i U_i diag(1 + sign*tau*lambda_i) U_i^dag S_i^dag.
-        effects = np.zeros((len(tp.frames), d, d), dtype=np.complex128)
-        for idx, frames, lam, u in groups:
-            m = (u * _saturate(1.0 + sign * tau * lam)[:, None, :]) @ _dagger(u)
-            e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
-            effects[idx] = (e + _dagger(e)) / 2.0
-        children.append(FinitePOVM._with_normal_labels(d, tp.labels, effects))
+        sat = _saturate(np.where(live, 1.0 + sign * tau * lam, 0.0))
+        m = (u * sat[:, None, :]) @ _dagger(u)
+        e = tp.frames @ ((m + _dagger(m)) / 2.0) @ _dagger(tp.frames)
+        children.append(FinitePOVM._with_normal_labels(d, tp.labels, (e + _dagger(e)) / 2.0))
     total = tau_plus + tau_minus
     return SplitResult(
         weight_plus=tau_minus / total,
@@ -223,6 +235,15 @@ def _saturating_step(lam: np.ndarray):
     return 1.0 / radius, lam_max > -lam_min
 
 
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^dag)/2 of a stack of kernel blocks, else (x - x^dag)/2i; the
+    kernel is closed under ^dag, so both lie in it (on 1 x 1 blocks: Re, Im)."""
+    h = (x + _dagger(x)) / 2.0
+    if np.linalg.norm(h) <= _HERM_PREFERENCE:
+        h = (x - _dagger(x)) / 2.0j
+    return h
+
+
 def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_factor: float):
     """Saturating walk on scalar coordinates: columns[:, j] carries weight scale[j].
 
@@ -242,8 +263,7 @@ def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_facto
         v = _kernel_vector(columns[:, sub] * scale[sub], margin_factor)
         if v is None:
             return scale
-        # The kernel is closed under conjugation, so both parts lie in it.
-        h = v.real if np.linalg.norm(v.real) > _HERM_PREFERENCE else v.imag
+        h = _hermitian_part(v[:, None, None]).real.ravel()
         tau, flip = _saturating_step(h)
         if flip:
             h = -h
@@ -270,22 +290,18 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     injective. If every live block has rank one, the point is extreme (a
     rank-one block's map column is its scalar column), and the walk ends.
     Otherwise the general walk refines the at most d^2 live blocks, held as
-    one stack of t x t blocks (t the largest live rank): frames and factors
-    G_i with B_i = G_i G_i^dag, padded with zero columns in front. A step
-    takes one SVD of the map with columns of S_i G_i, one eigh of the whole
-    stack, and updates G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated
-    roots become zero columns in front.
+    one stack of t x t blocks (t the largest live rank): the trailing t
+    columns of the map's frame stack, and factors G_i with B_i = G_i G_i^dag.
+    A step takes one SVD of the map with the live columns of S_i G_i, one
+    eigh of the whole stack, and updates G_i <- G_i U_i sqrt(1 + tau
+    lambda_i); saturated roots become zero columns, dropped from the next
+    step by mask where they stand.
     """
     ranks = np.array(tp.ranks)
-    groups = rank_groups(ranks)
     d2 = tp.dim * tp.dim
-    sq = ranks * ranks
-    offsets = np.cumsum(sq) - sq
-    # vec(S_i S_i^dag) of each block: the sum of its diagonal columns.
-    columns = np.zeros((d2, len(ranks)), dtype=np.complex128)
-    for r, idx in groups.items():
-        columns[:, idx] = tp.matrix[:, offsets[idx, None] + np.arange(r) * (r + 1)].sum(axis=2)
-    scale = (sq > 0).astype(np.float64)  # c_i
+    # vec(S_i S_i^dag) of each block.
+    columns = np.einsum("iaj,ibj->abi", tp.frames, tp.frames.conj()).reshape(d2, -1)
+    scale = (ranks > 0).astype(np.float64)  # c_i
     while np.count_nonzero(scale) > 2 * (d2 + 1):
         active = np.flatnonzero(scale)
         starts = np.arange(2 * (d2 + 1)) * active.size // (2 * (d2 + 1))
@@ -294,44 +310,29 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         scale[active] *= np.repeat(gamma, np.diff(starts, append=active.size))
     scale = _scalar_walk(columns, scale, 0, margin_factor)
     live = np.flatnonzero(scale)
-    r = ranks[live]
-    t = int(r.max())
+    t = int(ranks[live].max())
     if t == 1:
         return _unit_direction(ranks, live, scale[live, None, None].astype(np.complex128))
-    # The live blocks as one stack, padded in front to t x t: frames S and
-    # factors G with B = G G^dag. Saturated roots come first, so a block of
-    # sub-rank s lives in the trailing s x s window of G.
+    # Frames S and factors G (B = G G^dag) of the live blocks, t x t. kept
+    # marks G's live columns; saturation may zero any of them, not only the first.
+    frames = tp.frames[live, :, tp.frames.shape[2] - t :]
     pos = np.arange(t)
-    frames = np.zeros((live.size, tp.dim, t), dtype=np.complex128)
-    for i, j in enumerate(live):
-        frames[i, :, t - r[i] :] = tp.frames[j]
+    kept = pos >= t - ranks[live, None]
     factors = np.zeros((live.size, t, t), dtype=np.complex128)
-    factors[:, pos, pos] = np.sqrt(scale[live, None]) * (pos >= t - r[:, None])
-    sub = r
+    factors[:, pos, pos] = np.sqrt(scale[live, None]) * kept
     for _ in range(tp.domain_dim + 16):
-        kept = pos >= t - sub[:, None]
-        mask = kept[:, :, None] & kept[:, None, :]
-        # The (live, live) columns are the current map, in block order.
-        matrix = frame_columns(frames @ factors).transpose(1, 0, 2).reshape(d2, -1)
-        vec = _kernel_vector(matrix[:, mask.ravel()], margin_factor)
+        vec = _kernel_vector(frame_columns(frames @ factors, kept), margin_factor)
         if vec is None:
             break
         x = np.zeros_like(factors)
-        x[mask] = vec
-        h = (x + _dagger(x)) / 2.0
-        if np.linalg.norm(h) <= _HERM_PREFERENCE:
-            h = (x - _dagger(x)) / 2.0j
-        # A unit kernel vector has every |lambda| <= 1: dead entries (-4) sort first.
-        h[:, pos, pos] = np.where(kept, h[:, pos, pos], -4.0)
-        w, u = np.linalg.eigh(h)
-        tau, flip = _saturating_step(w[kept])
-        if flip:  # negate and reverse each live suffix
-            order = np.where(kept, 2 * t - 1 - sub[:, None] - pos, pos)
-            w = -np.take_along_axis(w, order, axis=1)
-            u = np.take_along_axis(u, order[:, None, :], axis=2)
-        sat = _saturate(np.where(kept, 1.0 + tau * w, 0.0))
+        x[kept[:, :, None] & kept[:, None, :]] = vec
+        w, u, live_eig = _live_eigh(_hermitian_part(x), kept)
+        tau, flip = _saturating_step(w[live_eig])
+        if flip:
+            w = -w
+        sat = _saturate(np.where(live_eig, 1.0 + tau * w, 0.0))
         factors = factors @ (u * np.sqrt(sat)[:, None, :])
-        sub = np.count_nonzero(sat, axis=1)
+        kept = sat > 0.0
     else:
         raise SplitError("walk failed to reach an extreme point")
     return _unit_direction(ranks, live, factors @ _dagger(factors))

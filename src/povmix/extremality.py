@@ -30,13 +30,15 @@ MARGIN_FACTOR = 1e-10
 class TpMap:
     """The assembled sandwich map of a measurement.
 
-    frames[i] is S_i (d x r_i); matrix is d^2 x sum r_i^2 with block columns
-    in outcome order and (j, k) running row-major within each block.
+    frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
+    the trailing r_i columns of frames[i] and the t - r_i columns in front
+    are zero. matrix is d^2 x sum r_i^2 with block columns in outcome order
+    and (j, k) running row-major within each block.
     """
 
     dim: int
     labels: tuple
-    frames: tuple
+    frames: np.ndarray
     ranks: tuple
     matrix: np.ndarray
 
@@ -85,21 +87,16 @@ class BlockHermitian:
         return np.concatenate([b.reshape(-1) for b in self.blocks])
 
 
-def frame_columns(frame: np.ndarray) -> np.ndarray:
-    """Columns vec(S E_jk S^dag) for one frame S, as a d^2 x r^2 matrix.
+def frame_columns(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Columns vec(S_i E_jk S_i^dag) of a padded frame stack (n, d, t).
 
-    A stack of frames (n, d, r) gives the stack of their matrices (n, d^2, r^2).
+    kept (n, t) marks each frame's live columns. The result is d^2 x
+    sum_i |kept_i|^2: blocks in stack order, (j, k) row-major over each
+    block's kept pairs.
     """
-    *lead, d, r = frame.shape
-    cols = np.einsum("...aj,...bk->...abjk", frame, frame.conj())
-    return cols.reshape(*lead, d * d, r * r)
-
-
-def rank_groups(ranks) -> dict:
-    """Positions of the blocks of each nonzero rank, {r: index array}, r ascending."""
-    ranks = np.asarray(ranks)
-    groups = {r: np.flatnonzero(ranks == r) for r in range(1, int(ranks.max(initial=0)) + 1)}
-    return {r: idx for r, idx in groups.items() if idx.size}
+    i, j, k = np.nonzero(kept[:, :, None] & kept[:, None, :])
+    cols = np.einsum("ca,cb->abc", frames[i, :, j], frames[i, :, k].conj())
+    return cols.reshape(frames.shape[1] ** 2, i.size)
 
 
 def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
@@ -107,10 +104,11 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
 
     Each frame S_i is sqrt(P_i) restricted to the numerical range of P_i,
     computed directly from the eigendecomposition (eigenvectors above the
-    relative rank cutoff, scaled by sqrt of their eigenvalues). Zero effects
-    yield empty frames and contribute no columns. Eigenvalues come
-    ascending, so the kept ones are a suffix and frames of equal rank are
-    cut and expanded as one stack.
+    relative rank cutoff, scaled by sqrt of their eigenvalues). Eigenvalues
+    come ascending, so the kept ones are a suffix: the frame stack is the
+    trailing t eigenvectors, the dropped ones scaled to zero columns in
+    front. The matrix is the stack's frame columns over the kept ones; zero
+    effects contribute none.
     """
     w, v = np.linalg.eigh(
         (povm.effects + povm.effects.conj().transpose(0, 2, 1)) / 2.0
@@ -121,19 +119,12 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
             f"effect is not PSD: min eigenvalue {w.min():.3e}"
         )
     d = povm.dim
-    cutoff = rank_tol * np.maximum(w[:, -1], 1.0)
-    ranks = tuple(int(r) for r in np.count_nonzero(w > cutoff[:, None], axis=1))
-    frames = [np.zeros((d, 0), dtype=np.complex128)] * len(ranks)
-    sq = np.square(np.array(ranks, dtype=np.intp))
-    offsets = np.cumsum(sq) - sq
-    matrix = np.empty((d * d, int(sq.sum())), dtype=np.complex128)
-    for r, idx in rank_groups(ranks).items():
-        stack = v[idx, :, d - r :] * np.sqrt(w[idx, None, d - r :])
-        for i, frame in zip(idx, stack):
-            frames[i] = frame
-        cols = (offsets[idx][:, None] + np.arange(r * r)).reshape(-1)
-        matrix[:, cols] = frame_columns(stack).transpose(1, 0, 2).reshape(d * d, -1)
-    return TpMap(d, povm.labels, tuple(frames), ranks, matrix)
+    kept = w > (rank_tol * np.maximum(w[:, -1], 1.0))[:, None]
+    ranks = tuple(int(r) for r in np.count_nonzero(kept, axis=1))
+    t = max(ranks, default=0)
+    kept = kept[:, d - t :]
+    frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
+    return TpMap(d, povm.labels, frames, ranks, frame_columns(frames, kept))
 
 
 def apply_tp(tp: TpMap, element: BlockHermitian) -> np.ndarray:

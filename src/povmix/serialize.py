@@ -65,12 +65,16 @@ def _int_at(value, path) -> int:
 
 
 def _real_at(value, path) -> float:
+    """A finite float; json.loads reads NaN and Infinity literals as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(path, f"expected a real number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise ParseError(path, "integer too large for a float") from None
+    if not math.isfinite(real):
+        raise ParseError(path, f"expected a finite number, got {real!r}")
+    return real
 
 
 def _list_at(value, path) -> list:
@@ -99,9 +103,9 @@ def _label_at(value, path):
         return int(value)
     if isinstance(value, list):
         point = tuple(_real_at(v, f"{path}[{i}]") for i, v in enumerate(value))
-        if point and all(map(math.isfinite, point)):
+        if point:
             return point
-        raise ParseError(path, f"point label must be a nonempty finite vector, got {value!r}")
+        raise ParseError(path, "point label must be a nonempty vector")
     raise ParseError(path, "label must be an integer or an array of reals")
 
 
@@ -128,9 +132,9 @@ def _matrices_at(values: list, dim: int, path_of) -> np.ndarray:
     """(len(values), dim, dim) complex array from nested [re, im] pairs.
 
     One numpy conversion after one type check of every entry. If either
-    fails, the values are walked to the first bad entry, under path_of(i)
-    for values[i]; numpy would read true as 1.0 and null as NaN. Entries
-    must be finite.
+    fails, or an entry is not finite, the values are walked to the first bad
+    entry, under path_of(i) for values[i]; numpy would read true as 1.0 and
+    null as NaN.
     """
     shape = (len(values), dim, dim, 2)
     reals = None
@@ -140,16 +144,11 @@ def _matrices_at(values: list, dim: int, path_of) -> np.ndarray:
             reals = raw.astype(np.float64)
     except (ValueError, OverflowError):
         pass
-    if reals is None:
+    if reals is None or not np.isfinite(reals).all():
         reals = np.array(
             [_reals_at(v, shape[1:], path_of(i)) for i, v in enumerate(values)],
             dtype=np.float64,
         ).reshape(shape)
-    finite = np.isfinite(reals)
-    if not finite.all():  # the NaN and Infinity literals that json.loads accepts
-        first = tuple(np.argwhere(~finite)[0])
-        where = path_of(first[0]) + "".join(f"[{k}]" for k in first[1:])
-        raise ParseError(where, f"expected a finite number, got {reals[first]!r}")
     return reals.view(np.complex128).reshape(shape[:3])
 
 
@@ -216,8 +215,8 @@ def mixture_from_jsonable(obj, path: str = "") -> ExtremalMixture:
     for i, entry in enumerate(entries):
         here = f"{prefix}components[{i}]"
         weight = _real_at(_get(entry, "weight", here), f"{here}.weight")
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ParseError(f"{here}.weight", f"expected a finite weight >= 0, got {weight!r}")
+        if weight < 0.0:
+            raise ParseError(f"{here}.weight", f"expected a weight >= 0, got {weight!r}")
         povm = povm_from_jsonable(_get(entry, "povm", here), f"{here}.povm")
         components.append(MixtureComponent(weight, povm))
     return ExtremalMixture(dim, tuple(components), complete)
@@ -335,6 +334,9 @@ def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
         for i, v in enumerate(_list_at(_get(obj, "weights", path), f"{prefix}weights"))
     ]
     raw = _list_at(_get(obj, "densities", path), f"{prefix}densities")
+    for key, values in (("weights", weights), ("densities", raw)):
+        if len(values) != len(labels):
+            raise ParseError(f"{prefix}{key}", f"expected {len(labels)} entries, got {len(values)}")
     densities = [
         None if v is None else matrix_from_jsonable(v, dim, f"{prefix}densities[{i}]")
         for i, v in enumerate(raw)

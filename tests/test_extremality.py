@@ -35,10 +35,13 @@ def haar_unitary(d, rng):
 
 
 def test_frame_columns_convention():
-    # column (j,k) must be the row-major flattening of S e_j e_k^dag S^dag
+    # column (j,k) must be the row-major flattening of S e_j e_k^dag S^dag,
+    # S the kept columns of a padded frame
     rng = np.random.default_rng(0)
     s = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    cols = frame_columns(s)
+    padded = np.zeros((1, 3, 3), dtype=np.complex128)
+    padded[0, :, 1:] = s
+    cols = frame_columns(padded, np.array([[False, True, True]]))
     assert cols.shape == (9, 4)
     for j in range(2):
         for k in range(2):
@@ -53,9 +56,11 @@ def test_build_tp_map_shapes_and_frames():
     assert tp.ranks == (2, 2)
     assert tp.domain_dim == 8
     assert tp.matrix.shape == (4, 8)
-    # frames reproduce the effects: S S^dag = P
-    for frame in tp.frames:
-        assert np.allclose(frame @ frame.conj().T, I2 / 2, atol=1e-12)
+    assert tp.frames.shape == (2, 2, 2)
+    # frames reproduce the effects: S S^dag = P, S the trailing r columns
+    for frame, r in zip(tp.frames, tp.ranks):
+        s = frame[:, frame.shape[1] - r :]
+        assert np.allclose(s @ s.conj().T, I2 / 2, atol=1e-12)
 
 
 def test_apply_tp_matches_direct_sandwich():
@@ -67,9 +72,10 @@ def test_apply_tp_matches_direct_sandwich():
         a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         blocks.append((a + a.conj().T) / 2)
     element = BlockHermitian(tuple(blocks))
+    t = tp.frames.shape[2]
     direct = sum(
-        frame @ block @ frame.conj().T
-        for frame, block in zip(tp.frames, element.blocks)
+        frame[:, t - r :] @ block @ frame[:, t - r :].conj().T
+        for frame, block, r in zip(tp.frames, element.blocks, tp.ranks)
     )
     assert np.allclose(apply_tp(tp, element), direct, atol=1e-12)
 

@@ -1,10 +1,10 @@
-"""The decomposition path on stacked blocks, against per-block code.
+"""The decomposition path on one padded block stack, against per-block code.
 
-The split and the map stack blocks of equal rank; the general walk holds its
-live blocks as one stack padded to t x t. The reference functions below
-evaluate each of them one block at a time, the walk on the same padded
-blocks. Stacking changes no arithmetic inside a block, so every output must
-be equal bit for bit, not just close.
+The map, the general walk and the split hold every block in one stack of
+t x t blocks (t the largest rank), each block's frame in its trailing
+columns. The reference functions below evaluate each of them one block at a
+time on the same padded blocks. Stacking changes no arithmetic inside a
+block, so every output must be equal bit for bit, not just close.
 """
 
 from collections import Counter
@@ -48,91 +48,84 @@ def ref_build_tp_map(povm, rank_tol=RANK_TOL):
         frames.append(np.ascontiguousarray(v[i][:, keep] * np.sqrt(w[i, keep])))
     ranks = tuple(f.shape[1] for f in frames)
     d = povm.dim
+    t = max(ranks)
+    padded = np.zeros((len(frames), d, t), dtype=np.complex128)
+    for i, f in enumerate(frames):
+        padded[i, :, t - f.shape[1] :] = f
     if any(ranks):
         matrix = np.hstack([ref_frame_columns(f) for f in frames])
     else:
         matrix = np.zeros((d * d, 0), dtype=np.complex128)
-    return TpMap(d, povm.labels, tuple(frames), ranks, matrix)
+    return TpMap(d, povm.labels, padded, ranks, matrix)
 
 
-def ref_blocks_from_vector(vector, ranks):
-    """Cut a stacked coefficient vector into row-major r_i x r_i blocks."""
-    blocks = []
-    offset = 0
-    for r in ranks:
-        blocks.append(vector[offset : offset + r * r].reshape(r, r))
-        offset += r * r
-    return tuple(blocks)
+def ref_floor(hs):
+    """The dead-diagonal value: below every eigenvalue of every block."""
+    return -1.0 - 2.0 * max(float(np.abs(h).sum(axis=-1).max()) for h in hs)
 
 
-def ref_block_eigh(blocks):
-    eigs, vecs = [], []
-    for b in blocks:
-        if b.size == 0:
-            eigs.append(np.zeros(0))
-            vecs.append(np.zeros((0, 0), dtype=np.complex128))
-        else:
-            w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-            eigs.append(w)
-            vecs.append(v)
-    return eigs, vecs
+def ref_live_eigh(hs, kepts):
+    """Per block: the floor on the dead diagonal, eigh, and the live
+    eigenpairs as the trailing count(kept) positions."""
+    floor = ref_floor(hs)
+    out = []
+    for h, kept in zip(hs, kepts):
+        dead = np.flatnonzero(~kept)
+        h[dead, dead] = floor
+        w, u = np.linalg.eigh(h)
+        out.append((w, u, np.arange(len(kept)) >= len(kept) - np.count_nonzero(kept)))
+    return out
 
 
 def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
     """The general-rank walk, one eigh, matmul and frame per padded block.
 
     On these inputs the scalar walk keeps every block at B = I, so the walk
-    starts there. Each block of nonzero rank r keeps a frame and a factor g,
-    padded with zero columns in front to t x t (t the largest rank), with
-    coordinates B = g g^dag; a block of sub-rank s lives in the trailing
-    s x s window. A step writes -4 on each block's dead diagonal, so the dead
-    eigenvalues sort first, reverses only the live suffix on a flip, maps g
-    to g U sqrt(1 + tau*lambda) and zeroes the saturated columns.
+    starts there. Each block of nonzero rank r keeps its t x t frame and a
+    factor g with coordinates B = g g^dag, and a mask of g's live columns,
+    at first the trailing r. A step writes the floor on each block's dead
+    diagonal, so the dead eigenvalues sort first, negates the spectrum on a
+    flip, maps g to g U sqrt(1 + tau*lambda) and drops the saturated columns
+    from the mask wherever they stand.
     """
     d = tp.dim
     live = [i for i, r in enumerate(tp.ranks) if r]
     t = max(tp.ranks)
-    frames, factors, subs = [], [], []
+    frames, factors, kepts = [], [], []
     for i in live:
         r = tp.ranks[i]
-        frame = np.zeros((d, t), dtype=np.complex128)
-        frame[:, t - r :] = tp.frames[i]
         g = np.zeros((t, t), dtype=np.complex128)
         g[t - r :, t - r :] = np.eye(r)
-        frames.append(frame)
+        frames.append(tp.frames[i])
         factors.append(g)
-        subs.append(r)
+        kepts.append(np.arange(t) >= t - r)
     for _ in range(tp.domain_dim + 16):
         cols = [
-            ref_frame_columns(f @ g).reshape(d * d, t, t)[:, t - s :, t - s :].reshape(d * d, -1)
-            for f, g, s in zip(frames, factors, subs)
+            ref_frame_columns(f @ g).reshape(d * d, t, t)[:, kept][:, :, kept].reshape(d * d, -1)
+            for f, g, kept in zip(frames, factors, kepts)
         ]
         vec = _kernel_vector(np.hstack(cols), margin_factor)
         if vec is None:
             break
         xs = []
-        for x, s in zip(ref_blocks_from_vector(vec, subs), subs):
-            padded = np.zeros((t, t), dtype=np.complex128)
-            padded[t - s :, t - s :] = x
-            xs.append(padded)
+        offset = 0
+        for kept in kepts:
+            s = np.count_nonzero(kept)
+            x = np.zeros((t, t), dtype=np.complex128)
+            x[np.ix_(kept, kept)] = vec[offset : offset + s * s].reshape(s, s)
+            xs.append(x)
+            offset += s * s
         hs = [(x + x.conj().T) / 2.0 for x in xs]
         if np.sqrt(sum(np.linalg.norm(h) ** 2 for h in hs)) <= decompose._HERM_PREFERENCE:
             hs = [(x - x.conj().T) / 2.0j for x in xs]
-        eigs, vecs = [], []
-        for h, s in zip(hs, subs):
-            h[np.arange(t - s), np.arange(t - s)] = -4.0
-            w, u = np.linalg.eigh(h)
-            eigs.append(w)
-            vecs.append(u)
-        tau, flip = _saturating_step(np.concatenate([w[t - s :] for w, s in zip(eigs, subs)]))
-        for k, s in enumerate(subs):
-            w, u = eigs[k], vecs[k]
+        eighs = ref_live_eigh(hs, kepts)
+        tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
+        for k, (w, u, lv) in enumerate(eighs):
             if flip:
-                w = np.concatenate([w[: t - s], -w[t - s :][::-1]])
-                u = np.concatenate([u[:, : t - s], u[:, t - s :][:, ::-1]], axis=1)
-            sat = _saturate(np.concatenate([np.zeros(t - s), 1.0 + tau * w[t - s :]]))
+                w = -w
+            sat = _saturate(np.where(lv, 1.0 + tau * w, 0.0))
             factors[k] = factors[k] @ (u * np.sqrt(sat))
-            subs[k] = np.count_nonzero(sat)
+            kepts[k] = sat > 0.0
     else:
         raise AssertionError("reference walk did not end")
     blocks = []
@@ -149,27 +142,33 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
 
 
 def ref_split_once(element, tp):
-    """(weights, taus, child effects) of a split, one block at a time."""
-    eigs, vecs = ref_block_eigh(element.blocks)
-    all_eigs = np.concatenate(eigs)
+    """(weights, taus, child effects) of a split, one padded block at a time."""
+    t = tp.frames.shape[2]
+    hs, kepts = [], []
+    for b, r in zip(element.blocks, tp.ranks):
+        x = np.zeros((t, t), dtype=np.complex128)
+        x[t - r :, t - r :] = b
+        hs.append((x + x.conj().T) / 2.0)
+        kepts.append(np.arange(t) >= t - r)
+    eighs = ref_live_eigh(hs, kepts)
+    all_eigs = np.concatenate([w[lv] for w, _, lv in eighs])
     tau_plus = 1.0 / abs(float(all_eigs.min()))
     tau_minus = 1.0 / float(all_eigs.max())
     d = tp.dim
     children = []
     for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
         effects = np.zeros((len(tp.frames), d, d), dtype=np.complex128)
-        for i, (frame, lam, u) in enumerate(zip(tp.frames, eigs, vecs)):
-            if lam.size:
-                m = (u * _saturate(1.0 + sign * tau * lam)) @ u.conj().T
-                e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
-                effects[i] = (e + e.conj().T) / 2.0
+        for i, (frame, (lam, u, lv)) in enumerate(zip(tp.frames, eighs)):
+            m = (u * _saturate(np.where(lv, 1.0 + sign * tau * lam, 0.0))) @ u.conj().T
+            e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
+            effects[i] = (e + e.conj().T) / 2.0
         children.append(effects)
     total = tau_plus + tau_minus
     return (tau_minus / total, tau_plus / total), (tau_plus, tau_minus), children
 
 
 def mixed_rank_povm(seed):
-    """d = 3 with effect ranks 1, 2, 3, 2, 1 and one zero effect."""
+    """d = 3 with effect ranks 1, 2, 0, 3, 2, 1: one zero effect."""
     rng = np.random.default_rng(seed)
     raw = []
     for r in (1, 2, 0, 3, 2, 1):
@@ -200,7 +199,8 @@ def nodes(povm, depth=2):
 
 def assert_same_map(tp, ref):
     assert tp.ranks == ref.ranks
-    assert all(np.array_equal(a, b) for a, b in zip(tp.frames, ref.frames))
+    assert tp.frames.shape == ref.frames.shape
+    assert np.array_equal(tp.frames, ref.frames)
     assert np.array_equal(tp.matrix, ref.matrix)
 
 
@@ -230,6 +230,17 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm):
     assert ragged
 
 
+def test_map_frames_are_one_stack_padded_in_front():
+    povm = mixed_rank_povm(0)
+    tp = build_tp_map(povm)
+    assert tp.ranks == (1, 2, 0, 3, 2, 1)
+    assert tp.frames.shape == (6, 3, 3)
+    for frame, effect, r in zip(tp.frames, povm.effects, tp.ranks):
+        assert np.all(frame[:, : 3 - r] == 0)
+        assert np.allclose(frame @ frame.conj().T, effect, rtol=0, atol=1e-12)
+    assert np.all(tp.frames[2] == 0)
+
+
 def test_rank_one_split_is_bit_identical():
     for seed in range(4):
         for node in nodes(gen_random_povm(3, 12, rank_cap=1, seed=seed)):
@@ -242,7 +253,7 @@ def test_rank_one_split_is_bit_identical():
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
     stack, not one per outcome or sub-rank, and the walk ends with one
-    eigvalsh; the scalar walk makes none."""
+    eigvalsh; the scalar walk makes none, and a split makes one."""
     d, k = 4, 24
     povm = gen_random_povm(d, k, rank_cap=2, seed=3)
     tp = build_tp_map(povm)
@@ -275,7 +286,7 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     assert counts["eigh"] <= general_steps
     counts.clear()
     split_once(povm, element, tp)
-    assert 0 < counts["eigh"] <= d
+    assert counts["eigh"] == 1
 
 
 def corpus_povms(per_d=(7, 7, 6)):

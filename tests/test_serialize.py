@@ -182,13 +182,23 @@ def _malformed(slot, bad):
         doc = mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6)))
         doc["components"][1]["weight"] = bad
         return doc, mixture_from_jsonable, "components[1].weight"
+    if slot in ("margin", "threshold"):
+        doc = verdict_to_jsonable(is_extreme(gen_random_povm(2, 3, seed=4)))
+        doc[slot] = bad
+        return doc, verdict_from_jsonable, slot
+    if slot == "trace weight":
+        doc = trace_density_to_jsonable(trace_density(gen_random_povm(2, 3, seed=4)))
+        doc["weights"][1] = bad
+        return doc, trace_density_from_jsonable, "weights[1]"
     doc = state_to_jsonable(gen_random_state(3, seed=2))
     doc["matrix"][2][1][0] = bad
     return doc, state_from_jsonable, "matrix[2][1][0]"
 
 
 @pytest.mark.parametrize("bad", [True, None, "x", HUGE], ids=["true", "null", "str", "huge"])
-@pytest.mark.parametrize("slot", ["effect", "label", "weight", "state"])
+@pytest.mark.parametrize(
+    "slot", ["effect", "label", "weight", "state", "margin", "threshold", "trace weight"]
+)
 def test_malformed_number_is_reported_at_its_path(slot, bad):
     """numpy would read true as 1.0 and null as NaN, and float() of a huge
     integer overflows: each must be a ParseError at the exact path, also
@@ -232,8 +242,30 @@ def test_sphere_mixture_round_trip_is_bit_exact_on_one_line():
 @pytest.mark.parametrize("slot", ["effect", "state"])
 def test_non_finite_matrix_entry_is_reported_at_its_path(slot, literal):
     """json.loads accepts these literals; a matrix entry must be finite."""
+    _assert_non_finite_rejected(slot, literal)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("slot", ["label", "weight", "margin", "threshold", "trace weight"])
+def test_non_finite_real_is_reported_at_its_path(slot, literal):
+    """Labels, mixture and trace weights and verdict figures must be finite too."""
+    _assert_non_finite_rejected(slot, literal)
+
+
+def _assert_non_finite_rejected(slot, literal):
     marker = 12345.5
     doc, parse, path = _malformed(slot, marker)
     with pytest.raises(ParseError, match="expected a finite number") as err:
         parse(loads(dumps(doc).replace(repr(marker), literal)))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("key, keep", [("weights", 1), ("densities", 0)])
+def test_trace_density_arrays_must_match_the_labels(key, keep):
+    """One weight and one density (or null) per label; a short array is a
+    ParseError that names it."""
+    doc = trace_density_to_jsonable(trace_density(gen_random_povm(2, 2, seed=4)))
+    doc[key] = doc[key][:keep]
+    with pytest.raises(ParseError, match="expected 2 entries") as err:
+        trace_density_from_jsonable(loads(dumps(doc)))
+    assert err.value.path == key
