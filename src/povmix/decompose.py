@@ -33,18 +33,19 @@ from .extremality import (
     frame_columns,
     verdict_from_tp,
 )
-from .linalg import RANK_TOL, kernel_basis
+from .linalg import RANK_TOL, kernel_basis, window_kernel
 from .model import (
     LABEL_TOL,
     PRUNE_TOL,
     FinitePOVM,
     PovmError,
+    _born_stack,
+    _check_densities,
     _prune,
     align_label_universe,
-    born_probabilities,
     prune_and_merge,
 )
-from .outcomes import gen_random_state
+from .outcomes import _densities, _state_factor
 
 # A split is rejected when max(tau) * ||T_P(D)|| exceeds this; the children
 # would then miss exact normalization.
@@ -54,11 +55,19 @@ RESIDUAL_TOL = 1e-9
 # written as exact zeros, forcing the rank drop the step is designed for.
 _CLAMP = 1e-12
 
+# Elimination pivots on an entry above this fraction of its column's
+# largest; smaller entries count as rounding and are cleared.
+_PIVOT_TOL = 1e-8
+
 # When picking the Hermitian part of a kernel vector, fall back to the
 # anti-Hermitian part once the Hermitian part's norm drops below this.
 _HERM_PREFERENCE = 1e-6
 
 DEFAULT_MAX_LEAVES = 4096
+
+# verify_barycenter evaluates its trials in stacks of at most this many, so
+# its (trials, outcomes) arrays stay small.
+_TRIAL_CHUNK = 8
 
 
 class SplitError(RuntimeError):
@@ -117,12 +126,13 @@ class ExtremalMixture:
 def _saturate(vals: np.ndarray) -> np.ndarray:
     """Saturated factor eigenvalues 1 + tau*lambda, clamped in place.
 
-    Entries with |x| <= _CLAMP become exact zeros; a negative entry means
-    the step overshot and raises SplitError.
+    Entries at or below _CLAMP become exact zeros; an entry below -_CLAMP
+    means the step overshot and raises SplitError.
     """
-    vals[np.abs(vals) <= _CLAMP] = 0.0
-    if np.any(vals < 0.0):
-        raise SplitError(f"saturated factor has negative eigenvalue {vals.min():.3e}")
+    low = vals.min(initial=0.0)
+    if low < -_CLAMP:
+        raise SplitError(f"saturated factor has negative eigenvalue {low:.3e}")
+    vals[vals <= _CLAMP] = 0.0
     return vals
 
 
@@ -228,7 +238,10 @@ def _saturating_step(lam: np.ndarray):
     keeps each step's kernel-residual amplification at machine level even
     when the direction is nearly one-sided.
     """
-    lam_min, lam_max = float(lam.min()), float(lam.max())
+    # min and max of a Python list: cheaper than two numpy reductions on
+    # the short spectra a walk step sees
+    values = lam.tolist()
+    lam_min, lam_max = min(values), max(values)
     radius = max(abs(lam_min), abs(lam_max))
     if radius <= 0.0:
         raise SplitError("kernel direction is zero")
@@ -237,7 +250,7 @@ def _saturating_step(lam: np.ndarray):
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
     """(x + x^dag)/2 of a stack of kernel blocks, else (x - x^dag)/2i; the
-    kernel is closed under ^dag, so both lie in it (on 1 x 1 blocks: Re, Im)."""
+    kernel is closed under ^dag, so both lie in it."""
     h = (x + _dagger(x)) / 2.0
     if np.linalg.norm(h) <= _HERM_PREFERENCE:
         h = (x - _dagger(x)) / 2.0j
@@ -247,28 +260,91 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
 def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_factor: float):
     """Saturating walk on scalar coordinates: columns[:, j] carries weight scale[j].
 
-    Each step takes a kernel vector of the first d^2 + 1 active weighted
-    columns (d^2 = rows), padded with zeros a kernel element of them all,
-    and saturates it, which zeroes at least one weight and keeps the
+    Each step moves along a kernel vector of the first d^2 + 1 active
+    weighted columns (d^2 = rows), padded with zeros a kernel element of them
+    all, and saturates it, which zeroes at least one weight and keeps the
     weighted column sum. Stops once at most stop weights are nonzero or the
     active columns are injective; returns the new weights.
+
+    A pass makes one window_kernel call on the active weighted columns W:
+    one SVD of the window, cut by margin_factor, gives z, the window's
+    kernel basis followed by one kernel vector [-W^+ a_o; e_o] per later
+    column a_o, each made real by fixing the phase of its largest entry.
+    A step saturates along z's first column, h = z / c with c the weights
+    relative to the pass's start. Gaussian elimination (_eliminate) then
+    clears the zeroed coordinates from the other columns, so the next first
+    column is supported on the next window: where windows have
+    one-dimensional kernels, the steps are the per-window kernel directions.
+    Before each later step, ||W z|| is checked against the pass's cut times
+    ||z||, so every step moves along a checked kernel element, and a column
+    that drifted past the cut starts a new pass. When z is used up, the walk
+    ends if the window had full row rank: z then spanned the kernel of all
+    the pass's columns, and elimination kept it spanning the kernel of the
+    active ones, so they are injective. Otherwise a new pass decides.
     """
     scale = scale.copy()
     width = columns.shape[0] + 1
+    z, spans = np.zeros((0, 0)), False
     for _ in range(columns.shape[1] + 16):
-        active = np.flatnonzero(scale > 0.0)
-        if active.size <= stop:
+        if np.count_nonzero(scale) <= stop or z.shape[1] == 0 and spans:
             return scale
-        sub = active[:width]
-        v = _kernel_vector(columns[:, sub] * scale[sub], margin_factor)
-        if v is None:
-            return scale
-        h = _hermitian_part(v[:, None, None]).real.ravel()
+        if z.shape[1] == 0 or _drifted(window, z[:, 0], cut):
+            sub = np.flatnonzero(scale)
+            # weights relative to the pass's start; 1 where z is already zero
+            rel = np.ones(sub.size)
+            window = columns[:, sub] * scale[sub]
+            z, cut = window_kernel(window, width, margin_factor)
+            if z.shape[1] == 0:
+                return scale
+            # Every later column lies in the range of a window of full row rank.
+            spans = sub.size - z.shape[1] == columns.shape[0]
+            # Fix each column's phase on its largest entry: the kernel is
+            # closed under conjugation, so the real part stays in it. Real
+            # z meets the window as its real and imaginary rows.
+            big = z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])]
+            z = (z * (np.abs(big) / big)).real
+            window = np.concatenate((window.real, window.imag))
+        h = z[:, 0] / rel
         tau, flip = _saturating_step(h)
-        if flip:
-            h = -h
-        scale[sub] *= _saturate(1.0 + tau * h)
+        f = _saturate(1.0 - tau * h if flip else 1.0 + tau * h)
+        scale[sub] *= f
+        zeroed = (f == 0.0).nonzero()[0]
+        rel *= f
+        rel[zeroed] = 1.0
+        z = _eliminate(z, zeroed)
     raise SplitError("walk failed to reach an extreme point")
+
+
+def _drifted(window: np.ndarray, v: np.ndarray, cut: float) -> bool:
+    """Whether ||window v|| exceeds the pass's cut times ||v||."""
+    r = window @ v
+    return bool(r @ r > cut * cut * (v @ v))
+
+
+def _eliminate(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Clear the zeroed rows from the kernel columns z after a step along z[:, 0].
+
+    Gaussian elimination: the row where z[:, 0] is largest pivots on that
+    column; each further row pivots on the first remaining column whose
+    entry there is above _PIVOT_TOL of that column's largest. Pivot columns
+    leave z. A pivot's row ends as exact zeros in every remaining column
+    (x - (p / p) x = 0); a row with no pivot is written as zeros.
+    """
+    if rows.size > 1:
+        rows = rows[np.argsort(-np.abs(z[rows, 0]), kind="stable")]
+    k = 0
+    for j in rows:
+        if k is None:
+            mag = np.abs(z)
+            candidates = np.flatnonzero(mag[j] > _PIVOT_TOL * mag.max(axis=0, initial=0.0))
+            if candidates.size == 0:
+                z[j] = 0.0
+                continue
+            k = candidates[0]
+            z = z[:, np.r_[k, :k, k + 1 : z.shape[1]]]
+        z = z[:, 1:] - (z[:, :1] / z[j, 0]) * z[j, 1:]
+        k = None
+    return z
 
 
 def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> BlockHermitian:
@@ -285,8 +361,10 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     cuts them, in outcome order, into 2(d^2 + 1) contiguous groups, walks
     the groups' summed effects c_i vec(S_i S_i^dag) down to at most d^2
     groups and scales each effect by its group's weight, so every block
-    stays B_i = c_i I and each round drops more than half the effects. The
-    same scalar walk then runs over single effects until their columns are
+    stays B_i = c_i I and each round drops more than half the effects. A
+    round's walk is one pass unless a kernel vector drifts: one SVD of its
+    window, then elimination along the kernel (see _scalar_walk). The same
+    scalar walk then runs over single effects until their columns are
     injective. If every live block has rank one, the point is extreme (a
     rank-one block's map column is its scalar column), and the walk ends.
     Otherwise the general walk refines the at most d^2 live blocks, held as
@@ -304,10 +382,10 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     scale = (ranks > 0).astype(np.float64)  # c_i
     while np.count_nonzero(scale) > 2 * (d2 + 1):
         active = np.flatnonzero(scale)
-        starts = np.arange(2 * (d2 + 1)) * active.size // (2 * (d2 + 1))
-        summed = np.add.reduceat(columns[:, active] * scale[active], starts, axis=1)
-        gamma = _scalar_walk(summed, np.ones(starts.size), d2, margin_factor)
-        scale[active] *= np.repeat(gamma, np.diff(starts, append=active.size))
+        bounds = np.arange(2 * d2 + 3) * active.size // (2 * (d2 + 1))
+        summed = np.add.reduceat(columns[:, active] * scale[active], bounds[:-1], axis=1)
+        gamma = _scalar_walk(summed, np.ones(2 * (d2 + 1)), d2, margin_factor)
+        scale[active] *= np.repeat(gamma, np.diff(bounds))
     scale = _scalar_walk(columns, scale, 0, margin_factor)
     live = np.flatnonzero(scale)
     t = int(ranks[live].max())
@@ -451,28 +529,31 @@ def verify_barycenter(
     pairs = [(c.weight, c.povm) for c in mixture.components]
     label_lists = [povm.labels] + [p.labels for _, p in pairs]
     universe, (own_map, *leaf_maps) = align_label_universe(label_lists, label_tol)
-    # All leaf effects as one stack, so each trial takes one Born call that
-    # still clamps or rejects every entry.
-    stacked = FinitePOVM._with_normal_labels(
-        povm.dim,
-        tuple(label for _, p in pairs for label in p.labels),
-        np.concatenate([p.effects for _, p in pairs]),
-    )
+    # All leaf effects as one stack, so each chunk of trials takes one Born
+    # evaluation that still clamps or rejects every entry.
+    effects = np.concatenate([p.effects for _, p in pairs])
     stacked_map = np.concatenate(leaf_maps)
     stacked_weight = np.concatenate([np.full(p.n_outcomes, w) for w, p in pairs])
     own = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
     recombined = np.zeros_like(own)
     np.add.at(own, own_map, povm.effects)
-    np.add.at(recombined, stacked_map, stacked_weight[:, None, None] * stacked.effects)
+    np.add.at(recombined, stacked_map, stacked_weight[:, None, None] * effects)
     effect_residual = float(np.max(np.abs(own - recombined)))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in range(trials):
-        state = gen_random_state(povm.dim, rng=rng, pure=(t % 2 == 0))
-        values = rng.standard_normal(len(universe))
-        lhs = float(values[own_map] @ born_probabilities(povm, state))
-        rhs = float((stacked_weight * values[stacked_map]) @ born_probabilities(stacked, state))
-        worst = max(worst, abs(lhs - rhs))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        # gen_random_state's draw, then the outcome values, trial by trial
+        factors, values = [], []
+        for t in range(start, min(start + _TRIAL_CHUNK, trials)):
+            factors.append(_state_factor(rng, povm.dim, pure=(t % 2 == 0)))
+            values.append(rng.standard_normal(len(universe)))
+        states = _densities(np.array(factors))
+        _check_densities(states)
+        values = np.array(values)
+        lhs = np.einsum("tk,tk->t", values[:, own_map], _born_stack(states, povm.effects))
+        leaf_values = values[:, stacked_map] * stacked_weight
+        rhs = np.einsum("tk,tk->t", leaf_values, _born_stack(states, effects))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return BarycenterReport(
         trials=trials,
         max_functional_residual=worst,

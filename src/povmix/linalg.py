@@ -63,13 +63,31 @@ def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if cols == 0:
+    if a.shape[1] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = tol * sigma_max * max(rows, cols)
-    # Singular values come sorted, so the kernel is the trailing rows of vh;
-    # conjugating only those keeps the copy at n x m, not n x n.
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].conj().T
+    return window_kernel(a, a.shape[1], tol)[0]
+
+
+def window_kernel(a: np.ndarray, width: int, tol: float = RANK_TOL):
+    """Kernel vectors of a matrix's columns from one SVD of its leading ones.
+
+    The window W is the first w = min(width, cols) columns of the complex
+    matrix a, cut at cut = tol * sigma_max * max(rows, w). Returns (z, cut).
+    z's leading columns are the right singular vectors of W with singular
+    value <= cut; then each later column a_o of a gets [-W^+ a_o; e_o], W^+
+    the pseudo-inverse on the singular values above cut. Those are kernel
+    vectors of a whenever a_o lies in W's range (always, when W has full row
+    rank), and on the columns after the window z is in reduced echelon form.
+    """
+    rows, cols = a.shape
+    width = min(width, cols)
+    u, s, vh = np.linalg.svd(a[:, :width], full_matrices=True)
+    cut = tol * (float(s[0]) if s.size else 0.0) * max(rows, width)
+    # Singular values come sorted, so the kernel is the trailing rows of vh.
+    rank = int(np.count_nonzero(s > cut))
+    z = np.zeros((cols, cols - rank), dtype=np.complex128)
+    z[:width, : width - rank] = vh[rank:].conj().T
+    tail = u[:, :rank].conj().T @ a[:, width:]
+    z[:width, width - rank :] = -(vh[:rank].conj().T / s[:rank]) @ tail
+    z[width:, width - rank :] = np.eye(cols - width)
+    return z, cut

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .linalg import PSD_TOL, as_square_matrix, check_hermitian, herm_defect
+from .linalg import HERM_TOL, PSD_TOL, as_square_matrix, herm_defect
 
 Label = Union[int, tuple]
 
@@ -147,13 +147,7 @@ class DensityState:
         a = as_square_matrix(self.matrix)
         if a.shape[0] != self.dim:
             raise PovmError(f"state shape {a.shape} does not match dim {self.dim}")
-        trace = a.trace()
-        if abs(trace - 1.0) > 1e-12:
-            raise PovmError(f"state trace {trace} is not 1 within 1e-12")
-        w = np.linalg.eigvalsh(check_hermitian(a))
-        scale = 1.0 + float(np.max(np.abs(w)))
-        if w[0] < -PSD_TOL * scale:
-            raise PovmError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
+        _check_densities(a[None])
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -246,6 +240,32 @@ def validate_povm(
     return report
 
 
+def _check_densities(a: np.ndarray) -> None:
+    """DensityState's checks on a (m, d, d) stack of matrices: finite, unit
+    trace within 1e-12, Hermitian within HERM_TOL and PSD within PSD_TOL.
+
+    Raises on the first matrix that fails, with DensityState's message.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    trace = np.trace(a, axis1=1, axis2=2)
+    off = np.flatnonzero(np.abs(trace - 1.0) > 1e-12)
+    if off.size:
+        raise PovmError(f"state trace {trace[off[0]]} is not 1 within 1e-12")
+    bound = HERM_TOL * (1.0 + np.abs(a).max(axis=(1, 2)))
+    defect = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    off = np.flatnonzero(defect > bound)
+    if off.size:
+        i = off[0]
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect[i]:.3e} exceeds {bound[i]:.3e}"
+        )
+    w = np.linalg.eigvalsh(a)
+    off = np.flatnonzero(w[:, 0] < -PSD_TOL * (1.0 + np.abs(w).max(axis=1)))
+    if off.size:
+        raise PovmError(f"state is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
+
+
 def born_probabilities(povm: FinitePOVM, state: DensityState) -> np.ndarray:
     """Outcome probabilities p_i = Re tr(rho P_i).
 
@@ -255,7 +275,12 @@ def born_probabilities(povm: FinitePOVM, state: DensityState) -> np.ndarray:
     """
     if state.dim != povm.dim:
         raise PovmError(f"state dim {state.dim} != measurement dim {povm.dim}")
-    p = np.einsum("ab,kba->k", state.matrix, povm.effects).real.copy()
+    return _born_stack(state.matrix[None], povm.effects)[0]
+
+
+def _born_stack(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """born_probabilities of a (t, d, d) stack of states, as a (t, k) array."""
+    p = np.einsum("tab,kba->tk", states, effects).real.copy()
     if np.any(p < -PROB_CLAMP):
         raise PovmError(
             f"probability {p.min():.3e} below -{PROB_CLAMP}; invalid state or effects"

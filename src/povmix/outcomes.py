@@ -243,14 +243,21 @@ def gen_covariant_sphere(n_points: int, seed=None, rng=None) -> FinitePOVM:
 
 def gen_random_state(d: int, seed=None, rng=None, pure: bool = False) -> DensityState:
     """Random density matrix: Haar-like pure state or normalized Wishart."""
-    gen = _as_rng(seed, rng)
-    if pure:
-        psi = _complex_normal(gen, d)
-        psi /= np.linalg.norm(psi)
-        rho = np.outer(psi, psi.conj())
-    else:
-        a = _complex_normal(gen, (d, d))
-        rho = a @ a.conj().T
-        rho /= rho.trace().real
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityState(d, rho)
+    return DensityState(d, _densities(_state_factor(_as_rng(seed, rng), d, pure)[None])[0])
+
+
+def _state_factor(rng: np.random.Generator, d: int, pure: bool) -> np.ndarray:
+    """gen_random_state's draw, as a d x d factor a of rho ~ a a^dag: one
+    complex normal column (the rest zero) for a pure state, d for a mixed one."""
+    a = np.zeros((d, d), dtype=np.complex128)
+    r = 1 if pure else d
+    a[:, :r] = _complex_normal(rng, (d, r))
+    return a
+
+
+def _densities(a: np.ndarray) -> np.ndarray:
+    """The density matrices a a^dag / tr(a a^dag), made exactly Hermitian, of
+    a (m, d, d) stack of factors; a stack of one gives gen_random_state's."""
+    rho = a @ a.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return (rho + rho.conj().swapaxes(1, 2)) / 2.0

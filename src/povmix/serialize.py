@@ -25,6 +25,7 @@ from .model import (
     FinitePOVM,
     PovmError,
     TraceDensity,
+    align_label_universe,
     label_to_jsonable,
 )
 from .outcomes import PostProcessing
@@ -337,6 +338,17 @@ def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
     for key, values in (("weights", weights), ("densities", raw)):
         if len(values) != len(labels):
             raise ParseError(f"{prefix}{key}", f"expected {len(labels)} entries, got {len(values)}")
+    _, (idx,) = align_label_universe([labels])
+    first: dict = {}
+    for i, (u, weight, value) in enumerate(zip(idx, weights, raw)):
+        if first.setdefault(u, i) != i:
+            raise ParseError(f"{prefix}labels[{i}]", f"repeats labels[{first[u]}]")
+        if weight < 0.0:
+            raise ParseError(f"{prefix}weights[{i}]", f"expected a weight >= 0, got {weight!r}")
+        if value is None and weight != 0.0:
+            raise ParseError(
+                f"{prefix}densities[{i}]", f"expected a density for weight {weight!r}, got null"
+            )
     densities = [
         None if v is None else matrix_from_jsonable(v, dim, f"{prefix}densities[{i}]")
         for i, v in enumerate(raw)

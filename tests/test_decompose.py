@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from povmix.decompose import (
 )
 from povmix.extremality import MARGIN_FACTOR, BlockHermitian, build_tp_map, is_extreme
 from povmix.model import FinitePOVM, convex_combine, effects_distance
-from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_trine
+from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
 from oracles import frame_oracle
 
@@ -267,6 +268,31 @@ def test_verify_barycenter_aligns_labels_once(monkeypatch):
     assert calls == 1
 
 
+def test_verify_barycenter_states_are_gen_random_state_draws(monkeypatch):
+    """Trials are evaluated in stacks of at most 8 states. Each state equals
+    gen_random_state's draw bit for bit, from the one generator, with each
+    trial's outcome values drawn after its state."""
+    povm = gen_random_povm(3, 7, seed=2)
+    mixture = decompose_extremal(povm)
+    stacks = []
+    densities = decompose._densities
+
+    def recorded(a):
+        stacks.append(densities(a))
+        return stacks[-1]
+
+    monkeypatch.setattr(decompose, "_densities", recorded)
+    assert verify_barycenter(povm, mixture, trials=19, seed=4).within(1e-8)
+    assert [len(s) for s in stacks] == [8, 8, 3]
+    universe, _ = model.align_label_universe(
+        [povm.labels] + [c.povm.labels for c in mixture.components]
+    )
+    rng = np.random.default_rng(4)
+    for t, state in enumerate(np.concatenate(stacks)):
+        assert np.array_equal(state, gen_random_state(3, rng=rng, pure=(t % 2 == 0)).matrix)
+        rng.standard_normal(len(universe))
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_barycenter_rejects_trials_below_one(trials):
     povm = gen_random_povm(2, 4, seed=1)
@@ -379,20 +405,26 @@ def test_sphere_leaf_count_meets_certificate(n):
 
 def test_walk_kernel_svds_grow_with_log_outcomes(monkeypatch):
     """Complexity guard: recombination drops more than half the active
-    effects per round, so a root walk takes O(d^2 log N) kernel SVDs, not N."""
+    effects per round, and a round's scalar walk factorizes its window once
+    per pass, so a root walk takes O(log N) window SVDs, not one per step."""
     n, d = 400, 2
     sphere = gen_covariant_sphere(n, seed=7)
     tp = build_tp_map(sphere)
-    calls = 0
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return linalg.kernel_basis(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(decompose, "kernel_basis", counted)
+        return counted
+
+    monkeypatch.setattr(decompose, "window_kernel", counting("window", linalg.window_kernel))
+    monkeypatch.setattr(decompose, "kernel_basis", counting("kernel", linalg.kernel_basis))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     direction = _extremal_direction(tp)
-    assert calls <= (d * d + 2) * (math.ceil(math.log2(n)) + 2)
+    assert calls["window"] <= math.ceil(math.log2(n)) + 2
+    assert calls["svd"] == calls["window"] + calls["kernel"]
     child = split_once(sphere, direction, tp).child_plus
     assert is_extreme(child).is_extreme
     assert block_dim(child) <= d * d

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmix.linalg import as_square_matrix, check_hermitian, kernel_basis
+from povmix.linalg import as_square_matrix, check_hermitian, kernel_basis, window_kernel
 
 
 def test_as_square_matrix_coerces_and_rejects():
@@ -53,3 +53,17 @@ def test_kernel_basis_random_consistency():
         k = kernel_basis(a)
         assert k.shape[1] == n - min(r, 5)
         assert np.max(np.abs(a @ k)) < 1e-10
+
+
+def test_window_kernel_extends_the_window_kernel_to_later_columns():
+    # a 4 x 5 window of full row rank: one kernel vector of its own, then
+    # [-W^+ a_o; e_o] for each of the 4 later columns, in echelon form
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    z, cut = window_kernel(a, 5)
+    assert z.shape == (9, 5)
+    assert cut == pytest.approx(1e-10 * np.linalg.norm(a[:, :5], 2) * 5)
+    assert np.max(np.abs(a @ z)) < 1e-12
+    assert np.all(z[5:, 0] == 0) and np.linalg.norm(z[:, 0]) == pytest.approx(1.0)
+    assert np.array_equal(z[5:, 1:], np.eye(4))
+    assert np.array_equal(window_kernel(a, 9)[0], kernel_basis(a))

@@ -253,7 +253,8 @@ def test_rank_one_split_is_bit_identical():
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
     stack, not one per outcome or sub-rank, and the walk ends with one
-    eigvalsh; the scalar walk makes none, and a split makes one."""
+    eigvalsh; the scalar walk makes none, and a split makes one. Only the
+    general walk calls kernel_basis, once per step."""
     d, k = 4, 24
     povm = gen_random_povm(d, k, rank_cap=2, seed=3)
     tp = build_tp_map(povm)
@@ -266,22 +267,12 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
 
         return counted
 
-    scalar_walk = decompose._scalar_walk
-
-    def counting_scalar_steps(*args):
-        before = counts["steps"]
-        try:
-            return scalar_walk(*args)
-        finally:
-            counts["scalar steps"] += counts["steps"] - before
-
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigh", np.linalg.eigvalsh))
     monkeypatch.setattr(decompose, "kernel_basis", counting("steps", decompose.kernel_basis))
-    monkeypatch.setattr(decompose, "_scalar_walk", counting_scalar_steps)
     element = _extremal_direction(tp)
     # one kernel SVD per general step, plus the last one, which finds none
-    general_steps = counts["steps"] - counts["scalar steps"]
+    general_steps = counts["steps"]
     assert general_steps > d
     assert counts["eigh"] <= general_steps
     counts.clear()

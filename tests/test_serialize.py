@@ -260,6 +260,34 @@ def _assert_non_finite_rejected(slot, literal):
     assert err.value.path == path
 
 
+def _trace_density_doc():
+    return trace_density_to_jsonable(trace_density(gen_random_povm(2, 3, seed=4)))
+
+
+def test_trace_density_rejects_a_repeated_label():
+    doc = _trace_density_doc()
+    doc["labels"][2] = doc["labels"][0]
+    with pytest.raises(ParseError, match=r"repeats labels\[0\]") as err:
+        trace_density_from_jsonable(loads(dumps(doc)))
+    assert err.value.path == "labels[2]"
+
+
+def test_trace_density_rejects_a_negative_weight():
+    doc = _trace_density_doc()
+    doc["weights"][1] = -7.0
+    with pytest.raises(ParseError, match="expected a weight >= 0") as err:
+        trace_density_from_jsonable(loads(dumps(doc)))
+    assert err.value.path == "weights[1]"
+
+
+def test_trace_density_rejects_null_density_under_nonzero_weight():
+    doc = _trace_density_doc()
+    doc["densities"][1] = None
+    with pytest.raises(ParseError, match="expected a density") as err:
+        trace_density_from_jsonable(loads(dumps(doc)))
+    assert err.value.path == "densities[1]"
+
+
 @pytest.mark.parametrize("key, keep", [("weights", 1), ("densities", 0)])
 def test_trace_density_arrays_must_match_the_labels(key, keep):
     """One weight and one density (or null) per label; a short array is a
