@@ -21,7 +21,6 @@ from .model import (
     validate_povm,
 )
 from .extremality import (
-    BlockHermitian,
     ExtremalityVerdict,
     TpMap,
     apply_tp,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarycenterReport",
-    "BlockHermitian",
     "Config",
     "DensityState",
     "ExtremalMixture",

@@ -19,7 +19,7 @@ from . import serialize
 from .config import Config, load_config
 from .decompose import decompose_extremal, verify_barycenter
 from .extremality import is_extreme
-from .model import PovmError, convex_combine, trace_density, validate_povm
+from .model import PovmError, _merge, convex_combine, trace_density, validate_povm
 from .outcomes import (
     apply_postprocessing,
     gen_covariant_sphere,
@@ -146,8 +146,8 @@ def _cmd_decompose(args, cfg: Config) -> int:
 
 
 def _cmd_density(args, cfg: Config) -> int:
-    povm = _load_povm(args.povm)
-    td = trace_density(povm)
+    # one entry per label, as the trace_density parser requires
+    td = trace_density(_merge(_load_povm(args.povm), cfg.label_tol))
     print(serialize.dumps(serialize.trace_density_to_jsonable(td)))
     return 0
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from .extremality import (
     MARGIN_FACTOR,
-    BlockHermitian,
     ExtremalityVerdict,
     TpMap,
     apply_tp,
     build_tp_map,
     frame_columns,
+    pair_mask,
     verdict_from_tp,
 )
 from .linalg import RANK_TOL, kernel_basis, window_kernel
@@ -158,31 +158,30 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
 
 def split_once(
     povm: FinitePOVM,
-    element: BlockHermitian,
+    element: np.ndarray,
     tp: TpMap | None = None,
     rank_tol: float = RANK_TOL,
     residual_tol: float = RESIDUAL_TOL,
 ) -> SplitResult:
     """Split a measurement along a Hermitian kernel element of its map.
 
-    The element must have both positive and negative eigenvalues and must
-    actually annihilate under the map (up to residual_tol after scaling by
-    the saturation parameters); either failure raises SplitError. The
-    blocks are padded into one stack, each in the trailing window of its
-    map frame, and split with one eigh of that stack.
+    The element is an (n, t, t) stack of the map (see TpMap), read only on
+    the blocks' windows; another shape raises SplitError, as does an element
+    without both positive and negative eigenvalues or one that does not
+    annihilate under the map (up to residual_tol after scaling by the
+    saturation parameters). The split takes one eigh of the stack.
     """
     if tp is None:
         tp = build_tp_map(povm, rank_tol)
-    if element.ranks != tp.ranks:
+    n, d, t = tp.frames.shape
+    if np.shape(element) != (n, t, t):
         raise SplitError(
-            f"element ranks {element.ranks} do not match map ranks {tp.ranks}"
+            f"element shape {np.shape(element)} does not match map stack {(n, t, t)}"
         )
     if tp.domain_dim == 0:
         raise SplitError("element is empty")
-    n, d, t = tp.frames.shape
-    kept = np.arange(t) >= t - np.array(tp.ranks)[:, None]
-    x = np.zeros((n, t, t), dtype=np.complex128)
-    x[kept[:, :, None] & kept[:, None, :]] = element.to_vector()
+    kept = tp.kept
+    x = np.where(pair_mask(kept), element, 0j)
     lam, u, live = _live_eigh((x + _dagger(x)) / 2.0, kept)
     lam_min = float(lam[live].min())
     lam_max = float(lam[live].max())
@@ -197,7 +196,7 @@ def split_once(
         )
     tau_plus = 1.0 / abs(lam_min)
     tau_minus = 1.0 / lam_max
-    residual = float(np.linalg.norm(apply_tp(tp, element)))
+    residual = float(np.linalg.norm(apply_tp(tp, x)))
     if max(tau_plus, tau_minus) * residual > residual_tol:
         raise SplitError(
             f"element is not in the kernel: ||T(D)|| = {residual:.3e} "
@@ -347,15 +346,16 @@ def _eliminate(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return z
 
 
-def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> BlockHermitian:
+def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.ndarray:
     """Kernel element pointing at an extreme point of the measurement's face.
 
     Starting from the measurement itself (block coordinates B_i = identity),
     the walk moves along kernel directions, zeroing at least one block
     eigenvalue per step, until the current point is extreme. The returned
     direction D = (B_final - identity), spectrally normalized, is a kernel
-    element of the original map whose + saturation lands exactly on that
-    extreme point, so the caller's split peels one extreme component off.
+    element of the original map, as its (n, t, t) stack, whose + saturation
+    lands exactly on that extreme point, so the caller's split peels one
+    extreme component off.
 
     Recombination runs while more than 2(d^2 + 1) effects are active: it
     cuts them, in outcome order, into 2(d^2 + 1) contiguous groups, walks
@@ -390,12 +390,12 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
     live = np.flatnonzero(scale)
     t = int(ranks[live].max())
     if t == 1:
-        return _unit_direction(ranks, live, scale[live, None, None].astype(np.complex128))
+        return _unit_direction(tp, live, scale[live, None, None].astype(np.complex128))
     # Frames S and factors G (B = G G^dag) of the live blocks, t x t. kept
     # marks G's live columns; saturation may zero any of them, not only the first.
     frames = tp.frames[live, :, tp.frames.shape[2] - t :]
+    kept = tp.kept[live, tp.frames.shape[2] - t :]
     pos = np.arange(t)
-    kept = pos >= t - ranks[live, None]
     factors = np.zeros((live.size, t, t), dtype=np.complex128)
     factors[:, pos, pos] = np.sqrt(scale[live, None]) * kept
     for _ in range(tp.domain_dim + 16):
@@ -403,7 +403,7 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         if vec is None:
             break
         x = np.zeros_like(factors)
-        x[kept[:, :, None] & kept[:, None, :]] = vec
+        x[pair_mask(kept)] = vec
         w, u, live_eig = _live_eigh(_hermitian_part(x), kept)
         tau, flip = _saturating_step(w[live_eig])
         if flip:
@@ -413,29 +413,28 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Bloc
         kept = sat > 0.0
     else:
         raise SplitError("walk failed to reach an extreme point")
-    return _unit_direction(ranks, live, factors @ _dagger(factors))
+    return _unit_direction(tp, live, factors @ _dagger(factors))
 
 
-def _unit_direction(ranks, live, coords) -> BlockHermitian:
-    """Walk direction B_final - I, scaled to spectral radius 1.
+def _unit_direction(tp: TpMap, live: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Walk direction B_final - I, scaled to spectral radius 1, in the map's stack.
 
     coords stacks the final B_i of the live blocks, each in the trailing
-    r_i x r_i window of one t x t block; every other block ends at B_i = 0.
+    r_i x r_i window of one s x s block; every other block ends at B_i = 0.
     """
-    t = coords.shape[-1]
-    pos = np.arange(t)
-    coords[:, pos, pos] -= pos >= t - ranks[live, None]
+    n, _, t = tp.frames.shape
+    s = coords.shape[-1]
+    pos, kept = np.arange(t), tp.kept
+    coords[:, pos[:s], pos[:s]] -= kept[live, t - s :]
     radius = float(np.max(np.abs(np.linalg.eigvalsh(coords))))
-    if live.size < np.count_nonzero(ranks):
+    if live.size < np.count_nonzero(tp.ranks):
         radius = max(radius, 1.0)
     if radius <= 0.0:
         raise SplitError("walk produced a zero direction (node was extreme?)")
-    # Blocks of one rank share their dead direction; blocks are never written.
-    dead = [(-1.0 / radius) * np.eye(r, dtype=np.complex128) for r in range(ranks.max() + 1)]
-    blocks = [dead[r] for r in ranks]
-    for i, b in zip(live, coords):
-        blocks[i] = (1.0 / radius) * b[t - ranks[i] :, t - ranks[i] :]
-    return BlockHermitian(tuple(blocks))
+    element = np.zeros((n, t, t), dtype=np.complex128)
+    element[:, pos, pos] = np.where(kept, -1.0 / radius, 0.0)
+    element[live, t - s :, t - s :] = (1.0 / radius) * coords
+    return element
 
 
 def decompose_extremal(

@@ -34,6 +34,9 @@ class TpMap:
     the trailing r_i columns of frames[i] and the t - r_i columns in front
     are zero. matrix is d^2 x sum r_i^2 with block columns in outcome order
     and (j, k) running row-major within each block.
+
+    An element of the domain is a complex (n, t, t) stack in the frames'
+    coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
     """
 
     dim: int
@@ -45,6 +48,12 @@ class TpMap:
     @property
     def domain_dim(self) -> int:
         return int(sum(r * r for r in self.ranks))
+
+    @property
+    def kept(self) -> np.ndarray:
+        """(n, t) mask of each frame's trailing r_i columns."""
+        t = self.frames.shape[2]
+        return np.arange(t) >= t - np.array(self.ranks, dtype=int)[:, None]
 
 
 @dataclass(frozen=True)
@@ -64,27 +73,9 @@ class ExtremalityVerdict:
     threshold: float
 
 
-@dataclass(frozen=True)
-class BlockHermitian:
-    """A Hermitian element of the map's block-diagonal domain."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(np.asarray(b, dtype=np.complex128) for b in self.blocks),
-        )
-
-    @property
-    def ranks(self) -> tuple:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    def to_vector(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+def pair_mask(kept: np.ndarray) -> np.ndarray:
+    """(n, t, t) mask of the pairs (j, k) with both columns kept, per block."""
+    return kept[:, :, None] & kept[:, None, :]
 
 
 def frame_columns(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -94,7 +85,7 @@ def frame_columns(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
     sum_i |kept_i|^2: blocks in stack order, (j, k) row-major over each
     block's kept pairs.
     """
-    i, j, k = np.nonzero(kept[:, :, None] & kept[:, None, :])
+    i, j, k = np.nonzero(pair_mask(kept))
     cols = np.einsum("ca,cb->abc", frames[i, :, j], frames[i, :, k].conj())
     return cols.reshape(frames.shape[1] ** 2, i.size)
 
@@ -127,11 +118,12 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     return TpMap(d, povm.labels, frames, ranks, frame_columns(frames, kept))
 
 
-def apply_tp(tp: TpMap, element: BlockHermitian) -> np.ndarray:
-    """Evaluate the map on a block element, returning a d x d matrix."""
-    if element.ranks != tp.ranks:
-        raise ValueError(f"block ranks {element.ranks} do not match map ranks {tp.ranks}")
-    return (tp.matrix @ element.to_vector()).reshape(tp.dim, tp.dim)
+def apply_tp(tp: TpMap, element: np.ndarray) -> np.ndarray:
+    """Evaluate the map on an (n, t, t) element's windows, returning a d x d matrix."""
+    n, _, t = tp.frames.shape
+    if np.shape(element) != (n, t, t):
+        raise ValueError(f"element shape {np.shape(element)} does not match stack {(n, t, t)}")
+    return (tp.matrix @ np.asarray(element)[pair_mask(tp.kept)]).reshape(tp.dim, tp.dim)
 
 
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:

@@ -458,6 +458,14 @@ def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOV
     )
 
 
+def _merge(povm: FinitePOVM, label_tol: float) -> FinitePOVM:
+    """Sum outcomes whose labels coincide within label_tol; zero effects stay."""
+    universe, (idx,) = align_label_universe([povm.labels], label_tol)
+    effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
+    np.add.at(effects, idx, povm.effects)
+    return FinitePOVM._with_normal_labels(povm.dim, universe, effects)
+
+
 def prune_and_merge(
     povm: FinitePOVM,
     prune_tol: float = PRUNE_TOL,
@@ -465,7 +473,5 @@ def prune_and_merge(
 ) -> FinitePOVM:
     """Sum outcomes whose labels coincide, then drop effects with trace at or
     below prune_tol. Idempotent; raises if nothing survives."""
-    universe, (idx,) = align_label_universe([povm.labels], label_tol)
-    effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
-    np.add.at(effects, idx, povm.effects)
-    return _prune(povm.dim, universe, effects, prune_tol)
+    merged = _merge(povm, label_tol)
+    return _prune(povm.dim, merged.labels, merged.effects, prune_tol)

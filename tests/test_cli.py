@@ -21,6 +21,7 @@ from povmix.serialize import (
     mixture_to_jsonable,
     povm_to_jsonable,
     state_to_jsonable,
+    trace_density_from_jsonable,
 )
 from povmix.model import DensityState, FinitePOVM
 
@@ -121,6 +122,20 @@ def test_density_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["weight_sum"] == pytest.approx(3.0, abs=1e-9)
     assert all(r < 1e-12 for r in doc["trace_residuals"])
+
+
+def test_density_round_trips_repeated_labels(tmp_path, capsys):
+    # repeated labels are merged, as decompose does; a zero effect stays as
+    # weight 0 with no density
+    povm = tmp_path / "p.json"
+    half = np.eye(2) / 2
+    povm.write_text(dumps(povm_to_jsonable(FinitePOVM(2, (0, 0, 1), [half, half, 0 * half]))))
+    code, out, _ = run(capsys, "density", str(povm))
+    assert code == 0
+    td = trace_density_from_jsonable(json.loads(out))
+    assert td.labels == (0, 1)
+    assert list(td.weights) == [2.0, 0.0]
+    assert np.array_equal(td.densities[0], half) and td.densities[1] is None
 
 
 def test_postprocess_warns_on_merge(tmp_path, capsys):
@@ -233,6 +248,18 @@ def test_readme_configuration_lists_every_config_key():
     documented = json.loads(block)
     assert list(documented) == [f.name for f in dataclasses.fields(Config)]
     assert Config(**documented) == Config()
+
+
+def test_public_surface_exports_every_documented_entry_point():
+    """Every name in povmix.__all__ resolves, and every entry point named
+    under README "Library" is exported."""
+    missing = [name for name in povmix.__all__ if not hasattr(povmix, name)]
+    assert missing == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"povmix\.(\w+)", section)) | set(re.findall(r"`(\w+)`", section))
+    assert len(named) > 10
+    assert sorted(named - set(povmix.__all__)) == []
 
 
 def test_config_label_tol_reaches_extremal_check_and_two_stage(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from povmix.decompose import (
     split_once,
     verify_barycenter,
 )
-from povmix.extremality import MARGIN_FACTOR, BlockHermitian, build_tp_map, is_extreme
+from povmix.extremality import MARGIN_FACTOR, build_tp_map, is_extreme
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
@@ -39,7 +39,7 @@ def reconstruct(mixture):
 def test_split_coin_with_explicit_kernel_element():
     # D = (I, -I) lies in the kernel; saturation lands on {I} both sides
     povm = coin()
-    result = split_once(povm, BlockHermitian((np.eye(2), -np.eye(2))))
+    result = split_once(povm, np.array([I2, -I2]))
     assert result.tau_plus == pytest.approx(1.0)
     assert result.tau_minus == pytest.approx(1.0)
     assert result.weight_plus == pytest.approx(0.5)
@@ -79,10 +79,10 @@ def test_split_rejects_non_kernel_and_one_sided_elements():
     povm = coin()
     with pytest.raises(SplitError):
         # both blocks positive: no finite tau_plus saturation
-        split_once(povm, BlockHermitian((np.eye(2), np.eye(2))))
+        split_once(povm, np.array([I2, I2]))
     with pytest.raises(SplitError):
         # mixed spectrum but not in the kernel: residual check trips
-        split_once(povm, BlockHermitian((np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))))
+        split_once(povm, np.array([np.diag([1.0, -1.0])] * 2))
 
 
 def test_decompose_coin_gives_an_even_projective_mixture():

@@ -3,7 +3,6 @@ import pytest
 
 from povmix.decompose import SplitError, _extremal_direction
 from povmix.extremality import (
-    BlockHermitian,
     apply_tp,
     build_tp_map,
     frame_columns,
@@ -67,15 +66,14 @@ def test_apply_tp_matches_direct_sandwich():
     rng = np.random.default_rng(1)
     povm = gen_random_povm(3, 4, seed=5)
     tp = build_tp_map(povm)
-    blocks = []
-    for r in tp.ranks:
-        a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        blocks.append((a + a.conj().T) / 2)
-    element = BlockHermitian(tuple(blocks))
     t = tp.frames.shape[2]
+    element = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
+    for block, r in zip(element, tp.ranks):
+        a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        block[t - r :, t - r :] = (a + a.conj().T) / 2
     direct = sum(
-        frame[:, t - r :] @ block @ frame[:, t - r :].conj().T
-        for frame, block, r in zip(tp.frames, element.blocks, tp.ranks)
+        frame[:, t - r :] @ block[t - r :, t - r :] @ frame[:, t - r :].conj().T
+        for frame, block, r in zip(tp.frames, element, tp.ranks)
     )
     assert np.allclose(apply_tp(tp, element), direct, atol=1e-12)
 
@@ -183,9 +181,9 @@ def test_kernel_element_annihilated_by_map():
     tp = build_tp_map(povm)
     element = _extremal_direction(tp)
     # Hermitian blocks, normalized to unit top eigenvalue
-    for block in element.blocks:
-        assert np.allclose(block, block.conj().T, atol=1e-12)
-    radius = max(np.max(np.abs(np.linalg.eigvalsh(b))) for b in element.blocks if b.size)
+    assert element.shape == (2, 2, 2)
+    assert np.allclose(element, element.conj().transpose(0, 2, 1), atol=1e-12)
+    radius = np.max(np.abs(np.linalg.eigvalsh(element)))
     assert radius == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(apply_tp(tp, element))) < 1e-10
 

@@ -14,6 +14,7 @@ import pytest
 
 from povmix import decompose
 from povmix.decompose import (
+    SplitError,
     _extremal_direction,
     _kernel_vector,
     _saturate,
@@ -22,9 +23,10 @@ from povmix.decompose import (
 )
 from povmix.extremality import (
     MARGIN_FACTOR,
-    BlockHermitian,
     TpMap,
+    apply_tp,
     build_tp_map,
+    pair_mask,
     verdict_from_tp,
 )
 from povmix.linalg import RANK_TOL
@@ -86,7 +88,8 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
     at first the trailing r. A step writes the floor on each block's dead
     diagonal, so the dead eigenvalues sort first, negates the spectrum on a
     flip, maps g to g U sqrt(1 + tau*lambda) and drops the saturated columns
-    from the mask wherever they stand.
+    from the mask wherever they stand. The direction comes back as the
+    map's padded (n, t, t) stack, each block in its trailing r x r window.
     """
     d = tp.dim
     live = [i for i, r in enumerate(tp.ranks) if r]
@@ -134,20 +137,21 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
         b[np.arange(t - tp.ranks[i], t), np.arange(t - tp.ranks[i], t)] -= 1.0
         blocks.append(b)
     radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks)
-    out = [np.zeros((0, 0), dtype=np.complex128)] * len(tp.ranks)
+    out = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
     for b, i in zip(blocks, live):
         r = tp.ranks[i]
-        out[i] = (1.0 / radius) * b[t - r :, t - r :]
-    return BlockHermitian(tuple(out))
+        out[i, t - r :, t - r :] = (1.0 / radius) * b[t - r :, t - r :]
+    return out
 
 
 def ref_split_once(element, tp):
-    """(weights, taus, child effects) of a split, one padded block at a time."""
+    """(weights, taus, child effects) of a split, one padded block at a time,
+    each read from its trailing r x r window of the element."""
     t = tp.frames.shape[2]
     hs, kepts = [], []
-    for b, r in zip(element.blocks, tp.ranks):
+    for b, r in zip(element, tp.ranks):
         x = np.zeros((t, t), dtype=np.complex128)
-        x[t - r :, t - r :] = b
+        x[t - r :, t - r :] = b[t - r :, t - r :]
         hs.append((x + x.conj().T) / 2.0)
         kepts.append(np.arange(t) >= t - r)
     eighs = ref_live_eigh(hs, kepts)
@@ -223,8 +227,7 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm):
         ragged |= len(set(tp.ranks) - {0}) > 1
         element = _extremal_direction(tp)
         ref = ref_general_walk(tp)
-        assert element.ranks == ref.ranks
-        assert all(np.array_equal(a, b) for a, b in zip(element.blocks, ref.blocks))
+        assert np.array_equal(element, ref)
         assert_same_split(node, element, tp)
     # two splits down, blocks of one original rank have different ranks
     assert ragged
@@ -239,6 +242,30 @@ def test_map_frames_are_one_stack_padded_in_front():
         assert np.all(frame[:, : 3 - r] == 0)
         assert np.allclose(frame @ frame.conj().T, effect, rtol=0, atol=1e-12)
     assert np.all(tp.frames[2] == 0)
+
+
+def test_split_and_map_read_only_the_windows():
+    """The element contract: entries off the blocks' windows are ignored,
+    and an element not shaped like the map's stack is rejected."""
+    povm = mixed_rank_povm(0)
+    tp = build_tp_map(povm)
+    element = _extremal_direction(tp)
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(element.shape) + 1j * rng.standard_normal(element.shape)
+    off = np.where(pair_mask(tp.kept), 0.0, noise)
+    assert np.count_nonzero(off) > 0
+    clean, noisy = split_once(povm, element, tp), split_once(povm, element + off, tp)
+    for name in ("weight_plus", "weight_minus", "tau_plus", "tau_minus"):
+        assert getattr(clean, name) == getattr(noisy, name)
+    for name in ("child_plus", "child_minus"):
+        a, b = getattr(clean, name), getattr(noisy, name)
+        assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
+    assert np.array_equal(apply_tp(tp, element), apply_tp(tp, element + off))
+    for bad in (element[:-1], element[:, 1:, 1:], element.reshape(len(element), -1)):
+        with pytest.raises(SplitError):
+            split_once(povm, bad, tp)
+        with pytest.raises(ValueError):
+            apply_tp(tp, bad)
 
 
 def test_rank_one_split_is_bit_identical():
