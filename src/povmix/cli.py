@@ -169,17 +169,10 @@ def _cmd_sample(args, cfg: Config) -> int:
     state = _load_state(args.state)
     seed = cfg.seed if args.seed is None else args.seed
     if args.mode == "direct":
-        hist = sample_direct(
-            _load_povm(args.input), state, args.n, seed=seed, shards=args.shards
-        )
+        hist = sample_direct(_load_povm(args.input), state, args.n, seed=seed)
     else:
         hist = sample_two_stage(
-            _load_mixture(args.input),
-            state,
-            args.n,
-            seed=seed,
-            shards=args.shards,
-            label_tol=cfg.label_tol,
+            _load_mixture(args.input), state, args.n, seed=seed, label_tol=cfg.label_tol
         )
     print(serialize.dumps(serialize.histogram_to_jsonable(hist)))
     return 0
@@ -270,7 +263,6 @@ def _build_parser() -> _Parser:
     smp.add_argument("--state", required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--seed", type=int)
-    smp.add_argument("--shards", type=int, default=1)
     smp.set_defaults(func=_cmd_sample)
 
     ver = sub.add_parser("verify-barycenter", help="recombination residuals")

@@ -157,22 +157,18 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
 
 
 def split_once(
-    povm: FinitePOVM,
-    element: np.ndarray,
-    tp: TpMap | None = None,
-    rank_tol: float = RANK_TOL,
-    residual_tol: float = RESIDUAL_TOL,
+    povm: FinitePOVM, element: np.ndarray, tp: TpMap | None = None
 ) -> SplitResult:
     """Split a measurement along a Hermitian kernel element of its map.
 
     The element is an (n, t, t) stack of the map (see TpMap), read only on
     the blocks' windows; another shape raises SplitError, as does an element
     without both positive and negative eigenvalues or one that does not
-    annihilate under the map (up to residual_tol after scaling by the
+    annihilate under the map (up to RESIDUAL_TOL after scaling by the
     saturation parameters). The split takes one eigh of the stack.
     """
     if tp is None:
-        tp = build_tp_map(povm, rank_tol)
+        tp = build_tp_map(povm)
     n, d, t = tp.frames.shape
     if np.shape(element) != (n, t, t):
         raise SplitError(
@@ -197,7 +193,7 @@ def split_once(
     tau_plus = 1.0 / abs(lam_min)
     tau_minus = 1.0 / lam_max
     residual = float(np.linalg.norm(apply_tp(tp, x)))
-    if max(tau_plus, tau_minus) * residual > residual_tol:
+    if max(tau_plus, tau_minus) * residual > RESIDUAL_TOL:
         raise SplitError(
             f"element is not in the kernel: ||T(D)|| = {residual:.3e} "
             f"with tau = {max(tau_plus, tau_minus):.3e}"
@@ -442,9 +438,7 @@ def decompose_extremal(
     max_leaves: int = DEFAULT_MAX_LEAVES,
     margin_factor: float = MARGIN_FACTOR,
     rank_tol: float = RANK_TOL,
-    prune_tol: float = PRUNE_TOL,
     label_tol: float = LABEL_TOL,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> ExtremalMixture:
     """Decompose a measurement into a finite mixture of extreme ones.
 
@@ -457,14 +451,14 @@ def decompose_extremal(
     leaves coincide, and the chain has at most dim F + 1 leaves. Labels are
     merged once, at the root: children carry the root's merged labels,
     which are pairwise distinct, so below the root only effects with trace
-    at or below prune_tol are dropped. Once max_leaves - 1 leaves are
+    at or below PRUNE_TOL are dropped. Once max_leaves - 1 leaves are
     peeled, the remainder is emitted with its non-extreme verdict and the
     mixture is flagged incomplete; the convex reconstruction identity holds
     either way.
     """
     leaves = []
     weight = 1.0
-    node = prune_and_merge(povm, prune_tol, label_tol)
+    node = prune_and_merge(povm, label_tol)
     while True:
         tp = build_tp_map(node, rank_tol)
         verdict = verdict_from_tp(tp, margin_factor)
@@ -472,11 +466,11 @@ def decompose_extremal(
             break
         try:
             direction = _extremal_direction(tp, margin_factor)
-            split = split_once(node, direction, tp, rank_tol, residual_tol)
+            split = split_once(node, direction, tp)
         except SplitError as exc:
             raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
         plus = split.child_plus
-        plus = _prune(plus.dim, plus.labels, plus.effects, prune_tol)
+        plus = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
         plus_verdict = verdict_from_tp(build_tp_map(plus, rank_tol), margin_factor)
         if not plus_verdict.is_extreme:
             raise SplitError(
@@ -486,7 +480,7 @@ def decompose_extremal(
         leaves.append(MixtureComponent(weight * split.weight_plus, plus, plus_verdict))
         weight *= split.weight_minus
         minus = split.child_minus
-        node = _prune(minus.dim, minus.labels, minus.effects, prune_tol)
+        node = _prune(minus.dim, minus.labels, minus.effects, PRUNE_TOL)
     leaves.append(MixtureComponent(weight, node, verdict))
     return ExtremalMixture(povm.dim, tuple(leaves), verdict.is_extreme)
 

@@ -47,7 +47,7 @@ class TpMap:
 
     @property
     def domain_dim(self) -> int:
-        return int(sum(r * r for r in self.ranks))
+        return int(np.dot(self.ranks, self.ranks))
 
     @property
     def kept(self) -> np.ndarray:
@@ -111,11 +111,11 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
         )
     d = povm.dim
     kept = w > (rank_tol * np.maximum(w[:, -1], 1.0))[:, None]
-    ranks = tuple(int(r) for r in np.count_nonzero(kept, axis=1))
-    t = max(ranks, default=0)
+    counts = np.count_nonzero(kept, axis=1)
+    t = int(counts.max(initial=0))
     kept = kept[:, d - t :]
     frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
-    return TpMap(d, povm.labels, frames, ranks, frame_columns(frames, kept))
+    return TpMap(d, povm.labels, frames, tuple(counts.tolist()), frame_columns(frames, kept))
 
 
 def apply_tp(tp: TpMap, element: np.ndarray) -> np.ndarray:

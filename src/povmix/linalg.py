@@ -1,9 +1,9 @@
 """Dense complex linear algebra with pinned tolerance conventions.
 
-Input coercion, a Hermiticity check and a numerical null space, with the
+Input coercion, the Hermiticity defect and numerical null spaces, with the
 tolerances the rest of the package relies on: relative rank cutoffs and
-the PSD and Hermiticity acceptance rules. All functions are pure; nothing
-mutates its arguments.
+the PSD and Hermiticity acceptance rules, which model applies to states
+and effects. All functions are pure; nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -35,21 +35,6 @@ def herm_defect(m) -> float:
     """Max-norm distance from Hermiticity, ||M - M^dag||_max."""
     a = np.asarray(m, dtype=np.complex128)
     return float(np.max(np.abs(a - a.conj().T)))
-
-
-def check_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    """Return M coerced to complex128 after verifying it is Hermitian.
-
-    The defect ||M - M^dag||_max must not exceed tol * (1 + ||M||_max).
-    """
-    a = as_square_matrix(m)
-    scale = 1.0 + float(np.max(np.abs(a)))
-    defect = herm_defect(a)
-    if defect > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol * scale:.3e}"
-        )
-    return a
 
 
 def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:

@@ -206,10 +206,7 @@ class ValidationReport:
 
 
 def validate_povm(
-    povm: FinitePOVM,
-    psd_tol: float = PSD_TOL,
-    norm_tol: float = NORMALIZATION_TOL,
-    label_tol: float = LABEL_TOL,
+    povm: FinitePOVM, psd_tol: float = PSD_TOL, label_tol: float = LABEL_TOL
 ) -> ValidationReport:
     """Check PSD-ness, normalization, and label distinctness, reporting all
     violations rather than stopping at the first."""
@@ -218,7 +215,7 @@ def validate_povm(
     for i in range(povm.n_outcomes):
         effect = povm.effects[i]
         defect = herm_defect(effect)
-        if defect > 1e-12 * herm_scale:
+        if defect > HERM_TOL * herm_scale:
             report.non_hermitian.append((i, defect))
             continue
         w = np.linalg.eigvalsh((effect + effect.conj().T) / 2.0)
@@ -236,7 +233,7 @@ def validate_povm(
         np.max(np.abs(povm.effects.sum(axis=0) - np.eye(povm.dim)))
     )
     report.normalization_residual = residual
-    report.normalization_ok = residual <= norm_tol
+    report.normalization_ok = residual <= NORMALIZATION_TOL
     return report
 
 
@@ -317,16 +314,16 @@ def expectation_operator(povm: FinitePOVM, f) -> np.ndarray:
     return total
 
 
-def trace_density(povm: FinitePOVM, prune_tol: float = PRUNE_TOL) -> TraceDensity:
+def trace_density(povm: FinitePOVM) -> TraceDensity:
     """Split each effect into its trace weight and a unit-trace density.
 
-    Weights at or below prune_tol are recorded as zero with no density part.
+    Weights at or below PRUNE_TOL are recorded as zero with no density part.
     """
     weights = np.empty(povm.n_outcomes)
     densities = []
     for i in range(povm.n_outcomes):
         mu = float(povm.effects[i].trace().real)
-        if mu > prune_tol:
+        if mu > PRUNE_TOL:
             weights[i] = mu
             densities.append(povm.effects[i] / mu)
         else:
@@ -466,12 +463,8 @@ def _merge(povm: FinitePOVM, label_tol: float) -> FinitePOVM:
     return FinitePOVM._with_normal_labels(povm.dim, universe, effects)
 
 
-def prune_and_merge(
-    povm: FinitePOVM,
-    prune_tol: float = PRUNE_TOL,
-    label_tol: float = LABEL_TOL,
-) -> FinitePOVM:
+def prune_and_merge(povm: FinitePOVM, label_tol: float = LABEL_TOL) -> FinitePOVM:
     """Sum outcomes whose labels coincide, then drop effects with trace at or
-    below prune_tol. Idempotent; raises if nothing survives."""
+    below PRUNE_TOL. Idempotent; raises if nothing survives."""
     merged = _merge(povm, label_tol)
-    return _prune(povm.dim, merged.labels, merged.effects, prune_tol)
+    return _prune(povm.dim, merged.labels, merged.effects, PRUNE_TOL)

@@ -16,6 +16,9 @@ from .model import (
     as_label,
 )
 
+# gen_pvm accepts a basis with ||U^dag U - 1||_max at or below this.
+_UNITARY_TOL = 1e-10
+
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
@@ -91,14 +94,14 @@ def apply_postprocessing(
     return FinitePOVM(povm.dim, universe, effects)
 
 
-def gen_pvm(basis, atol: float = 1e-10) -> FinitePOVM:
+def gen_pvm(basis) -> FinitePOVM:
     """Projective measurement onto the columns of a unitary, labels 0..d-1."""
     u = np.asarray(basis, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise PovmError(f"basis must be square, got shape {u.shape}")
     d = u.shape[0]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if defect > atol:
+    if defect > _UNITARY_TOL:
         raise PovmError(f"basis is not unitary: ||U^dag U - 1||_max = {defect:.3e}")
     effects = np.einsum("ak,bk->kab", u, u.conj())
     return FinitePOVM(d, tuple(range(d)), effects)

@@ -3,7 +3,8 @@
 Randomness comes from a counter-based generator (numpy's Philox keyed by the
 seed), and draw number j of a run always consumes fixed counter positions:
 index j for direct sampling, the pair (2j, 2j+1) for two-stage sampling.
-Sharding a run therefore changes nothing about the merged histogram.
+A run is drawn in pieces of at most _PIECE draws, and where the pieces are
+cut changes nothing about the histogram.
 
 Each draw's outcome is exactly min(searchsorted(cdf, u, "right"), k - 1),
 the outcome of a binary search, found through a table of equal bins over
@@ -27,6 +28,10 @@ from .model import (
     born_probabilities,
 )
 from .decompose import ExtremalMixture
+
+# At most this many draws per piece keeps the per-draw temporaries to a few
+# MB for any n.
+_PIECE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,10 @@ def _uniforms_at(seed, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bitgen).random(skip + count)[skip:]
 
 
-def _shard_bounds(n: int, shards: int):
-    if shards < 1:
-        raise PovmError(f"shards must be >= 1, got {shards}")
-    # At most 2^17 draws per piece keeps the per-draw temporaries to a few
-    # MB for any n; results do not depend on the cut.
-    shards = max(shards, -(-n // (1 << 17)))
-    return [(s * n) // shards for s in range(shards + 1)]
+def _piece_bounds(n: int) -> list:
+    """Cuts of n >= 1 draws into ceil(n / _PIECE) pieces of near-equal size."""
+    pieces = -(-n // _PIECE)
+    return [(s * n) // pieces for s in range(pieces + 1)]
 
 
 def _checked_cdf(probs: np.ndarray) -> np.ndarray:
@@ -149,7 +151,6 @@ def sample_direct(
     state: DensityState,
     n_samples: int,
     seed=0,
-    shards: int = 1,
 ) -> OutcomeHistogram:
     """Draw n_samples outcomes from the Born distribution, deterministically."""
     if state.dim != povm.dim:
@@ -159,7 +160,7 @@ def sample_direct(
     draw = _BinTable([_checked_cdf(born_probabilities(povm, state))])
     k = povm.n_outcomes
     counts = np.zeros(k, dtype=np.int64)
-    bounds = _shard_bounds(n_samples, shards)
+    bounds = _piece_bounds(n_samples)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         counts += np.bincount(draw(_uniforms_at(seed, lo, hi - lo)), minlength=k)
     return OutcomeHistogram(povm.labels, tuple(counts), n_samples)
@@ -170,7 +171,6 @@ def sample_two_stage(
     state: DensityState,
     n_samples: int,
     seed=0,
-    shards: int = 1,
     label_tol: float = LABEL_TOL,
 ) -> OutcomeHistogram:
     """Draw by first picking a mixture component, then one of its outcomes.
@@ -190,7 +190,7 @@ def sample_two_stage(
         np.concatenate(maps),
     )
     counts = np.zeros(len(universe), dtype=np.int64)
-    bounds = _shard_bounds(n_samples, shards)
+    bounds = _piece_bounds(n_samples)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         u = _uniforms_at(seed, 2 * lo, 2 * (hi - lo))
         counts += np.bincount(outcome(u[1::2], pick(u[0::2])), minlength=len(universe))

@@ -65,6 +65,15 @@ def _int_at(value, path) -> int:
     return value
 
 
+def _dim_at(obj, path) -> int:
+    """obj["dim"], an integer >= 1; path is obj's own path."""
+    prefix = f"{path}." if path else ""
+    dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
+    if dim < 1:
+        raise ParseError(f"{prefix}dim", f"dimension must be positive, got {dim}")
+    return dim
+
+
 def _real_at(value, path) -> float:
     """A finite float; json.loads reads NaN and Infinity literals as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -175,9 +184,7 @@ def povm_to_jsonable(povm: FinitePOVM) -> dict:
 
 def povm_from_jsonable(obj, path: str = "") -> FinitePOVM:
     prefix = f"{path}." if path else ""
-    dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
-    if dim < 1:
-        raise ParseError(f"{prefix}dim", f"dimension must be positive, got {dim}")
+    dim = _dim_at(obj, path)
     outcomes = _list_at(_get(obj, "outcomes", path), f"{prefix}outcomes")
     if not outcomes:
         raise ParseError(f"{prefix}outcomes", "at least one outcome required")
@@ -205,7 +212,7 @@ def mixture_to_jsonable(mixture: ExtremalMixture) -> dict:
 
 def mixture_from_jsonable(obj, path: str = "") -> ExtremalMixture:
     prefix = f"{path}." if path else ""
-    dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
+    dim = _dim_at(obj, path)
     complete = _get(obj, "complete", path)
     if not isinstance(complete, bool):
         raise ParseError(f"{prefix}complete", f"expected a boolean, got {complete!r}")
@@ -229,9 +236,7 @@ def state_to_jsonable(state: DensityState) -> dict:
 
 def state_from_jsonable(obj, path: str = "") -> DensityState:
     prefix = f"{path}." if path else ""
-    dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
-    if dim < 1:
-        raise ParseError(f"{prefix}dim", f"dimension must be positive, got {dim}")
+    dim = _dim_at(obj, path)
     matrix = matrix_from_jsonable(_get(obj, "matrix", path), dim, f"{prefix}matrix")
     return DensityState(dim, matrix)
 
@@ -325,7 +330,7 @@ def trace_density_to_jsonable(td: TraceDensity) -> dict:
 
 def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
     prefix = f"{path}." if path else ""
-    dim = _int_at(_get(obj, "dim", path), f"{prefix}dim")
+    dim = _dim_at(obj, path)
     labels = _labels_at(
         _list_at(_get(obj, "labels", path), f"{prefix}labels"),
         lambda i: f"{prefix}labels[{i}]",

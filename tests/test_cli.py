@@ -24,6 +24,7 @@ from povmix.serialize import (
     trace_density_from_jsonable,
 )
 from povmix.model import DensityState, FinitePOVM
+from povmix.outcomes import bloch_effect
 
 
 def run(capsys, *argv):
@@ -169,6 +170,12 @@ def test_sample_commands(tmp_path, capsys):
     assert code == 0
     assert sum(c["count"] for c in json.loads(out)["counts"]) == 500
 
+    # --shards is gone: pieces come from --n alone
+    code, _, err = run(
+        capsys, "sample", "direct", str(povm), "--state", str(state), "--n", "500", "--shards", "2"
+    )
+    assert code == 1 and "--shards" in err
+
 
 def test_verify_barycenter_stdin_modes(tmp_path, capsys, monkeypatch):
     povm = tmp_path / "p.json"
@@ -299,6 +306,64 @@ def test_config_label_tol_reaches_extremal_check_and_two_stage(tmp_path, capsys,
         )
         assert code == 0
         assert len(json.loads(out)["counts"]) == n_labels
+
+
+def _write_povm(path, effects):
+    path.write_text(dumps(povm_to_jsonable(FinitePOVM(2, range(len(effects)), np.array(effects)))))
+    return str(path)
+
+
+def _rank_tol_case(tmp_path):
+    # diag(1, 1e-12) has rank 1 under the default rank_tol and rank 2 under
+    # 1e-13, which makes the block dimension 5 > d^2
+    effects = [np.diag([1.0, 1e-12]), np.diag([0.0, 1.0 - 1e-12])]
+    return ["extremal-check", _write_povm(tmp_path / "p.json", effects)]
+
+
+def _margin_case(tmp_path):
+    # two rank-one effects with Bloch vectors 2e-4 rad apart: the map's
+    # smallest singular value is 5e-5, above the default cut, below 1e-3's
+    eps = 1e-4
+    c = 1.0 / (2.0 + 2.0 * np.cos(eps))
+    effects = [
+        bloch_effect((np.sin(eps), 0.0, np.cos(eps)), c),
+        bloch_effect((-np.sin(eps), 0.0, np.cos(eps)), c),
+        bloch_effect((0.0, 0.0, -1.0), 2.0 * c * np.cos(eps)),
+    ]
+    return ["extremal-check", _write_povm(tmp_path / "p.json", effects)]
+
+
+def _psd_case(tmp_path):
+    # smallest eigenvalue -1e-8: rejected at psd_tol 1e-10, accepted at 1e-6
+    effects = [np.diag([1.0 + 1e-8, 0.0]), np.diag([-1e-8, 1.0])]
+    return ["validate", _write_povm(tmp_path / "p.json", effects)]
+
+
+def _seed_case(tmp_path):
+    return ["gen", "--kind", "random", "--d", "2", "--k", "3"]
+
+
+@pytest.mark.parametrize(
+    "key, value, case, codes",
+    [
+        ("rank_tol", 1e-13, _rank_tol_case, (0, 2)),
+        ("extremality_margin_factor", 1e-3, _margin_case, (0, 2)),
+        ("psd_tol", 1e-6, _psd_case, (1, 0)),
+        ("seed", 1, _seed_case, (0, 0)),
+    ],
+)
+def test_config_key_changes_its_command(tmp_path, capsys, monkeypatch, key, value, case, codes):
+    """Each config key reaches its command: the same command gives another
+    result with the key set in the config file."""
+    argv = case(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("POVMIX_CONFIG", str(cfg))
+    default = run(capsys, *argv)
+    cfg.write_text(json.dumps({key: value}))
+    configured = run(capsys, *argv)
+    assert (default[0], configured[0]) == codes
+    assert default[1] != configured[1]
+
 
 def _pipeline(tmp_path, povmix_cmd, a):
     """Run ``gen --kind ea --a <a> | extremal-check -`` through a real sh pipe.

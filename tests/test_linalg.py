@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmix.linalg import as_square_matrix, check_hermitian, kernel_basis, window_kernel
+from povmix.linalg import as_square_matrix, kernel_basis, window_kernel
 
 
 def test_as_square_matrix_coerces_and_rejects():
@@ -13,16 +13,6 @@ def test_as_square_matrix_coerces_and_rejects():
         as_square_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         as_square_matrix(np.zeros(3))
-
-
-def test_check_hermitian_tolerance():
-    m = np.eye(2, dtype=np.complex128)
-    m[0, 1] = 1e-14
-    out = check_hermitian(m)  # within tolerance: accepted unchanged
-    assert np.array_equal(out, m)
-    m[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        check_hermitian(m)
 
 
 def test_kernel_basis_known_kernel():

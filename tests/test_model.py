@@ -173,6 +173,13 @@ def test_state_validation():
         DensityState(2, np.diag([0.6, 0.6]))  # trace != 1
     with pytest.raises(PovmError):
         DensityState(2, np.diag([1.5, -0.5]))  # not PSD
+    # Hermiticity within HERM_TOL * (1 + ||rho||_max) is accepted unchanged
+    m = np.eye(2, dtype=np.complex128) / 2
+    m[0, 1] = 1e-14
+    assert np.array_equal(DensityState(2, m).matrix, m)
+    m[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityState(2, m)
     rho = gen_random_state(4, seed=0)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 

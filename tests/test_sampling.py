@@ -78,17 +78,17 @@ def test_same_seed_same_histogram():
     assert a != c
 
 
-def test_shard_count_never_changes_results():
+def test_shard_count_never_changes_results(monkeypatch):
+    # 9973 draws in one piece, then in pieces of at most 1000 and 97
     povm = gen_random_povm(2, 5, seed=4)
     rho = gen_random_state(2, seed=6)
-    base = sample_direct(povm, rho, 9973, seed=5, shards=1)
-    for shards in (2, 3, 8, 16):
-        assert sample_direct(povm, rho, 9973, seed=5, shards=shards) == base
-
     mixture = decompose_extremal(povm)
-    base2 = sample_two_stage(mixture, rho, 9973, seed=5, shards=1)
-    for shards in (2, 7, 12):
-        assert sample_two_stage(mixture, rho, 9973, seed=5, shards=shards) == base2
+    base = sample_direct(povm, rho, 9973, seed=5)
+    base2 = sample_two_stage(mixture, rho, 9973, seed=5)
+    for piece in (1000, 97):
+        monkeypatch.setattr(sampling, "_PIECE", piece)
+        assert sample_direct(povm, rho, 9973, seed=5) == base
+        assert sample_two_stage(mixture, rho, 9973, seed=5) == base2
 
 
 def test_long_runs_draw_in_pieces_with_unchanged_counts(monkeypatch):
@@ -122,7 +122,7 @@ def test_two_stage_matches_direct_distribution():
     assert tv_distance(direct, two) < 0.02
 
 
-def test_two_stage_histogram_matches_per_draw_reference():
+def test_two_stage_histogram_matches_per_draw_reference(monkeypatch):
     # five projective leaves with overlapping labels; draw j uses uniforms
     # 2j (component) and 2j+1 (outcome) of the Philox stream keyed by the seed
     rng = np.random.default_rng(4)
@@ -147,8 +147,9 @@ def test_two_stage_histogram_matches_per_draw_reference():
         k = min(int(np.searchsorted(cdf, u[2 * j + 1], side="right")), 1)
         label = leaves[c].labels[k]
         expected[label] = expected.get(label, 0) + 1
-    for shards in (1, 3):
-        hist = sample_two_stage(mixture, rho, n, seed=seed, shards=shards)
+    for piece in (n, 1000):
+        monkeypatch.setattr(sampling, "_PIECE", piece)
+        hist = sample_two_stage(mixture, rho, n, seed=seed)
         got = {label: count for label, count in zip(hist.labels, hist.counts) if count}
         assert got == expected
 
@@ -203,8 +204,6 @@ def test_sampling_rejects_bad_inputs():
     rho = DensityState(2, I2 / 2)
     with pytest.raises(PovmError):
         sample_direct(povm, rho, 0)
-    with pytest.raises(PovmError):
-        sample_direct(povm, rho, 10, shards=0)
 
 
 @st.composite
@@ -269,7 +268,7 @@ def test_bin_table_over_many_cdfs_matches_binary_search(cdf_list, wide, seed):
     assert np.array_equal(table(u, c), expected)
 
 
-def test_two_stage_with_one_wide_leaf_matches_binary_search():
+def test_two_stage_with_one_wide_leaf_matches_binary_search(monkeypatch):
     leaves = [gen_random_povm(2, 4, seed=s) for s in range(5)]
     leaves.insert(2, gen_covariant_sphere(300, seed=1))
     weights = np.array([0.1, 0.2, 0.25, 0.15, 0.2, 0.1])
@@ -284,7 +283,8 @@ def test_two_stage_with_one_wide_leaf_matches_binary_search():
     for c, leaf in enumerate(leaves):
         idx = binary_search(np.cumsum(born_probabilities(leaf, rho)), u[1::2][comp == c])
         expected.update(leaf.labels[i] for i in idx)
-    hist = sample_two_stage(mixture, rho, n, seed=seed, shards=2)
+    monkeypatch.setattr(sampling, "_PIECE", n // 2)
+    hist = sample_two_stage(mixture, rho, n, seed=seed)
     assert dict(zip(hist.labels, hist.counts)) == expected
 
 
@@ -305,11 +305,12 @@ def test_two_stage_searches_do_not_grow_with_components(monkeypatch):
     monkeypatch.setattr(np, "searchsorted", counting("searchsorted", np.searchsorted))
     monkeypatch.setattr(np, "argsort", counting("argsort", np.argsort))
     pieces = 4
+    monkeypatch.setattr(sampling, "_PIECE", 20000 // pieces)
     seen = []
     for povm in (gen_random_povm(2, 5, seed=4), gen_covariant_sphere(100, seed=7)):
         mixture = decompose_extremal(povm)
         counts.clear()
-        sample_two_stage(mixture, rho, 20000, seed=5, shards=pieces)
+        sample_two_stage(mixture, rho, 20000, seed=5)
         seen.append((len(mixture.components), counts["searchsorted"]))
         assert counts["argsort"] == 0
     (few, calls_few), (many, calls_many) = seen

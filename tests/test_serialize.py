@@ -1,3 +1,6 @@
+import copy
+import random
+
 import numpy as np
 import pytest
 
@@ -297,3 +300,124 @@ def test_trace_density_arrays_must_match_the_labels(key, keep):
     with pytest.raises(ParseError, match="expected 2 entries") as err:
         trace_density_from_jsonable(loads(dumps(doc)))
     assert err.value.path == key
+
+
+def _dim_document(kind):
+    """A document of the given kind that parses at dim 2, and its parser."""
+    if kind == "povm":
+        return povm_to_jsonable(gen_random_povm(2, 3, seed=4)), povm_from_jsonable
+    if kind == "state":
+        return state_to_jsonable(gen_random_state(2, seed=2)), state_from_jsonable
+    if kind == "mixture":
+        doc = mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6)))
+        return doc, mixture_from_jsonable
+    if kind == "trace_density null":
+        doc = {"dim": 2, "labels": [0], "weights": [0.0], "densities": [None]}
+        return doc, trace_density_from_jsonable
+    # an empty density row list is a 0 x 0 matrix at dim 0
+    doc = {"dim": 2, "labels": [0], "weights": [1.0], "densities": [[]]}
+    return doc, trace_density_from_jsonable
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.0, None])
+@pytest.mark.parametrize(
+    "kind", ["povm", "state", "mixture", "trace_density null", "trace_density empty"]
+)
+def test_dim_must_be_a_positive_integer(kind, dim):
+    """Every parser that reads a dim rejects anything but an integer >= 1
+    at "dim", before reading what the dim shapes."""
+    doc, parse = _dim_document(kind)
+    doc["dim"] = dim
+    with pytest.raises(ParseError) as err:
+        parse(loads(dumps(doc)))
+    assert err.value.path == "dim"
+
+
+def _fuzz_documents():
+    """(name, document, parser) for every document kind, point and integer
+    labels, and a trace density whose only outcome has weight 0."""
+    sphere = gen_covariant_sphere(5, seed=1)
+    random = gen_random_povm(2, 3, seed=4)
+    state = gen_random_state(2, seed=2)
+    pp = PostProcessing(((0, 1), (1, [0.5, -0.5]), (2, 1)))
+    return [
+        ("povm", povm_to_jsonable(random), povm_from_jsonable),
+        ("point povm", povm_to_jsonable(sphere), povm_from_jsonable),
+        (
+            "mixture",
+            mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6))),
+            mixture_from_jsonable,
+        ),
+        ("state", state_to_jsonable(state), state_from_jsonable),
+        (
+            "histogram",
+            histogram_to_jsonable(sample_direct(sphere, state, 50, seed=3)),
+            histogram_from_jsonable,
+        ),
+        (
+            "trace_density",
+            trace_density_to_jsonable(trace_density(random)),
+            trace_density_from_jsonable,
+        ),
+        (
+            "zero trace_density",
+            {"dim": 1, "labels": [0], "weights": [0.0], "densities": [None]},
+            trace_density_from_jsonable,
+        ),
+        ("postprocessing", postprocessing_to_jsonable(pp), postprocessing_from_jsonable),
+        ("verdict", verdict_to_jsonable(is_extreme(random)), verdict_from_jsonable),
+    ]
+
+
+def _paths(node, path=()):
+    """Every path below node, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_REPLACEMENTS = (None, True, "x", HUGE, [], {}, 0, -1)
+
+
+def _mutate(doc, rng):
+    """One seeded mutation of a copy of doc: a value replaced, a key or an
+    entry deleted, or an entry duplicated. Returns (copy, description)."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = rng.randrange(len(_REPLACEMENTS) + 2)
+    if op == len(_REPLACEMENTS):
+        del parent[key]
+        return doc, f"delete {path}"
+    if op == len(_REPLACEMENTS) + 1 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+        return doc, f"duplicate {path}"
+    value = _REPLACEMENTS[op % len(_REPLACEMENTS)]
+    parent[key] = value
+    return doc, f"{path} = {str(value)[:12]}"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mutated_documents_fail_only_as_value_errors(seed):
+    """Seeded mutations of valid documents: every rejection is a ValueError
+    (ParseError, PovmError), which the CLI reports as exit 1, and every
+    accepted document with a dim has an integer dim >= 1."""
+    rng = random.Random(seed)
+    for name, doc, parse in _fuzz_documents():
+        for _ in range(300):
+            mutated, what = _mutate(doc, rng)
+            try:
+                result = parse(mutated)
+            except ValueError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{name}, {what}: {type(exc).__name__}: {exc}")
+            dim = getattr(result, "dim", 1)
+            assert type(dim) is int and dim >= 1, f"{name}, {what}: dim {dim!r}"
