@@ -33,7 +33,7 @@ from .extremality import (
     pair_mask,
     verdict_from_tp,
 )
-from .linalg import RANK_TOL, kernel_basis, window_kernel
+from .linalg import RANK_TOL, herm_coords, herm_matrices, kernel_basis, window_kernel
 from .model import (
     LABEL_TOL,
     PRUNE_TOL,
@@ -58,10 +58,6 @@ _CLAMP = 1e-12
 # Elimination pivots on an entry above this fraction of its column's
 # largest; smaller entries count as rounding and are cleared.
 _PIVOT_TOL = 1e-8
-
-# When picking the Hermitian part of a kernel vector, fall back to the
-# anti-Hermitian part once the Hermitian part's norm drops below this.
-_HERM_PREFERENCE = 1e-6
 
 DEFAULT_MAX_LEAVES = 4096
 
@@ -216,15 +212,6 @@ def split_once(
     )
 
 
-def _kernel_vector(matrix: np.ndarray, margin_factor: float):
-    """First kernel vector of one walk step's map, cut by the verdict's own
-    rule (margin_factor); None when the map is injective."""
-    if matrix.shape[1] == 0:
-        raise SplitError("walk emptied the measurement")
-    basis = kernel_basis(matrix, margin_factor)
-    return basis[:, 0] if basis.shape[1] else None
-
-
 def _saturating_step(lam: np.ndarray):
     """Step length tau and whether to flip a walk direction with spectrum lam.
 
@@ -243,15 +230,6 @@ def _saturating_step(lam: np.ndarray):
     return 1.0 / radius, lam_max > -lam_min
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(x + x^dag)/2 of a stack of kernel blocks, else (x - x^dag)/2i; the
-    kernel is closed under ^dag, so both lie in it."""
-    h = (x + _dagger(x)) / 2.0
-    if np.linalg.norm(h) <= _HERM_PREFERENCE:
-        h = (x - _dagger(x)) / 2.0j
-    return h
-
-
 def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_factor: float):
     """Saturating walk on scalar coordinates: columns[:, j] carries weight scale[j].
 
@@ -261,10 +239,10 @@ def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_facto
     weighted column sum. Stops once at most stop weights are nonzero or the
     active columns are injective; returns the new weights.
 
-    A pass makes one window_kernel call on the active weighted columns W:
-    one SVD of the window, cut by margin_factor, gives z, the window's
-    kernel basis followed by one kernel vector [-W^+ a_o; e_o] per later
-    column a_o, each made real by fixing the phase of its largest entry.
+    A pass makes one window_kernel call on the active weighted columns W,
+    which are real: one SVD of the window, cut by margin_factor, gives z,
+    the window's kernel basis followed by one kernel vector [-W^+ a_o; e_o]
+    per later column a_o, all real.
     A step saturates along z's first column, h = z / c with c the weights
     relative to the pass's start. Gaussian elimination (_eliminate) then
     clears the zeroed coordinates from the other columns, so the next first
@@ -293,12 +271,6 @@ def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_facto
                 return scale
             # Every later column lies in the range of a window of full row rank.
             spans = sub.size - z.shape[1] == columns.shape[0]
-            # Fix each column's phase on its largest entry: the kernel is
-            # closed under conjugation, so the real part stays in it. Real
-            # z meets the window as its real and imaginary rows.
-            big = z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])]
-            z = (z * (np.abs(big) / big)).real
-            window = np.concatenate((window.real, window.imag))
         h = z[:, 0] / rel
         tau, flip = _saturating_step(h)
         f = _saturate(1.0 - tau * h if flip else 1.0 + tau * h)
@@ -355,9 +327,9 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.n
 
     Recombination runs while more than 2(d^2 + 1) effects are active: it
     cuts them, in outcome order, into 2(d^2 + 1) contiguous groups, walks
-    the groups' summed effects c_i vec(S_i S_i^dag) down to at most d^2
-    groups and scales each effect by its group's weight, so every block
-    stays B_i = c_i I and each round drops more than half the effects. A
+    the groups' summed effects c_i S_i S_i^dag down to at most d^2 groups
+    and scales each effect by its group's weight, so every block stays
+    B_i = c_i I and each round drops more than half the effects. A
     round's walk is one pass unless a kernel vector drifts: one SVD of its
     window, then elimination along the kernel (see _scalar_walk). The same
     scalar walk then runs over single effects until their columns are
@@ -366,15 +338,14 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.n
     Otherwise the general walk refines the at most d^2 live blocks, held as
     one stack of t x t blocks (t the largest live rank): the trailing t
     columns of the map's frame stack, and factors G_i with B_i = G_i G_i^dag.
-    A step takes one SVD of the map with the live columns of S_i G_i, one
-    eigh of the whole stack, and updates G_i <- G_i U_i sqrt(1 + tau
-    lambda_i); saturated roots become zero columns, dropped from the next
-    step by mask where they stand.
+    A step takes one SVD of the real map with the live columns of S_i G_i
+    and one eigh of its first kernel vector's Hermitian stack, and updates
+    G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become zero
+    columns, dropped from the next step by mask where they stand.
     """
     ranks = np.array(tp.ranks)
     d2 = tp.dim * tp.dim
-    # vec(S_i S_i^dag) of each block.
-    columns = np.einsum("iaj,ibj->abi", tp.frames, tp.frames.conj()).reshape(d2, -1)
+    columns = herm_coords(tp.frames @ _dagger(tp.frames)).T
     scale = (ranks > 0).astype(np.float64)  # c_i
     while np.count_nonzero(scale) > 2 * (d2 + 1):
         active = np.flatnonzero(scale)
@@ -395,12 +366,12 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.n
     factors = np.zeros((live.size, t, t), dtype=np.complex128)
     factors[:, pos, pos] = np.sqrt(scale[live, None]) * kept
     for _ in range(tp.domain_dim + 16):
-        vec = _kernel_vector(frame_columns(frames @ factors, kept), margin_factor)
-        if vec is None:
+        basis = kernel_basis(frame_columns(frames @ factors, kept), margin_factor)
+        if basis.shape[1] == 0:
             break
-        x = np.zeros_like(factors)
-        x[pair_mask(kept)] = vec
-        w, u, live_eig = _live_eigh(_hermitian_part(x), kept)
+        y = np.zeros((live.size, t * t))
+        y[pair_mask(kept).reshape(live.size, -1)] = basis[:, 0]
+        w, u, live_eig = _live_eigh(herm_matrices(y, t), kept)
         tau, flip = _saturating_step(w[live_eig])
         if flip:
             w = -w

@@ -6,10 +6,10 @@ the linear map
     T: (A_1, ..., A_k) -> sum_i S_i A_i S_i^dag,   S_i = sqrt(P_i) restricted
                                                     to the range of P_i,
 
-is injective, where A_i acts on the r_i-dimensional range of P_i. The map is
-assembled as a d^2 x (sum_i r_i^2) matrix whose column (i; j, k) is the
-row-major vectorization of S_i E_jk S_i^dag, and injectivity is decided by
-its smallest singular value against a relative threshold.
+is injective on Hermitian A_i acting on the r_i-dimensional range of P_i.
+The map is assembled as a real d^2 x (sum_i r_i^2) matrix in Hermitian
+coordinates (see frame_columns), and injectivity is decided by its
+smallest singular value against a relative threshold.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, RANK_TOL
+from .linalg import PSD_TOL, RANK_TOL, herm_basis
 from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
@@ -32,10 +32,9 @@ class TpMap:
 
     frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
     the trailing r_i columns of frames[i] and the t - r_i columns in front
-    are zero. matrix is d^2 x sum r_i^2 with block columns in outcome order
-    and (j, k) running row-major within each block.
+    are zero. matrix is frame_columns(frames, kept), real d^2 x sum r_i^2.
 
-    An element of the domain is a complex (n, t, t) stack in the frames'
+    An element of the domain is a Hermitian (n, t, t) stack in the frames'
     coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
     """
 
@@ -79,15 +78,18 @@ def pair_mask(kept: np.ndarray) -> np.ndarray:
 
 
 def frame_columns(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Columns vec(S_i E_jk S_i^dag) of a padded frame stack (n, d, t).
+    """Real map columns of a padded frame stack (n, d, t): the Hermitian
+    coordinates of S_i B_jk S_i^dag, B the basis of linalg.herm_basis (Q).
+    Block i is Q_d M_i Q_t^dag, M_i its complex map, with M_i's singular values.
 
     kept (n, t) marks each frame's live columns. The result is d^2 x
     sum_i |kept_i|^2: blocks in stack order, (j, k) row-major over each
     block's kept pairs.
     """
-    i, j, k = np.nonzero(pair_mask(kept))
-    cols = np.einsum("ca,cb->abc", frames[i, :, j], frames[i, :, k].conj())
-    return cols.reshape(frames.shape[1] ** 2, i.size)
+    n, d, t = frames.shape
+    sandwich = np.einsum("iap,ibq->abipq", frames, frames.conj()).reshape(d * d * n, t * t)
+    blocks = (sandwich @ herm_basis(t).conj().T).reshape(d * d, n * t * t)
+    return (herm_basis(d) @ blocks).real[:, pair_mask(kept).reshape(-1)]
 
 
 def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
@@ -123,7 +125,7 @@ def apply_tp(tp: TpMap, element: np.ndarray) -> np.ndarray:
     n, _, t = tp.frames.shape
     if np.shape(element) != (n, t, t):
         raise ValueError(f"element shape {np.shape(element)} does not match stack {(n, t, t)}")
-    return (tp.matrix @ np.asarray(element)[pair_mask(tp.kept)]).reshape(tp.dim, tp.dim)
+    return (tp.frames @ element @ tp.frames.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:

@@ -1,12 +1,14 @@
-"""Dense complex linear algebra with pinned tolerance conventions.
+"""Dense linear algebra with pinned tolerance and coordinate conventions.
 
-Input coercion, the Hermiticity defect and numerical null spaces, with the
-tolerances the rest of the package relies on: relative rank cutoffs and
-the PSD and Hermiticity acceptance rules, which model applies to states
-and effects. All functions are pure; nothing mutates its arguments.
+Input coercion, the Hermiticity defect, numerical null spaces and the real
+coordinates of Hermitian matrices, with the rank cutoffs and the PSD and
+Hermiticity acceptance rules the rest of the package relies on. All
+functions are pure; nothing mutates its arguments.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -45,19 +47,17 @@ def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     matrix is numerically injective. A zero matrix returns the full identity
     basis of its domain.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.shape[1] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     return window_kernel(a, a.shape[1], tol)[0]
 
 
 def window_kernel(a: np.ndarray, width: int, tol: float = RANK_TOL):
     """Kernel vectors of a matrix's columns from one SVD of its leading ones.
 
-    The window W is the first w = min(width, cols) columns of the complex
-    matrix a, cut at cut = tol * sigma_max * max(rows, w). Returns (z, cut).
+    The window W is the first w = min(width, cols) columns of the matrix a,
+    cut at cut = tol * sigma_max * max(rows, w). Returns (z, cut).
     z's leading columns are the right singular vectors of W with singular
     value <= cut; then each later column a_o of a gets [-W^+ a_o; e_o], W^+
     the pseudo-inverse on the singular values above cut. Those are kernel
@@ -70,9 +70,33 @@ def window_kernel(a: np.ndarray, width: int, tol: float = RANK_TOL):
     cut = tol * (float(s[0]) if s.size else 0.0) * max(rows, width)
     # Singular values come sorted, so the kernel is the trailing rows of vh.
     rank = int(np.count_nonzero(s > cut))
-    z = np.zeros((cols, cols - rank), dtype=np.complex128)
+    z = np.zeros((cols, cols - rank), dtype=vh.dtype)
     z[:width, : width - rank] = vh[rank:].conj().T
     tail = u[:, :rank].conj().T @ a[:, width:]
     z[:width, width - rank :] = -(vh[:rank].conj().T / s[:rank]) @ tail
     z[width:, width - rank :] = np.eye(cols - width)
     return z, cut
+
+
+@cache
+def herm_basis(t: int) -> np.ndarray:
+    """Unitary Q whose row (p, q) is vec(B_pq)^*, vec row-major, for the
+    orthonormal Hermitian basis B_pp = E_pp, B_pq = (E_pq + E_qp)/sqrt(2)
+    (p < q) and B_pq = i(E_qp - E_pq)/sqrt(2) (p > q) of t x t matrices. A
+    Hermitian X has real coordinates y = Q vec(X), and vec(X) = Q^dag y."""
+    p, q = np.divmod(np.arange(t * t), t)
+    r = np.where(p == q, 1.0, np.sqrt(0.5)) * np.where(p > q, 1j, 1.0)
+    basis = np.diag(r)
+    basis[p * t + q, q * t + p] = r.conj()
+    basis.flags.writeable = False
+    return basis
+
+
+def herm_coords(x: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., t^2) of the Hermitian parts of a (..., t, t) stack."""
+    return (x.reshape(*x.shape[:-2], -1) @ herm_basis(x.shape[-1]).T).real
+
+
+def herm_matrices(y: np.ndarray, t: int) -> np.ndarray:
+    """The Hermitian (..., t, t) stack with real coordinates y (..., t^2)."""
+    return (y @ herm_basis(t).conj()).reshape(*y.shape[:-1], t, t)

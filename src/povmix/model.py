@@ -451,7 +451,7 @@ def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOV
     if not np.any(keep):
         raise PovmError("pruning removed every outcome")
     return FinitePOVM._with_normal_labels(
-        dim, tuple(u for u, k in zip(labels, keep) if k), effects[keep]
+        dim, tuple(itertools.compress(labels, keep)), effects[keep]
     )
 
 

@@ -226,8 +226,13 @@ def mixture_from_jsonable(obj, path: str = "") -> ExtremalMixture:
         if weight < 0.0:
             raise ParseError(f"{here}.weight", f"expected a weight >= 0, got {weight!r}")
         povm = povm_from_jsonable(_get(entry, "povm", here), f"{here}.povm")
+        if povm.dim != dim:
+            raise ParseError(f"{here}.povm", f"dimension {povm.dim} does not match dim {dim}")
         components.append(MixtureComponent(weight, povm))
-    return ExtremalMixture(dim, tuple(components), complete)
+    try:
+        return ExtremalMixture(dim, tuple(components), complete)
+    except PovmError as exc:
+        raise ParseError(f"{prefix}components", str(exc)) from None
 
 
 def state_to_jsonable(state: DensityState) -> dict:

@@ -20,6 +20,7 @@ from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
 from oracles import frame_oracle
+from test_extremality import haar_unitary
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -447,3 +448,43 @@ def test_recombination_walk_on_higher_ranks():
         child = split.child_minus
         povm = model._prune(d, child.labels, child.effects, model.PRUNE_TOL)
     assert rank_sets == [{2}, {1, 2}]
+
+
+def test_decomposition_takes_only_real_svds(monkeypatch):
+    """The verdict and every walk kernel factor the real map in Hermitian
+    coordinates: no SVD during a decomposition sees a complex matrix."""
+    dtypes = Counter()
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        dtypes[np.asarray(a).dtype] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for povm in (
+        gen_covariant_sphere(50, seed=7),
+        gen_random_povm(3, 12, rank_cap=2, seed=5),
+        gen_random_povm(4, 10, rank_cap=3, seed=2),
+    ):
+        assert decompose_extremal(povm).complete
+    assert set(dtypes) == {np.dtype(np.float64)}
+    assert dtypes[np.dtype(np.float64)] > 10
+
+
+def test_rank_one_decomposition_commutes_with_unitary_conjugation():
+    """decompose(U P U^dag) = U decompose(P) U^dag leaf for leaf, for
+    rank-one inputs. (Higher ranks are not covariant yet: the general walk
+    steps along the first vector of a kernel basis that LAPACK picks.)"""
+    rng = np.random.default_rng(2021)
+    for case in range(20):
+        d = 2 + case % 3
+        k = int(rng.integers(d + 2, 3 * d * d + 1))
+        povm = gen_random_povm(d, k, rank_cap=1, seed=int(rng.integers(2**32)))
+        u = haar_unitary(d, rng)
+        rotated = FinitePOVM(d, povm.labels, u @ povm.effects @ u.conj().T)
+        plain, turned = decompose_extremal(povm), decompose_extremal(rotated)
+        assert len(turned.components) == len(plain.components)
+        for a, b in zip(plain.components, turned.components):
+            assert b.povm.labels == a.povm.labels
+            assert abs(b.weight - a.weight) <= 1e-8
+            assert np.max(np.abs(b.povm.effects - u @ a.povm.effects @ u.conj().T)) <= 1e-8

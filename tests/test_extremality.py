@@ -7,6 +7,7 @@ from povmix.extremality import (
     build_tp_map,
     frame_columns,
     is_extreme,
+    pair_mask,
     verdict_from_tp,
 )
 from povmix.model import FinitePOVM
@@ -33,21 +34,55 @@ def haar_unitary(d, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def hermitian_basis(t):
+    """E_pp, (E_pq + E_qp)/sqrt(2) for p < q, i(E_qp - E_pq)/sqrt(2) for
+    p > q, (p, q) row-major, built one element at a time."""
+    out = []
+    for p in range(t):
+        for q in range(t):
+            b = np.zeros((t, t), dtype=np.complex128)
+            if p == q:
+                b[p, p] = 1.0
+            elif p < q:
+                b[p, q] = b[q, p] = 1.0 / np.sqrt(2.0)
+            else:
+                b[q, p], b[p, q] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            out.append(b)
+    return out
+
+
 def test_frame_columns_convention():
-    # column (j,k) must be the row-major flattening of S e_j e_k^dag S^dag,
-    # S the kept columns of a padded frame
+    # column (j,k) must be the real coordinates tr(B_ab X) of X = S B_jk S^dag,
+    # S the kept columns of a padded frame, B the Hermitian basis
     rng = np.random.default_rng(0)
     s = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     padded = np.zeros((1, 3, 3), dtype=np.complex128)
     padded[0, :, 1:] = s
     cols = frame_columns(padded, np.array([[False, True, True]]))
     assert cols.shape == (9, 4)
-    for j in range(2):
-        for k in range(2):
-            unit = np.zeros((2, 2))
-            unit[j, k] = 1.0
-            expected = (s @ unit @ s.conj().T).reshape(-1)
-            assert np.allclose(cols[:, 2 * j + k], expected, atol=1e-14)
+    assert cols.dtype == np.float64
+    for m, b in enumerate(hermitian_basis(2)):
+        x = s @ b @ s.conj().T
+        expected = [np.trace(c @ x) for c in hermitian_basis(3)]
+        assert np.max(np.abs(np.imag(expected))) < 1e-14
+        assert np.allclose(cols[:, m], np.real(expected), rtol=0, atol=1e-14)
+
+
+def test_real_map_has_the_complex_maps_singular_values():
+    """On maps of mixed rank, d = 2...4, the real map in Hermitian
+    coordinates has the singular values of the complex map whose column
+    (i; j, k) is vec(S_i E_jk S_i^dag)."""
+    for seed in range(12):
+        d = 2 + seed % 3
+        povm = gen_random_povm(d, d + 1 + seed % 4, rank_cap=1 + seed % d, seed=seed)
+        tp = build_tp_map(povm)
+        i, j, k = np.nonzero(pair_mask(tp.kept))
+        f = tp.frames
+        complex_cols = np.einsum("ca,cb->abc", f[i, :, j], f[i, :, k].conj()).reshape(d * d, -1)
+        assert tp.matrix.dtype == np.float64 and tp.matrix.shape == complex_cols.shape
+        s_real = np.linalg.svd(tp.matrix, compute_uv=False)
+        s_complex = np.linalg.svd(complex_cols, compute_uv=False)
+        assert np.max(np.abs(s_real - s_complex)) <= 1e-14 * s_complex[0]
 
 
 def test_build_tp_map_shapes_and_frames():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from povmix.linalg import as_square_matrix, kernel_basis, window_kernel
+from povmix.linalg import (
+    as_square_matrix,
+    herm_basis,
+    herm_coords,
+    herm_matrices,
+    kernel_basis,
+    window_kernel,
+)
 
 
 def test_as_square_matrix_coerces_and_rejects():
@@ -57,3 +64,21 @@ def test_window_kernel_extends_the_window_kernel_to_later_columns():
     assert np.all(z[5:, 0] == 0) and np.linalg.norm(z[:, 0]) == pytest.approx(1.0)
     assert np.array_equal(z[5:, 1:], np.eye(4))
     assert np.array_equal(window_kernel(a, 9)[0], kernel_basis(a))
+
+
+def test_hermitian_coordinates_round_trip():
+    """The basis matrix is unitary, coordinates of Hermitian matrices are
+    real, and Hermitian matrices and coordinates round-trip."""
+    rng = np.random.default_rng(8)
+    for t in (1, 2, 3, 4):
+        q = herm_basis(t)
+        assert np.max(np.abs(q @ q.conj().T - np.eye(t * t))) <= 1e-15
+        a = rng.standard_normal((6, t, t)) + 1j * rng.standard_normal((6, t, t))
+        h = (a + a.conj().transpose(0, 2, 1)) / 2
+        y = herm_coords(h)
+        assert y.dtype == np.float64 and y.shape == (6, t * t)
+        assert np.max(np.abs((h.reshape(6, -1) @ q.T).imag)) <= 1e-15
+        assert np.max(np.abs(herm_matrices(y, t) - h)) <= 1e-15
+        assert np.max(np.abs(herm_coords(herm_matrices(y, t)) - y)) <= 1e-15
+        # the coordinates of a non-Hermitian matrix are its Hermitian part's
+        assert np.max(np.abs(herm_coords(a) - y)) <= 1e-15

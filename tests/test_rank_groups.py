@@ -4,7 +4,13 @@ The map, the general walk and the split hold every block in one stack of
 t x t blocks (t the largest rank), each block's frame in its trailing
 columns. The reference functions below evaluate each of them one block at a
 time on the same padded blocks. Stacking changes no arithmetic inside a
-block, so every output must be equal bit for bit, not just close.
+block, so every output must be equal bit for bit, not just close. The one
+exception is the change to real Hermitian coordinates: a BLAS product over
+the whole stack need not match per-block products in the last bit, so the
+references apply that shared conversion, the products with the basis
+matrices of linalg.herm_basis, once to their stacked per-block columns.
+From coordinates back to Hermitian blocks every entry is a single product,
+so that conversion runs block by block.
 """
 
 from collections import Counter
@@ -16,7 +22,6 @@ from povmix import decompose
 from povmix.decompose import (
     SplitError,
     _extremal_direction,
-    _kernel_vector,
     _saturate,
     _saturating_step,
     split_once,
@@ -29,16 +34,26 @@ from povmix.extremality import (
     pair_mask,
     verdict_from_tp,
 )
-from povmix.linalg import RANK_TOL
+from povmix.linalg import RANK_TOL, herm_basis, herm_matrices, kernel_basis
 from povmix.model import PRUNE_TOL, FinitePOVM, _prune, prune_and_merge
 from povmix.outcomes import gen_random_povm
 
 
 def ref_frame_columns(frame):
-    d, r = frame.shape
-    if r == 0:
-        return np.zeros((d * d, 0), dtype=np.complex128)
-    return np.einsum("aj,bk->abjk", frame, frame.conj()).reshape(d * d, r * r)
+    """Complex columns vec(S E_jk S^dag) of one padded d x t frame, all t^2 pairs."""
+    d, t = frame.shape
+    return np.einsum("aj,bk->abjk", frame, frame.conj()).reshape(d * d, t * t)
+
+
+def ref_map_matrix(frames, kepts):
+    """Real map of padded frames: each block's complex columns, stacked and
+    put into Hermitian coordinates by one shared conversion, then each
+    block's kept pairs (j, k) row-major."""
+    d, t = frames[0].shape
+    stacked = np.stack([ref_frame_columns(f) for f in frames], axis=1).reshape(-1, t * t)
+    blocks = (stacked @ herm_basis(t).conj().T).reshape(d * d, -1)
+    pairs = np.concatenate([np.outer(kept, kept).reshape(-1) for kept in kepts])
+    return (herm_basis(d) @ blocks).real[:, pairs]
 
 
 def ref_build_tp_map(povm, rank_tol=RANK_TOL):
@@ -54,10 +69,7 @@ def ref_build_tp_map(povm, rank_tol=RANK_TOL):
     padded = np.zeros((len(frames), d, t), dtype=np.complex128)
     for i, f in enumerate(frames):
         padded[i, :, t - f.shape[1] :] = f
-    if any(ranks):
-        matrix = np.hstack([ref_frame_columns(f) for f in frames])
-    else:
-        matrix = np.zeros((d * d, 0), dtype=np.complex128)
+    matrix = ref_map_matrix(padded, [np.arange(t) >= t - r for r in ranks])
     return TpMap(d, povm.labels, padded, ranks, matrix)
 
 
@@ -85,13 +97,14 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
     On these inputs the scalar walk keeps every block at B = I, so the walk
     starts there. Each block of nonzero rank r keeps its t x t frame and a
     factor g with coordinates B = g g^dag, and a mask of g's live columns,
-    at first the trailing r. A step writes the floor on each block's dead
-    diagonal, so the dead eigenvalues sort first, negates the spectrum on a
-    flip, maps g to g U sqrt(1 + tau*lambda) and drops the saturated columns
-    from the mask wherever they stand. The direction comes back as the
-    map's padded (n, t, t) stack, each block in its trailing r x r window.
+    at first the trailing r. A step reads each block's part of the real
+    kernel vector as the Hermitian coordinates of its kept pairs, writes
+    the floor on each block's dead diagonal, so the dead eigenvalues sort
+    first, negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda)
+    and drops the saturated columns from the mask wherever they stand. The
+    direction comes back as the map's padded (n, t, t) stack, each block in
+    its trailing r x r window.
     """
-    d = tp.dim
     live = [i for i, r in enumerate(tp.ranks) if r]
     t = max(tp.ranks)
     frames, factors, kepts = [], [], []
@@ -103,24 +116,20 @@ def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
         factors.append(g)
         kepts.append(np.arange(t) >= t - r)
     for _ in range(tp.domain_dim + 16):
-        cols = [
-            ref_frame_columns(f @ g).reshape(d * d, t, t)[:, kept][:, :, kept].reshape(d * d, -1)
-            for f, g, kept in zip(frames, factors, kepts)
-        ]
-        vec = _kernel_vector(np.hstack(cols), margin_factor)
-        if vec is None:
+        matrix = ref_map_matrix([f @ g for f, g in zip(frames, factors)], kepts)
+        basis = kernel_basis(matrix, margin_factor)
+        if basis.shape[1] == 0:
             break
-        xs = []
+        vec = basis[:, 0]
+        assert vec.dtype == np.float64
+        hs = []
         offset = 0
         for kept in kepts:
             s = np.count_nonzero(kept)
-            x = np.zeros((t, t), dtype=np.complex128)
-            x[np.ix_(kept, kept)] = vec[offset : offset + s * s].reshape(s, s)
-            xs.append(x)
+            y = np.zeros(t * t)
+            y[np.outer(kept, kept).reshape(-1)] = vec[offset : offset + s * s]
+            hs.append(herm_matrices(y, t))
             offset += s * s
-        hs = [(x + x.conj().T) / 2.0 for x in xs]
-        if np.sqrt(sum(np.linalg.norm(h) ** 2 for h in hs)) <= decompose._HERM_PREFERENCE:
-            hs = [(x - x.conj().T) / 2.0j for x in xs]
         eighs = ref_live_eigh(hs, kepts)
         tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
         for k, (w, u, lv) in enumerate(eighs):

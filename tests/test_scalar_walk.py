@@ -14,7 +14,6 @@ import pytest
 
 from povmix import decompose, linalg
 from povmix.decompose import (
-    _HERM_PREFERENCE,
     SplitError,
     _extremal_direction,
     _saturate,
@@ -32,8 +31,7 @@ def ref_scalar_walk(columns, scale, stop, margin_factor=MARGIN_FACTOR):
     """The scalar walk with one kernel SVD per step.
 
     Each step takes the first kernel vector v of the first d^2 + 1 active
-    weighted columns, steps along Re v (Im v when |Re v| is at most
-    _HERM_PREFERENCE) and saturates it.
+    weighted columns, real as the columns are, and saturates along it.
     """
     scale = scale.copy()
     width = columns.shape[0] + 1
@@ -45,8 +43,8 @@ def ref_scalar_walk(columns, scale, stop, margin_factor=MARGIN_FACTOR):
         basis = linalg.kernel_basis(columns[:, sub] * scale[sub], margin_factor)
         if basis.shape[1] == 0:
             return scale
-        v = basis[:, 0]
-        h = v.real if np.linalg.norm(v.real) > _HERM_PREFERENCE else v.imag
+        h = basis[:, 0]
+        assert h.dtype == np.float64
         tau, flip = _saturating_step(h)
         if flip:
             h = -h
@@ -135,7 +133,7 @@ def test_tied_saturation_clears_two_rows_in_one_step(monkeypatch):
     for _ in range(3):
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         effects.append(np.outer(psi, psi.conj()) / 4.0)
-    columns = np.array([e.reshape(-1) for e in effects]).T
+    columns = linalg.herm_coords(np.array(effects)).T
     scale = np.ones(columns.shape[1])
     zeroed, factorizations = [], []
     eliminate, factorize = decompose._eliminate, decompose.window_kernel

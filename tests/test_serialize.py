@@ -148,12 +148,17 @@ def test_malformed_json_reports_location():
 
 
 def test_mixture_weight_sum_still_enforced_after_parse():
+    """Weights summing to 1.5 or to 0.5 are a ParseError at components."""
     povm = gen_random_povm(2, 3, seed=6)
     mixture = decompose_extremal(povm)
-    doc = mixture_to_jsonable(mixture)
-    doc["components"][0]["weight"] = doc["components"][0]["weight"] + 0.5
-    with pytest.raises(Exception):
-        mixture_from_jsonable(doc)
+    over, half = mixture_to_jsonable(mixture), mixture_to_jsonable(mixture)
+    over["components"][0]["weight"] = over["components"][0]["weight"] + 0.5
+    for c in half["components"]:
+        c["weight"] = c["weight"] / 2
+    for doc in (over, half):
+        with pytest.raises(ParseError, match="component weights sum to") as err:
+            mixture_from_jsonable(doc)
+        assert err.value.path == "components"
 
 
 @pytest.mark.parametrize("weight", [float("nan"), -0.25, float("inf")])
@@ -421,3 +426,11 @@ def test_mutated_documents_fail_only_as_value_errors(seed):
                 pytest.fail(f"{name}, {what}: {type(exc).__name__}: {exc}")
             dim = getattr(result, "dim", 1)
             assert type(dim) is int and dim >= 1, f"{name}, {what}: dim {dim!r}"
+
+
+def test_mixture_component_of_another_dimension_is_reported_at_its_povm():
+    doc = mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6)))
+    doc["components"][1]["povm"] = povm_to_jsonable(gen_random_povm(3, 4, seed=1))
+    with pytest.raises(ParseError, match="dimension 3 does not match dim 2") as err:
+        mixture_from_jsonable(doc)
+    assert err.value.path == "components[1].povm"
