@@ -317,61 +317,69 @@ def _eliminate(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.ndarray:
     """Kernel element pointing at an extreme point of the measurement's face.
 
-    Starting from the measurement itself (block coordinates B_i = identity),
-    the walk moves along kernel directions, zeroing at least one block
-    eigenvalue per step, until the current point is extreme. The returned
-    direction D = (B_final - identity), spectrally normalized, is a kernel
-    element of the original map, as its (n, t, t) stack, whose + saturation
-    lands exactly on that extreme point, so the caller's split peels one
-    extreme component off.
+    The walk runs over roots: column j of frame i, written s_ij s_ij^dag
+    with weight c_ij, so that B_i = diag(c_ij) in the frame's eigenbasis.
+    Starting from the measurement itself (every c_ij = 1, B_i = identity),
+    it moves along kernel directions, zeroing at least one root per step,
+    until the current point is extreme. The returned direction
+    D = (B_final - identity), spectrally normalized, is a kernel element of
+    the original map, as its (n, t, t) stack, whose + saturation lands
+    exactly on that extreme point, so the caller's split peels one extreme
+    component off.
 
-    Recombination runs while more than 2(d^2 + 1) effects are active: it
-    cuts them, in outcome order, into 2(d^2 + 1) contiguous groups, walks
-    the groups' summed effects c_i S_i S_i^dag down to at most d^2 groups
-    and scales each effect by its group's weight, so every block stays
-    B_i = c_i I and each round drops more than half the effects. A
+    Recombination runs while more than 2(d^2 + 1) roots are active: it cuts
+    them, in stack order, into 2(d^2 + 1) contiguous groups, walks the
+    groups' summed columns down to at most d^2 groups and scales each root
+    by its group's weight, so each round drops more than half the roots. A
     round's walk is one pass unless a kernel vector drifts: one SVD of its
     window, then elimination along the kernel (see _scalar_walk). The same
-    scalar walk then runs over single effects until their columns are
-    injective. If every live block has rank one, the point is extreme (a
-    rank-one block's map column is its scalar column), and the walk ends.
-    Otherwise the general walk refines the at most d^2 live blocks, held as
-    one stack of t x t blocks (t the largest live rank): the trailing t
-    columns of the map's frame stack, and factors G_i with B_i = G_i G_i^dag.
-    A step takes one SVD of the real map with the live columns of S_i G_i
-    and one eigh of its first kernel vector's Hermitian stack, and updates
+    scalar walk then runs over single roots until their columns are
+    injective, which leaves at most d^2 live roots. If every live block has
+    one live root, the point is extreme (a rank-one block's map column is
+    its scalar column), and the walk ends. Otherwise the general walk
+    refines the live blocks, held as one stack of s x s blocks (s the
+    largest live rank): the trailing s columns of the map's frame stack,
+    and factors G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. A step takes
+    one SVD of the real map with the live columns of S_i G_i and one eigh
+    of its first kernel vector's Hermitian stack, and updates
     G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become zero
-    columns, dropped from the next step by mask where they stand.
+    columns, dropped from the next step by mask where they stand. Each step
+    kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
     """
-    ranks = np.array(tp.ranks)
-    d2 = tp.dim * tp.dim
-    columns = herm_coords(tp.frames @ _dagger(tp.frames)).T
-    scale = (ranks > 0).astype(np.float64)  # c_i
+    n, d, t = tp.frames.shape
+    d2 = d * d
+    # Root s_ij as an (n t, d, 1) stack, dead slots as zero columns.
+    roots = tp.frames.swapaxes(1, 2).reshape(n * t, d, 1)
+    columns = herm_coords(roots @ _dagger(roots)).T
+    scale = tp.kept.reshape(-1).astype(np.float64)  # c_ij
     while np.count_nonzero(scale) > 2 * (d2 + 1):
         active = np.flatnonzero(scale)
         bounds = np.arange(2 * d2 + 3) * active.size // (2 * (d2 + 1))
         summed = np.add.reduceat(columns[:, active] * scale[active], bounds[:-1], axis=1)
         gamma = _scalar_walk(summed, np.ones(2 * (d2 + 1)), d2, margin_factor)
         scale[active] *= np.repeat(gamma, np.diff(bounds))
-    scale = _scalar_walk(columns, scale, 0, margin_factor)
-    live = np.flatnonzero(scale)
-    t = int(ranks[live].max())
-    if t == 1:
-        return _unit_direction(tp, live, scale[live, None, None].astype(np.complex128))
-    # Frames S and factors G (B = G G^dag) of the live blocks, t x t. kept
-    # marks G's live columns; saturation may zero any of them, not only the first.
-    frames = tp.frames[live, :, tp.frames.shape[2] - t :]
-    kept = tp.kept[live, tp.frames.shape[2] - t :]
-    pos = np.arange(t)
-    factors = np.zeros((live.size, t, t), dtype=np.complex128)
-    factors[:, pos, pos] = np.sqrt(scale[live, None]) * kept
+    scale = _scalar_walk(columns, scale, 0, margin_factor).reshape(n, t)
+    live = np.flatnonzero(scale.any(axis=1))
+    s = int(np.array(tp.ranks)[live].max())
+    weights = scale[live, t - s :]
+    pos = np.arange(s)
+    if np.count_nonzero(weights, axis=1).max() == 1:
+        coords = np.zeros((live.size, s, s), dtype=np.complex128)
+        coords[:, pos, pos] = weights
+        return _unit_direction(tp, live, coords)
+    # Frames S and factors G (B = G G^dag) of the live blocks, s x s. kept
+    # marks G's live columns, anywhere in the block.
+    frames = tp.frames[live, :, t - s :]
+    kept = weights > 0.0
+    factors = np.zeros((live.size, s, s), dtype=np.complex128)
+    factors[:, pos, pos] = np.sqrt(weights)
     for _ in range(tp.domain_dim + 16):
         basis = kernel_basis(frame_columns(frames @ factors, kept), margin_factor)
         if basis.shape[1] == 0:
             break
-        y = np.zeros((live.size, t * t))
+        y = np.zeros((live.size, s * s))
         y[pair_mask(kept).reshape(live.size, -1)] = basis[:, 0]
-        w, u, live_eig = _live_eigh(herm_matrices(y, t), kept)
+        w, u, live_eig = _live_eigh(herm_matrices(y, s), kept)
         tau, flip = _saturating_step(w[live_eig])
         if flip:
             w = -w

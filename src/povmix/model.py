@@ -356,11 +356,15 @@ def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LA
     i-th label of list k. Universe order is first occurrence, and each label
     maps to the first universe entry it equals under labels_equal.
 
-    Integer labels are found through a dict and point labels through a grid
-    of cells 64 * tol wide, so alignment takes time linear in the number of
-    labels. A point matching an entry is within 2 * tol of it in every
-    coordinate (allowing for rounding in the norm), so only the cells
-    overlapping that box hold candidates.
+    Integer labels, and exact copies of a point label seen before, are found
+    through one dict, so repeated labels cost one lookup each. A copy of a
+    label maps to the same entry, since entries are only appended; that
+    holds for points only when a point equals itself (tol >= 0, finite
+    coordinates). Other point labels go through a grid of cells 64 * tol
+    wide, so alignment takes time linear in the number of labels. A point
+    matching an entry is within 2 * tol of it in every coordinate (allowing
+    for rounding in the norm), so only the cells overlapping that box hold
+    candidates.
     """
     reach = max(2.0 * tol, _MIN_REACH)
     width = _CELL_REACHES * reach
@@ -368,7 +372,7 @@ def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LA
         # Infinite or NaN tolerance: every point of one length shares a cell.
         reach, width = 0.0, math.inf
     universe: list = []
-    by_int: dict = {}
+    index: dict = {}  # int or point -> universe index, for labels equal to themselves
     by_cell: dict = {}  # cell key -> ascending universe indices
     maps = []
     for labels in label_lists:
@@ -377,9 +381,11 @@ def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LA
             new = len(universe)
             u = new
             if isinstance(label, int):
-                u = by_int.setdefault(label, new)
+                u = index.setdefault(label, new)
             elif isinstance(label, tuple):
-                x = [float(c) for c in label]
+                x = tuple(float(c) for c in label)
+                u = index.get(x, new) if tol >= 0 else new
+            if u == new and isinstance(label, tuple):
                 ranges = [
                     _cell_keys(_floor((c - reach) / width), _floor((c + reach) / width))
                     for c in x
@@ -394,6 +400,8 @@ def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LA
                 )
                 if u == new:
                     by_cell.setdefault(tuple(_floor(c / width) for c in x), []).append(u)
+                if tol >= 0 and all(map(math.isfinite, x)):
+                    index[x] = u
             if u == new:
                 universe.append(label)
             idx.append(u)

@@ -243,7 +243,10 @@ def state_from_jsonable(obj, path: str = "") -> DensityState:
     prefix = f"{path}." if path else ""
     dim = _dim_at(obj, path)
     matrix = matrix_from_jsonable(_get(obj, "matrix", path), dim, f"{prefix}matrix")
-    return DensityState(dim, matrix)
+    try:
+        return DensityState(dim, matrix)
+    except ValueError as exc:
+        raise ParseError(f"{prefix}matrix", str(exc)) from None
 
 
 def histogram_to_jsonable(hist: OutcomeHistogram) -> dict:
@@ -269,6 +272,11 @@ def histogram_from_jsonable(obj, path: str = "") -> OutcomeHistogram:
         c if type(c) is int else _int_at(c, f"{here(i)}.count")
         for i, c in enumerate(_field(entries, "count", here))
     )
+    for i, c in enumerate(counts):
+        if c < 0:
+            raise ParseError(f"{here(i)}.count", f"expected a count >= 0, got {c}")
+    if sum(counts) != n:
+        raise ParseError(f"{prefix}n", f"counts sum to {sum(counts)}, declared n={n}")
     return OutcomeHistogram(labels, counts, n)
 
 
@@ -283,13 +291,14 @@ def postprocessing_to_jsonable(pp: PostProcessing) -> dict:
 def postprocessing_from_jsonable(obj, path: str = "") -> PostProcessing:
     prefix = f"{path}." if path else ""
     entries = _list_at(_get(obj, "map", path), f"{prefix}map")
-    table = []
+    table = {}
     for i, entry in enumerate(entries):
         here = f"{prefix}map[{i}]"
         src = _int_at(_get(entry, "from", here), f"{here}.from")
-        dst = _label_at(_get(entry, "to", here), f"{here}.to")
-        table.append((src, dst))
-    return PostProcessing(tuple(table))
+        if src in table:
+            raise ParseError(f"{here}.from", f"source label {src} mapped twice")
+        table[src] = _label_at(_get(entry, "to", here), f"{here}.to")
+    return PostProcessing(tuple(table.items()))
 
 
 def verdict_to_jsonable(verdict: ExtremalityVerdict) -> dict:

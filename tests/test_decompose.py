@@ -404,6 +404,20 @@ def test_sphere_leaf_count_meets_certificate(n):
     assert len(decompose_extremal(sphere).components) == n - 3
 
 
+def test_full_rank_d5_decomposition_is_complete_and_exact():
+    """Full-rank effects at d = 5: the general walk refines at most d^2 live
+    roots, so the decomposition finishes, within its leaf certificate, with
+    every leaf extreme and the barycentre reproduced."""
+    povm = gen_random_povm(5, 30, rank_cap=5, seed=7)
+    assert max(build_tp_map(povm).ranks) == 5
+    mixture = decompose_extremal(povm)
+    assert mixture.complete
+    assert all(is_extreme(c.povm).is_extreme for c in mixture.components)
+    assert len(mixture.components) <= face_dim(povm) + 1
+    report = verify_barycenter(povm, mixture)
+    assert report.within(1e-9)
+
+
 def test_walk_kernel_svds_grow_with_log_outcomes(monkeypatch):
     """Complexity guard: recombination drops more than half the active
     effects per round, and a round's scalar walk factorizes its window once

@@ -91,66 +91,93 @@ def ref_live_eigh(hs, kepts):
     return out
 
 
-def ref_general_walk(tp, margin_factor=MARGIN_FACTOR):
+def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
     """The general-rank walk, one eigh, matmul and frame per padded block.
 
-    On these inputs the scalar walk keeps every block at B = I, so the walk
-    starts there. Each block of nonzero rank r keeps its t x t frame and a
-    factor g with coordinates B = g g^dag, and a mask of g's live columns,
-    at first the trailing r. A step reads each block's part of the real
-    kernel vector as the Hermitian coordinates of its kept pairs, writes
-    the floor on each block's dead diagonal, so the dead eigenvalues sort
-    first, negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda)
-    and drops the saturated columns from the mask wherever they stand. The
-    direction comes back as the map's padded (n, t, t) stack, each block in
-    its trailing r x r window.
+    weights (n, t) are the root weights c_ij that the scalar walk returns,
+    root j of block i at column j of its frame. A block is live while one of
+    its roots is; each live block keeps the trailing s columns of its frame
+    (s the largest live rank), a factor g = diag(sqrt(c_ij)) with
+    coordinates B = g g^dag, and a mask of g's live columns, the roots with
+    c_ij > 0. When every live block has one live root, the point is extreme
+    and B = diag(c_ij) as it stands. Otherwise a step reads each block's
+    part of the real kernel vector as the Hermitian coordinates of its kept
+    pairs, writes the floor on each block's dead diagonal, so the dead
+    eigenvalues sort first, negates the spectrum on a flip, maps g to
+    g U sqrt(1 + tau*lambda) and drops the saturated columns from the mask
+    wherever they stand. The direction B - I comes back as the map's padded
+    (n, t, t) stack, each block in its trailing r x r window, dead blocks
+    at B = 0.
     """
-    live = [i for i, r in enumerate(tp.ranks) if r]
-    t = max(tp.ranks)
+    t = tp.frames.shape[2]
+    live = [i for i in range(len(tp.ranks)) if np.any(weights[i] > 0.0)]
+    s = max(tp.ranks[i] for i in live)
     frames, factors, kepts = [], [], []
     for i in live:
-        r = tp.ranks[i]
-        g = np.zeros((t, t), dtype=np.complex128)
-        g[t - r :, t - r :] = np.eye(r)
-        frames.append(tp.frames[i])
-        factors.append(g)
-        kepts.append(np.arange(t) >= t - r)
-    for _ in range(tp.domain_dim + 16):
-        matrix = ref_map_matrix([f @ g for f, g in zip(frames, factors)], kepts)
-        basis = kernel_basis(matrix, margin_factor)
-        if basis.shape[1] == 0:
-            break
-        vec = basis[:, 0]
-        assert vec.dtype == np.float64
-        hs = []
-        offset = 0
-        for kept in kepts:
-            s = np.count_nonzero(kept)
-            y = np.zeros(t * t)
-            y[np.outer(kept, kept).reshape(-1)] = vec[offset : offset + s * s]
-            hs.append(herm_matrices(y, t))
-            offset += s * s
-        eighs = ref_live_eigh(hs, kepts)
-        tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
-        for k, (w, u, lv) in enumerate(eighs):
-            if flip:
-                w = -w
-            sat = _saturate(np.where(lv, 1.0 + tau * w, 0.0))
-            factors[k] = factors[k] @ (u * np.sqrt(sat))
-            kepts[k] = sat > 0.0
+        c = weights[i, t - s :]
+        frames.append(tp.frames[i][:, t - s :])
+        factors.append(np.diag(np.sqrt(c)).astype(np.complex128))
+        kepts.append(c > 0.0)
+    if max(np.count_nonzero(kept) for kept in kepts) == 1:
+        coords = [np.diag(weights[i, t - s :]).astype(np.complex128) for i in live]
     else:
-        raise AssertionError("reference walk did not end")
+        for _ in range(tp.domain_dim + 16):
+            matrix = ref_map_matrix([f @ g for f, g in zip(frames, factors)], kepts)
+            basis = kernel_basis(matrix, margin_factor)
+            if basis.shape[1] == 0:
+                break
+            vec = basis[:, 0]
+            assert vec.dtype == np.float64
+            hs = []
+            offset = 0
+            for kept in kepts:
+                k = np.count_nonzero(kept)
+                y = np.zeros(s * s)
+                y[np.outer(kept, kept).reshape(-1)] = vec[offset : offset + k * k]
+                hs.append(herm_matrices(y, s))
+                offset += k * k
+            eighs = ref_live_eigh(hs, kepts)
+            tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
+            for k, (w, u, lv) in enumerate(eighs):
+                if flip:
+                    w = -w
+                sat = _saturate(np.where(lv, 1.0 + tau * w, 0.0))
+                factors[k] = factors[k] @ (u * np.sqrt(sat))
+                kepts[k] = sat > 0.0
+        else:
+            raise AssertionError("reference walk did not end")
+        coords = [g @ g.conj().T for g in factors]
     blocks = []
-    for g, i in zip(factors, live):
-        b = g @ g.conj().T
-        b[np.arange(t - tp.ranks[i], t), np.arange(t - tp.ranks[i], t)] -= 1.0
+    for b, i in zip(coords, live):
+        r = tp.ranks[i]
+        b[np.arange(s - r, s), np.arange(s - r, s)] -= 1.0
         blocks.append(b)
     radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks)
+    if len(live) < np.count_nonzero(tp.ranks):
+        radius = max(radius, 1.0)
     out = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
+    for i, r in enumerate(tp.ranks):
+        out[i, t - r :, t - r :] = (-1.0 / radius) * np.eye(r)
     for b, i in zip(blocks, live):
         r = tp.ranks[i]
-        out[i, t - r :, t - r :] = (1.0 / radius) * b[t - r :, t - r :]
+        out[i, t - r :, t - r :] = (1.0 / radius) * b[s - r :, s - r :]
     return out
+
+
+def walk_with_root_weights(tp, monkeypatch):
+    """The walk's direction and the (n, t) root weights that its last
+    scalar walk, the one over single roots, returns."""
+    weights = []
+    walk = decompose._scalar_walk
+
+    def recorded(*args):
+        weights.append(walk(*args))
+        return weights[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(decompose, "_scalar_walk", recorded)
+        element = _extremal_direction(tp)
+    return element, weights[-1].reshape(tp.frames.shape[0], -1)
 
 
 def ref_split_once(element, tp):
@@ -227,19 +254,22 @@ def assert_same_split(povm, element, tp):
 
 
 @pytest.mark.parametrize("name, povm", list(inputs()), ids=[n for n, _ in inputs()])
-def test_stacked_walk_split_and_map_are_bit_identical(name, povm):
+def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
     ragged = False
+    general = 0
     for node in nodes(povm):
         tp = build_tp_map(node)
         assert_same_map(tp, ref_build_tp_map(node))
-        assert max(tp.ranks) > 1  # the general-rank walk
+        assert max(tp.ranks) > 1
         ragged |= len(set(tp.ranks) - {0}) > 1
-        element = _extremal_direction(tp)
-        ref = ref_general_walk(tp)
-        assert np.array_equal(element, ref)
+        element, weights = walk_with_root_weights(tp, monkeypatch)
+        general += np.count_nonzero(weights, axis=1).max() > 1
+        assert np.array_equal(element, ref_general_walk(tp, weights))
         assert_same_split(node, element, tp)
     # two splits down, blocks of one original rank have different ranks
     assert ragged
+    # some block keeps two live roots: the general-rank walk runs
+    assert general > 0
 
 
 def test_map_frames_are_one_stack_padded_in_front():
@@ -291,8 +321,8 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     stack, not one per outcome or sub-rank, and the walk ends with one
     eigvalsh; the scalar walk makes none, and a split makes one. Only the
     general walk calls kernel_basis, once per step."""
-    d, k = 4, 24
-    povm = gen_random_povm(d, k, rank_cap=2, seed=3)
+    d = 4
+    povm = gen_random_povm(d, 12, rank_cap=4, seed=1)
     tp = build_tp_map(povm)
     counts = Counter()
 
@@ -354,3 +384,37 @@ def test_walk_lands_on_an_extreme_point():
             assert verdict_from_tp(build_tp_map(child)).is_extreme
             splits += 1
     assert splits > len(povms)
+
+
+def test_general_walk_starts_from_at_most_d2_live_roots(monkeypatch):
+    """Complexity guard: the scalar walk runs over roots s_ij s_ij^dag and
+    leaves their columns injective, so at most d^2 roots stay live. Each
+    general step kills at least one root, so a general walk makes at most
+    d^2 + 1 kernel SVDs, the last of which finds no kernel. Checked at every
+    node of the peel chains of the leading criterion-2 draws and of
+    full-rank inputs at d = 3 and 4."""
+    povms = list(corpus_povms())
+    povms += [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    calls = Counter()
+    kernel = decompose.kernel_basis
+
+    def counted(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(decompose, "kernel_basis", counted)
+    general = Counter()
+    for povm in povms:
+        d2 = povm.dim**2
+        node = prune_and_merge(povm)
+        while not verdict_from_tp(tp := build_tp_map(node)).is_extreme:
+            calls.clear()
+            element, weights = walk_with_root_weights(tp, monkeypatch)
+            assert np.count_nonzero(weights) <= d2
+            assert calls["kernel"] <= d2 + 1
+            if calls["kernel"]:
+                general[povm.dim] = max(general[povm.dim], calls["kernel"])
+            child = split_once(node, element, tp).child_minus
+            node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+    # the general walk runs, and takes more than one step, at every d
+    assert min(general[d] for d in (2, 3, 4)) > 2

@@ -411,21 +411,47 @@ def _mutate(doc, rng):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mutated_documents_fail_only_as_value_errors(seed):
-    """Seeded mutations of valid documents: every rejection is a ValueError
-    (ParseError, PovmError), which the CLI reports as exit 1, and every
-    accepted document with a dim has an integer dim >= 1."""
+    """Seeded mutations of valid documents: every rejection is a ParseError
+    that names a path, which the CLI reports as exit 1, and every accepted
+    document with a dim has an integer dim >= 1."""
     rng = random.Random(seed)
     for name, doc, parse in _fuzz_documents():
         for _ in range(300):
             mutated, what = _mutate(doc, rng)
             try:
                 result = parse(mutated)
-            except ValueError:
+            except ParseError:
                 continue
             except Exception as exc:
                 pytest.fail(f"{name}, {what}: {type(exc).__name__}: {exc}")
             dim = getattr(result, "dim", 1)
             assert type(dim) is int and dim >= 1, f"{name}, {what}: dim {dim!r}"
+
+
+def _semantic_rejections():
+    """(document, parser, path) for a value each object's own check rejects."""
+    state = gen_random_state(2, seed=2)
+    hist = histogram_to_jsonable(sample_direct(gen_random_povm(2, 3, seed=4), state, 50, seed=3))
+    short = copy.deepcopy(hist)
+    short["n"] += 1
+    negative = copy.deepcopy(hist)
+    negative["counts"][1]["count"] = -1
+    skew, heavy = state_to_jsonable(state), state_to_jsonable(state)
+    skew["matrix"][0][1][1] += 0.25
+    heavy["matrix"][0][0][0] += 0.25
+    twice = {"map": [{"from": 0, "to": 1}, {"from": 1, "to": 2}, {"from": 0, "to": 3}]}
+    yield short, histogram_from_jsonable, "n"
+    yield negative, histogram_from_jsonable, "counts[1].count"
+    yield skew, state_from_jsonable, "matrix"
+    yield heavy, state_from_jsonable, "matrix"
+    yield twice, postprocessing_from_jsonable, "map[2].from"
+
+
+@pytest.mark.parametrize("doc, parse, path", list(_semantic_rejections()))
+def test_semantic_rejections_name_their_path(doc, parse, path):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert err.value.path == path
 
 
 def test_mixture_component_of_another_dimension_is_reported_at_its_povm():
