@@ -1,19 +1,19 @@
 """Decomposition of measurements into finite mixtures of extreme ones.
 
-A non-extreme measurement P is split along a Hermitian kernel element D of
-its sandwich map: the children P(+-)_i = S_i (1 +- tau_(+-) D_i) S_i^dag with
-tau_+ = 1/|lambda_min(D)| and tau_- = 1/lambda_max(D) are valid measurements,
-each with strictly smaller rank profile, and
+A non-extreme measurement P with frames S_i (S_i S_i^dag = P_i) is a peel
+chain node. A deterministic walk takes P to an extreme point of its face,
+E_i = S_i B_i S_i^dag with B_i >= 0 and sum_i S_i B_i S_i^dag = I, and
+lambda = lambda_max(B) > 1. The split peels that point off:
 
-    P = w_+ P_+ + w_- P_-,   w_+ = tau_- / (tau_+ + tau_-),
-                             w_- = tau_+ / (tau_+ + tau_-).
+    P = (1/lambda) E + (1 - 1/lambda) R,
+    R_i = S_i (lambda I - B_i) S_i^dag / (lambda - 1),
 
-The kernel element fed to each split comes from a deterministic walk to an
-extreme point of the current face, so the + child is that extreme point and
-the - child lies on a proper face of P. The decomposition is therefore a
-peel chain, Caratheodory on the face F of the input: peel one extreme point
-off, continue on the remainder, and stop once the remainder is extreme,
-after at most dim F + 1 leaves.
+a valid measurement on a proper face of P: its rank drops where B_i attains
+lambda. B_i = 0 off the walk's at most d^2 live blocks, so there R_i is
+P_i lambda / (lambda - 1), one common scale. The chain is Caratheodory on
+the face F of the input: peel one extreme point off, continue on the
+remainder, and stop once the remainder is extreme, after at most dim F + 1
+leaves.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .extremality import (
     MARGIN_FACTOR,
     ExtremalityVerdict,
     TpMap,
-    apply_tp,
     build_tp_map,
     frame_columns,
     pair_mask,
@@ -47,8 +46,8 @@ from .model import (
 )
 from .outcomes import _densities, _state_factor
 
-# A split is rejected when max(tau) * ||T_P(D)|| exceeds this; the children
-# would then miss exact normalization.
+# A split is rejected when max(1, 1/(lambda - 1)) * ||T(B) - T(I)|| exceeds
+# this; the children would then miss exact normalization.
 RESIDUAL_TOL = 1e-9
 
 # Eigenvalues of the saturated block factors with |x| at or below this are
@@ -67,18 +66,19 @@ _TRIAL_CHUNK = 8
 
 
 class SplitError(RuntimeError):
-    """A proposed split direction is unusable (not a kernel element, or
-    one-sided spectrum)."""
+    """A proposed split point is unusable (off the face, or its top
+    eigenvalue not above 1)."""
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """One convex split of a measurement along a kernel element."""
+    """One peel of a measurement: P = weight_plus E + weight_minus R.
+
+    child_plus is the leaf E, over the split's live blocks only; child_minus
+    is the remainder R, over every block of the parent."""
 
     weight_plus: float
     weight_minus: float
-    tau_plus: float
-    tau_minus: float
     child_plus: FinitePOVM
     child_minus: FinitePOVM
 
@@ -120,7 +120,7 @@ class ExtremalMixture:
 
 
 def _saturate(vals: np.ndarray) -> np.ndarray:
-    """Saturated factor eigenvalues 1 + tau*lambda, clamped in place.
+    """Saturated factor eigenvalues, such as 1 + tau*lambda, clamped in place.
 
     Entries at or below _CLAMP become exact zeros; an entry below -_CLAMP
     means the step overshot and raises SplitError.
@@ -153,62 +153,66 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
 
 
 def split_once(
-    povm: FinitePOVM, element: np.ndarray, tp: TpMap | None = None
+    povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap | None = None
 ) -> SplitResult:
-    """Split a measurement along a Hermitian kernel element of its map.
+    """Peel a point B of the face off: P = (1/lam) E + (1 - 1/lam) R.
 
-    The element is an (n, t, t) stack of the map (see TpMap), read only on
-    the blocks' windows; another shape raises SplitError, as does an element
-    without both positive and negative eigenvalues or one that does not
-    annihilate under the map (up to RESIDUAL_TOL after scaling by the
-    saturation parameters). The split takes one eigh of the stack.
+    live lists the blocks where B may be nonzero, in increasing order, and
+    point stacks their B_i, each in the trailing r_i x r_i window of an s x s
+    block (s the largest rank of a live block), read only on that window; a
+    point of another shape raises SplitError. With lam = lambda_max(B), the
+    leaf E = S B S^dag over the live blocks has weight 1/lam, and the
+    remainder R, weight 1 - 1/lam, is S (lam I - B) S^dag / (lam - 1) on the
+    live blocks and P_i lam / (lam - 1) on every other block. The split
+    raises SplitError unless lam exceeds 1 and T(B) = T(I) up to
+    RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It takes one eigh,
+    of the live blocks.
     """
     if tp is None:
         tp = build_tp_map(povm)
     n, d, t = tp.frames.shape
-    if np.shape(element) != (n, t, t):
+    live = np.asarray(live)
+    if live.ndim != 1 or live.size == 0 or live.dtype.kind not in "iu" or not (
+        0 <= live[0] and live[-1] < n and np.all(np.diff(live) > 0)
+    ):
+        raise SplitError(f"live blocks {live!r} are not increasing block indices below {n}")
+    s = int(np.array(tp.ranks)[live].max())
+    if np.shape(point) != (live.size, s, s):
         raise SplitError(
-            f"element shape {np.shape(element)} does not match map stack {(n, t, t)}"
+            f"point shape {np.shape(point)} does not match live stack {(live.size, s, s)}"
         )
-    if tp.domain_dim == 0:
-        raise SplitError("element is empty")
-    kept = tp.kept
-    x = np.where(pair_mask(kept), element, 0j)
-    lam, u, live = _live_eigh((x + _dagger(x)) / 2.0, kept)
-    lam_min = float(lam[live].min())
-    lam_max = float(lam[live].max())
-    radius = max(abs(lam_min), abs(lam_max))
-    if radius <= 0.0:
-        raise SplitError("element is zero")
-    side_tol = 1e-12 * radius
-    if lam_max <= side_tol or lam_min >= -side_tol:
+    kept = tp.kept[live, t - s :]
+    frames = tp.frames[live, :, t - s :]
+    x = np.where(pair_mask(kept), point, 0j)
+    x = (x + _dagger(x)) / 2.0
+    # T(B) - T(I), with T(I) = sum_i S_i S_i^dag over every block
+    offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.tensordot(
+        tp.frames, tp.frames.conj(), axes=([0, 2], [0, 2])
+    )
+    lam, u, on = _live_eigh(x, kept)
+    top = float(lam[on].max(initial=0.0))
+    if top - 1.0 <= 1e-12 * top:
+        raise SplitError(f"point's top eigenvalue {top:.3e} is not above 1")
+    residual = float(np.linalg.norm(offset))
+    amplification = max(1.0, 1.0 / (top - 1.0))
+    if amplification * residual > RESIDUAL_TOL:
         raise SplitError(
-            f"element spectrum is one-sided (min {lam_min:.3e}, max {lam_max:.3e}); "
-            "kernel elements of a normalized measurement have both signs"
+            f"point is off the face: ||T(B) - T(I)|| = {residual:.3e} "
+            f"with amplification {amplification:.3e}"
         )
-    tau_plus = 1.0 / abs(lam_min)
-    tau_minus = 1.0 / lam_max
-    residual = float(np.linalg.norm(apply_tp(tp, x)))
-    if max(tau_plus, tau_minus) * residual > RESIDUAL_TOL:
-        raise SplitError(
-            f"element is not in the kernel: ||T(D)|| = {residual:.3e} "
-            f"with tau = {max(tau_plus, tau_minus):.3e}"
-        )
-    children = []
-    for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
-        # Child effects S_i U_i diag(1 + sign*tau*lambda_i) U_i^dag S_i^dag.
-        sat = _saturate(np.where(live, 1.0 + sign * tau * lam, 0.0))
-        m = (u * sat[:, None, :]) @ _dagger(u)
-        e = tp.frames @ ((m + _dagger(m)) / 2.0) @ _dagger(tp.frames)
-        children.append(FinitePOVM._with_normal_labels(d, tp.labels, (e + _dagger(e)) / 2.0))
-    total = tau_plus + tau_minus
+    # Leaf and remainder factors U diag(.) U^dag of the live blocks, stacked.
+    sat = np.stack([np.where(on, lam, 0.0), np.where(on, (top - lam) / (top - 1.0), 0.0)])
+    m = (u * _saturate(sat)[:, :, None, :]) @ _dagger(u)
+    e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
+    leaf, near = (e + _dagger(e)) / 2.0
+    far = povm.effects * (top / (top - 1.0))
+    far[live] = near
+    labels = tuple(tp.labels[i] for i in live.tolist())
     return SplitResult(
-        weight_plus=tau_minus / total,
-        weight_minus=tau_plus / total,
-        tau_plus=tau_plus,
-        tau_minus=tau_minus,
-        child_plus=children[0],
-        child_minus=children[1],
+        weight_plus=1.0 / top,
+        weight_minus=1.0 - 1.0 / top,
+        child_plus=FinitePOVM._with_normal_labels(d, labels, leaf),
+        child_minus=FinitePOVM._with_normal_labels(d, tp.labels, far),
     )
 
 
@@ -314,18 +318,18 @@ def _eliminate(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return z
 
 
-def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.ndarray:
-    """Kernel element pointing at an extreme point of the measurement's face.
+def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
+    """Walk to an extreme point of the measurement's face and return it.
 
     The walk runs over roots: column j of frame i, written s_ij s_ij^dag
     with weight c_ij, so that B_i = diag(c_ij) in the frame's eigenbasis.
     Starting from the measurement itself (every c_ij = 1, B_i = identity),
     it moves along kernel directions, zeroing at least one root per step,
-    until the current point is extreme. The returned direction
-    D = (B_final - identity), spectrally normalized, is a kernel element of
-    the original map, as its (n, t, t) stack, whose + saturation lands
-    exactly on that extreme point, so the caller's split peels one extreme
-    component off.
+    until the current point is extreme. It returns (live, B): the blocks
+    with a live root, in increasing order, and their B_i, each in the
+    trailing r_i x r_i window of one s x s block (s the largest live rank);
+    every other block ends at B_i = 0. T(B) = T(I), so split_once peels
+    S B S^dag off as one extreme component.
 
     Recombination runs while more than 2(d^2 + 1) roots are active: it cuts
     them, in stack order, into 2(d^2 + 1) contiguous groups, walks the
@@ -334,14 +338,14 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.n
     round's walk is one pass unless a kernel vector drifts: one SVD of its
     window, then elimination along the kernel (see _scalar_walk). The same
     scalar walk then runs over single roots until their columns are
-    injective, which leaves at most d^2 live roots. If every live block has
-    one live root, the point is extreme (a rank-one block's map column is
-    its scalar column), and the walk ends. Otherwise the general walk
-    refines the live blocks, held as one stack of s x s blocks (s the
-    largest live rank): the trailing s columns of the map's frame stack,
-    and factors G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. A step takes
-    one SVD of the real map with the live columns of S_i G_i and one eigh
-    of its first kernel vector's Hermitian stack, and updates
+    injective, which leaves at most d^2 live roots. The live blocks are held
+    as one stack of s x s blocks: the trailing s columns of the map's frame
+    stack, and factors G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. If
+    every live block has one live root, the point is extreme (a rank-one
+    block's map column is its scalar column), and the walk ends. Otherwise
+    the general walk refines the live blocks. A step takes one SVD of the
+    real map with the live columns of S_i G_i and one eigh of its first
+    kernel vector's Hermitian stack, and updates
     G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become zero
     columns, dropped from the next step by mask where they stand. Each step
     kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
@@ -361,55 +365,32 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> np.n
     scale = _scalar_walk(columns, scale, 0, margin_factor).reshape(n, t)
     live = np.flatnonzero(scale.any(axis=1))
     s = int(np.array(tp.ranks)[live].max())
+    # Factors G (B = G G^dag) of the live blocks, s x s. kept marks G's live
+    # columns, anywhere in the block.
     weights = scale[live, t - s :]
-    pos = np.arange(s)
-    if np.count_nonzero(weights, axis=1).max() == 1:
-        coords = np.zeros((live.size, s, s), dtype=np.complex128)
-        coords[:, pos, pos] = weights
-        return _unit_direction(tp, live, coords)
-    # Frames S and factors G (B = G G^dag) of the live blocks, s x s. kept
-    # marks G's live columns, anywhere in the block.
-    frames = tp.frames[live, :, t - s :]
     kept = weights > 0.0
+    pos = np.arange(s)
     factors = np.zeros((live.size, s, s), dtype=np.complex128)
     factors[:, pos, pos] = np.sqrt(weights)
-    for _ in range(tp.domain_dim + 16):
-        basis = kernel_basis(frame_columns(frames @ factors, kept), margin_factor)
-        if basis.shape[1] == 0:
-            break
-        y = np.zeros((live.size, s * s))
-        y[pair_mask(kept).reshape(live.size, -1)] = basis[:, 0]
-        w, u, live_eig = _live_eigh(herm_matrices(y, s), kept)
-        tau, flip = _saturating_step(w[live_eig])
-        if flip:
-            w = -w
-        sat = _saturate(np.where(live_eig, 1.0 + tau * w, 0.0))
-        factors = factors @ (u * np.sqrt(sat)[:, None, :])
-        kept = sat > 0.0
-    else:
-        raise SplitError("walk failed to reach an extreme point")
-    return _unit_direction(tp, live, factors @ _dagger(factors))
-
-
-def _unit_direction(tp: TpMap, live: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Walk direction B_final - I, scaled to spectral radius 1, in the map's stack.
-
-    coords stacks the final B_i of the live blocks, each in the trailing
-    r_i x r_i window of one s x s block; every other block ends at B_i = 0.
-    """
-    n, _, t = tp.frames.shape
-    s = coords.shape[-1]
-    pos, kept = np.arange(t), tp.kept
-    coords[:, pos[:s], pos[:s]] -= kept[live, t - s :]
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(coords))))
-    if live.size < np.count_nonzero(tp.ranks):
-        radius = max(radius, 1.0)
-    if radius <= 0.0:
-        raise SplitError("walk produced a zero direction (node was extreme?)")
-    element = np.zeros((n, t, t), dtype=np.complex128)
-    element[:, pos, pos] = np.where(kept, -1.0 / radius, 0.0)
-    element[live, t - s :, t - s :] = (1.0 / radius) * coords
-    return element
+    # With one live root per block the point is already extreme.
+    if np.count_nonzero(kept, axis=1).max() > 1:
+        frames = tp.frames[live, :, t - s :]
+        for _ in range(tp.domain_dim + 16):
+            basis = kernel_basis(frame_columns(frames @ factors, kept), margin_factor)
+            if basis.shape[1] == 0:
+                break
+            y = np.zeros((live.size, s * s))
+            y[pair_mask(kept).reshape(live.size, -1)] = basis[:, 0]
+            w, u, live_eig = _live_eigh(herm_matrices(y, s), kept)
+            tau, flip = _saturating_step(w[live_eig])
+            if flip:
+                w = -w
+            sat = _saturate(np.where(live_eig, 1.0 + tau * w, 0.0))
+            factors = factors @ (u * np.sqrt(sat)[:, None, :])
+            kept = sat > 0.0
+        else:
+            raise SplitError("walk failed to reach an extreme point")
+    return live, factors @ _dagger(factors)
 
 
 def decompose_extremal(
@@ -422,18 +403,18 @@ def decompose_extremal(
     """Decompose a measurement into a finite mixture of extreme ones.
 
     A peel chain: while the remainder R_k (at first the input, weight 1) is
-    not extreme, split it along the walk-derived kernel element, emit the +
-    child E_k as a leaf with weight w * w_+, and continue on the - child
-    R_(k+1) with weight w * w_-. A + child that is not extreme raises
-    SplitError. E_k has weight on the direction the - saturation zeroes, so
-    it lies outside the face of R_(k+1), which holds every later leaf: no two
-    leaves coincide, and the chain has at most dim F + 1 leaves. Labels are
-    merged once, at the root: children carry the root's merged labels,
-    which are pairwise distinct, so below the root only effects with trace
-    at or below PRUNE_TOL are dropped. Once max_leaves - 1 leaves are
-    peeled, the remainder is emitted with its non-extreme verdict and the
-    mixture is flagged incomplete; the convex reconstruction identity holds
-    either way.
+    not extreme, walk to an extreme point E_k of its face, emit E_k as a
+    leaf with weight w / lambda, and continue on the remainder R_(k+1) with
+    weight w (1 - 1/lambda) (see split_once). A leaf (the + child) that is
+    not extreme raises SplitError. E_k has weight on the direction where
+    R_(k+1) drops rank, so it lies outside the face of R_(k+1), which holds
+    every later leaf: no two leaves coincide, and the chain has at most
+    dim F + 1 leaves. Labels are merged once, at the root: children carry the root's
+    merged labels, which are pairwise distinct, so below the root only
+    effects with trace at or below PRUNE_TOL are dropped. Once
+    max_leaves - 1 leaves are peeled, the remainder is emitted with its
+    non-extreme verdict and the mixture is flagged incomplete; the convex
+    reconstruction identity holds either way.
     """
     leaves = []
     weight = 1.0
@@ -444,8 +425,7 @@ def decompose_extremal(
         if verdict.is_extreme or len(leaves) >= max_leaves - 1:
             break
         try:
-            direction = _extremal_direction(tp, margin_factor)
-            split = split_once(node, direction, tp)
+            split = split_once(node, *_extremal_direction(tp, margin_factor), tp)
         except SplitError as exc:
             raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
         plus = split.child_plus

@@ -32,7 +32,7 @@ class TpMap:
 
     frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
     the trailing r_i columns of frames[i] and the t - r_i columns in front
-    are zero. matrix is frame_columns(frames, kept), real d^2 x sum r_i^2.
+    are zero. Its real d^2 x sum r_i^2 matrix is frame_columns(frames, kept).
 
     An element of the domain is a Hermitian (n, t, t) stack in the frames'
     coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
@@ -42,7 +42,6 @@ class TpMap:
     labels: tuple
     frames: np.ndarray
     ranks: tuple
-    matrix: np.ndarray
 
     @property
     def domain_dim(self) -> int:
@@ -100,8 +99,7 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     relative rank cutoff, scaled by sqrt of their eigenvalues). Eigenvalues
     come ascending, so the kept ones are a suffix: the frame stack is the
     trailing t eigenvectors, the dropped ones scaled to zero columns in
-    front. The matrix is the stack's frame columns over the kept ones; zero
-    effects contribute none.
+    front; zero effects contribute none.
     """
     w, v = np.linalg.eigh(
         (povm.effects + povm.effects.conj().transpose(0, 2, 1)) / 2.0
@@ -117,7 +115,7 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     t = int(counts.max(initial=0))
     kept = kept[:, d - t :]
     frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
-    return TpMap(d, povm.labels, frames, tuple(counts.tolist()), frame_columns(frames, kept))
+    return TpMap(d, povm.labels, frames, tuple(counts.tolist()))
 
 
 def apply_tp(tp: TpMap, element: np.ndarray) -> np.ndarray:
@@ -132,8 +130,8 @@ def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Extremal
     """Injectivity verdict for an assembled map.
 
     When the domain dimension exceeds d^2 the map cannot be injective and the
-    SVD is skipped; the reported kernel dimension is then the guaranteed
-    lower bound domain_dim - d^2.
+    real matrix is neither built nor factored; the reported kernel dimension
+    is then the guaranteed lower bound domain_dim - d^2.
     """
     n = tp.domain_dim
     d2 = tp.dim * tp.dim
@@ -141,7 +139,7 @@ def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Extremal
         raise PovmError("map has an empty domain (all effects are zero)")
     if n > d2:
         return ExtremalityVerdict(False, 0.0, n - d2, n, 0.0)
-    s = np.linalg.svd(tp.matrix, compute_uv=False)
+    s = np.linalg.svd(frame_columns(tp.frames, tp.kept), compute_uv=False)
     sigma_max = float(s[0])
     threshold = margin_factor * sigma_max * max(d2, n)
     margin = float(s[-1])

@@ -15,7 +15,7 @@ from povmix.decompose import (
     split_once,
     verify_barycenter,
 )
-from povmix.extremality import MARGIN_FACTOR, build_tp_map, is_extreme
+from povmix.extremality import MARGIN_FACTOR, build_tp_map, frame_columns, is_extreme
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
@@ -38,28 +38,31 @@ def reconstruct(mixture):
 
 
 def test_split_coin_with_explicit_kernel_element():
-    # D = (I, -I) lies in the kernel; saturation lands on {I} both sides
+    # B = (2I, 0) is on the face: T(B) = I. lambda = 2 peels the leaf {I}
+    # off with weight 1/2 and leaves {0, I}
     povm = coin()
-    result = split_once(povm, np.array([I2, -I2]))
-    assert result.tau_plus == pytest.approx(1.0)
-    assert result.tau_minus == pytest.approx(1.0)
+    result = split_once(povm, np.array([0, 1]), np.array([2 * I2, 0 * I2]))
     assert result.weight_plus == pytest.approx(0.5)
     assert result.weight_minus == pytest.approx(0.5)
+    assert result.child_plus.labels == (0, 1)
     assert np.allclose(result.child_plus.effects[0], I2, atol=1e-14)
     assert np.allclose(result.child_plus.effects[1], 0, atol=1e-14)
     assert np.allclose(result.child_minus.effects[0], 0, atol=1e-14)
     assert np.allclose(result.child_minus.effects[1], I2, atol=1e-14)
+    # the same point with block 1 dead: the leaf carries block 0 only
+    result = split_once(povm, np.array([0]), np.array([2 * I2]))
+    assert result.child_plus.labels == (0,)
+    assert np.allclose(result.child_plus.effects, [I2], atol=1e-14)
+    assert np.allclose(result.child_minus.effects, [0 * I2, I2], atol=1e-14)
 
 
 def test_split_reconstructs_parent():
     povm = gen_random_povm(3, 5, seed=3)
     tp = build_tp_map(povm)
-    element = _extremal_direction(tp)
-    result = split_once(povm, element, tp=tp)
-    mixed = (
-        result.weight_plus * result.child_plus.effects
-        + result.weight_minus * result.child_minus.effects
-    )
+    live, point = _extremal_direction(tp)
+    result = split_once(povm, live, point, tp=tp)
+    mixed = result.weight_minus * result.child_minus.effects
+    mixed[live] += result.weight_plus * result.child_plus.effects
     assert np.max(np.abs(mixed - povm.effects)) < 1e-12
     # both children remain valid measurements
     assert np.allclose(result.child_plus.effects.sum(axis=0), np.eye(3), atol=1e-12)
@@ -71,19 +74,31 @@ def test_split_strictly_shrinks_block_dimension():
         povm = gen_random_povm(2, 5, rank_cap=1, seed=seed)
         tp = build_tp_map(povm)
         parent_dim = block_dim(povm)
-        result = split_once(povm, _extremal_direction(tp), tp=tp)
+        result = split_once(povm, *_extremal_direction(tp), tp=tp)
         assert block_dim(result.child_plus) < parent_dim
         assert block_dim(result.child_minus) < parent_dim
 
 
 def test_split_rejects_non_kernel_and_one_sided_elements():
     povm = coin()
-    with pytest.raises(SplitError):
-        # both blocks positive: no finite tau_plus saturation
-        split_once(povm, np.array([I2, I2]))
-    with pytest.raises(SplitError):
-        # mixed spectrum but not in the kernel: residual check trips
-        split_once(povm, np.array([np.diag([1.0, -1.0])] * 2))
+    live = np.array([0, 1])
+    with pytest.raises(SplitError, match="not above 1"):
+        # B = I is the measurement itself: lambda = 1, nothing to peel
+        split_once(povm, live, np.array([I2, I2]))
+    with pytest.raises(SplitError, match="off the face"):
+        # T(B) = 3I/2, not I: the residual check trips
+        split_once(povm, live, np.array([3 * I2, 0 * I2]))
+    for bad_live, bad_point in [
+        (live, np.array([2 * I2])),
+        (live, np.zeros((2, 3, 3))),
+        (live, np.zeros((2, 4))),
+        (np.array([1, 0]), np.array([2 * I2, 0 * I2])),
+        (np.array([0, 0]), np.array([2 * I2, 0 * I2])),
+        (np.array([0, 2]), np.array([2 * I2, 0 * I2])),
+        (np.array([], dtype=int), np.zeros((0, 2, 2))),
+    ]:
+        with pytest.raises(SplitError):
+            split_once(povm, bad_live, bad_point)
 
 
 def test_decompose_coin_gives_an_even_projective_mixture():
@@ -343,7 +358,7 @@ def face_dim(povm):
     """Real dimension of the Hermitian kernel of the map at the decomposition
     root: domain_dim - rank, with rank cut by the verdict's rule."""
     tp = build_tp_map(model.prune_and_merge(povm))
-    return linalg.kernel_basis(tp.matrix, MARGIN_FACTOR).shape[1]
+    return linalg.kernel_basis(frame_columns(tp.frames, tp.kept), MARGIN_FACTOR).shape[1]
 
 
 def certificate_corpus():
@@ -437,10 +452,10 @@ def test_walk_kernel_svds_grow_with_log_outcomes(monkeypatch):
     monkeypatch.setattr(decompose, "window_kernel", counting("window", linalg.window_kernel))
     monkeypatch.setattr(decompose, "kernel_basis", counting("kernel", linalg.kernel_basis))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    direction = _extremal_direction(tp)
+    live, point = _extremal_direction(tp)
     assert calls["window"] <= math.ceil(math.log2(n)) + 2
     assert calls["svd"] == calls["window"] + calls["kernel"]
-    child = split_once(sphere, direction, tp).child_plus
+    child = split_once(sphere, live, point, tp).child_plus
     assert is_extreme(child).is_extreme
     assert block_dim(child) <= d * d
 
@@ -456,7 +471,7 @@ def test_recombination_walk_on_higher_ranks():
         tp = build_tp_map(povm)
         rank_sets.append(set(tp.ranks))
         assert povm.n_outcomes > 2 * (d * d + 1)
-        split = split_once(povm, _extremal_direction(tp), tp)
+        split = split_once(povm, *_extremal_direction(tp), tp)
         assert is_extreme(split.child_plus).is_extreme
         assert block_dim(split.child_plus) <= d * d
         child = split.child_minus

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmix.decompose import SplitError, _extremal_direction
+from povmix.decompose import SplitError, _extremal_direction, split_once
 from povmix.extremality import (
     apply_tp,
     build_tp_map,
@@ -79,8 +79,9 @@ def test_real_map_has_the_complex_maps_singular_values():
         i, j, k = np.nonzero(pair_mask(tp.kept))
         f = tp.frames
         complex_cols = np.einsum("ca,cb->abc", f[i, :, j], f[i, :, k].conj()).reshape(d * d, -1)
-        assert tp.matrix.dtype == np.float64 and tp.matrix.shape == complex_cols.shape
-        s_real = np.linalg.svd(tp.matrix, compute_uv=False)
+        matrix = frame_columns(tp.frames, tp.kept)
+        assert matrix.dtype == np.float64 and matrix.shape == complex_cols.shape
+        s_real = np.linalg.svd(matrix, compute_uv=False)
         s_complex = np.linalg.svd(complex_cols, compute_uv=False)
         assert np.max(np.abs(s_real - s_complex)) <= 1e-14 * s_complex[0]
 
@@ -89,7 +90,7 @@ def test_build_tp_map_shapes_and_frames():
     tp = build_tp_map(coin())
     assert tp.ranks == (2, 2)
     assert tp.domain_dim == 8
-    assert tp.matrix.shape == (4, 8)
+    assert frame_columns(tp.frames, tp.kept).shape == (4, 8)
     assert tp.frames.shape == (2, 2, 2)
     # frames reproduce the effects: S S^dag = P, S the trailing r columns
     for frame, r in zip(tp.frames, tp.ranks):
@@ -211,24 +212,39 @@ def test_unitary_covariance_of_verdict():
         assert abs(v0.margin - v1.margin) < 1e-9
 
 
+def walk_offset(tp):
+    """The walk's point minus the measurement, B - I, as the map's (n, t, t)
+    stack: B on the live blocks' windows, I on every block's window."""
+    live, point = _extremal_direction(tp)
+    n, _, t = tp.frames.shape
+    s = point.shape[-1]
+    element = np.zeros((n, t, t), dtype=np.complex128)
+    element[live, t - s :, t - s :] = np.where(pair_mask(tp.kept[live, t - s :]), point, 0.0)
+    pos = np.arange(t)
+    element[:, pos, pos] -= tp.kept
+    return element
+
+
 def test_kernel_element_annihilated_by_map():
     povm = coin()
     tp = build_tp_map(povm)
-    element = _extremal_direction(tp)
-    # Hermitian blocks, normalized to unit top eigenvalue
+    element = walk_offset(tp)
+    # Hermitian blocks; the walk zeroes a root, so B - I has eigenvalue -1
     assert element.shape == (2, 2, 2)
     assert np.allclose(element, element.conj().transpose(0, 2, 1), atol=1e-12)
-    radius = np.max(np.abs(np.linalg.eigvalsh(element)))
-    assert radius == pytest.approx(1.0, abs=1e-12)
+    assert np.min(np.linalg.eigvalsh(element)) == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(apply_tp(tp, element))) < 1e-10
 
     nonextreme = gen_random_povm(3, 4, seed=11)
     tp = build_tp_map(nonextreme)
-    element = _extremal_direction(tp)
+    element = walk_offset(tp)
     assert np.max(np.abs(apply_tp(tp, element))) < 1e-9
 
 
 def test_kernel_element_raises_on_extreme_input():
-    tp = build_tp_map(gen_trine())
-    with pytest.raises(SplitError):
-        _extremal_direction(tp)
+    # the walk cannot move off an extreme point: B = I, and the peel refuses it
+    trine = gen_trine()
+    tp = build_tp_map(trine)
+    assert np.max(np.abs(walk_offset(tp))) < 1e-12
+    with pytest.raises(SplitError, match="not above 1"):
+        split_once(trine, *_extremal_direction(tp), tp)

@@ -1,8 +1,9 @@
 """The decomposition path on one padded block stack, against per-block code.
 
-The map, the general walk and the split hold every block in one stack of
-t x t blocks (t the largest rank), each block's frame in its trailing
-columns. The reference functions below evaluate each of them one block at a
+The map holds every block in one stack of t x t blocks (t the largest
+rank), each block's frame in its trailing columns; the general walk and the
+split hold the walk's live blocks in one stack of s x s blocks the same way
+(s the largest live rank). The reference functions below evaluate each of them one block at a
 time on the same padded blocks. Stacking changes no arithmetic inside a
 block, so every output must be equal bit for bit, not just close. The one
 exception is the change to real Hermitian coordinates: a BLAS product over
@@ -17,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from povmix import decompose
 from povmix.decompose import (
@@ -31,12 +33,13 @@ from povmix.extremality import (
     TpMap,
     apply_tp,
     build_tp_map,
+    frame_columns,
     pair_mask,
     verdict_from_tp,
 )
 from povmix.linalg import RANK_TOL, herm_basis, herm_matrices, kernel_basis
 from povmix.model import PRUNE_TOL, FinitePOVM, _prune, prune_and_merge
-from povmix.outcomes import gen_random_povm
+from povmix.outcomes import gen_covariant_sphere, gen_random_povm
 
 
 def ref_frame_columns(frame):
@@ -69,8 +72,7 @@ def ref_build_tp_map(povm, rank_tol=RANK_TOL):
     padded = np.zeros((len(frames), d, t), dtype=np.complex128)
     for i, f in enumerate(frames):
         padded[i, :, t - f.shape[1] :] = f
-    matrix = ref_map_matrix(padded, [np.arange(t) >= t - r for r in ranks])
-    return TpMap(d, povm.labels, padded, ranks, matrix)
+    return TpMap(d, povm.labels, padded, ranks)
 
 
 def ref_floor(hs):
@@ -100,14 +102,12 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
     (s the largest live rank), a factor g = diag(sqrt(c_ij)) with
     coordinates B = g g^dag, and a mask of g's live columns, the roots with
     c_ij > 0. When every live block has one live root, the point is extreme
-    and B = diag(c_ij) as it stands. Otherwise a step reads each block's
-    part of the real kernel vector as the Hermitian coordinates of its kept
-    pairs, writes the floor on each block's dead diagonal, so the dead
-    eigenvalues sort first, negates the spectrum on a flip, maps g to
-    g U sqrt(1 + tau*lambda) and drops the saturated columns from the mask
-    wherever they stand. The direction B - I comes back as the map's padded
-    (n, t, t) stack, each block in its trailing r x r window, dead blocks
-    at B = 0.
+    as it stands. Otherwise a step reads each block's part of the real
+    kernel vector as the Hermitian coordinates of its kept pairs, writes the
+    floor on each block's dead diagonal, so the dead eigenvalues sort first,
+    negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda) and
+    drops the saturated columns from the mask wherever they stand. Returns
+    the live blocks and their points B = g g^dag.
     """
     t = tp.frames.shape[2]
     live = [i for i in range(len(tp.ranks)) if np.any(weights[i] > 0.0)]
@@ -118,9 +118,7 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
         frames.append(tp.frames[i][:, t - s :])
         factors.append(np.diag(np.sqrt(c)).astype(np.complex128))
         kepts.append(c > 0.0)
-    if max(np.count_nonzero(kept) for kept in kepts) == 1:
-        coords = [np.diag(weights[i, t - s :]).astype(np.complex128) for i in live]
-    else:
+    if max(np.count_nonzero(kept) for kept in kepts) > 1:
         for _ in range(tp.domain_dim + 16):
             matrix = ref_map_matrix([f @ g for f, g in zip(frames, factors)], kepts)
             basis = kernel_basis(matrix, margin_factor)
@@ -146,26 +144,11 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
                 kepts[k] = sat > 0.0
         else:
             raise AssertionError("reference walk did not end")
-        coords = [g @ g.conj().T for g in factors]
-    blocks = []
-    for b, i in zip(coords, live):
-        r = tp.ranks[i]
-        b[np.arange(s - r, s), np.arange(s - r, s)] -= 1.0
-        blocks.append(b)
-    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in blocks)
-    if len(live) < np.count_nonzero(tp.ranks):
-        radius = max(radius, 1.0)
-    out = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
-    for i, r in enumerate(tp.ranks):
-        out[i, t - r :, t - r :] = (-1.0 / radius) * np.eye(r)
-    for b, i in zip(blocks, live):
-        r = tp.ranks[i]
-        out[i, t - r :, t - r :] = (1.0 / radius) * b[s - r :, s - r :]
-    return out
+    return np.array(live), np.array([g @ g.conj().T for g in factors])
 
 
 def walk_with_root_weights(tp, monkeypatch):
-    """The walk's direction and the (n, t) root weights that its last
+    """The walk's (live, point) and the (n, t) root weights that its last
     scalar walk, the one over single roots, returns."""
     weights = []
     walk = decompose._scalar_walk
@@ -176,35 +159,41 @@ def walk_with_root_weights(tp, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(decompose, "_scalar_walk", recorded)
-        element = _extremal_direction(tp)
-    return element, weights[-1].reshape(tp.frames.shape[0], -1)
+        peak = _extremal_direction(tp)
+    return peak, weights[-1].reshape(tp.frames.shape[0], -1)
 
 
-def ref_split_once(element, tp):
-    """(weights, taus, child effects) of a split, one padded block at a time,
-    each read from its trailing r x r window of the element."""
-    t = tp.frames.shape[2]
+def ref_peel(live, point, tp):
+    """lambda and the per-block eigenpairs of a split, one padded block at a
+    time, each block read from the trailing r x r window of its point."""
+    s = point.shape[-1]
     hs, kepts = [], []
-    for b, r in zip(element, tp.ranks):
-        x = np.zeros((t, t), dtype=np.complex128)
-        x[t - r :, t - r :] = b[t - r :, t - r :]
+    for b, i in zip(point, live):
+        r = tp.ranks[i]
+        x = np.zeros((s, s), dtype=np.complex128)
+        x[s - r :, s - r :] = b[s - r :, s - r :]
         hs.append((x + x.conj().T) / 2.0)
-        kepts.append(np.arange(t) >= t - r)
+        kepts.append(np.arange(s) >= s - r)
     eighs = ref_live_eigh(hs, kepts)
-    all_eigs = np.concatenate([w[lv] for w, _, lv in eighs])
-    tau_plus = 1.0 / abs(float(all_eigs.min()))
-    tau_minus = 1.0 / float(all_eigs.max())
-    d = tp.dim
-    children = []
-    for tau, sign in ((tau_plus, 1.0), (tau_minus, -1.0)):
-        effects = np.zeros((len(tp.frames), d, d), dtype=np.complex128)
-        for i, (frame, (lam, u, lv)) in enumerate(zip(tp.frames, eighs)):
-            m = (u * _saturate(np.where(lv, 1.0 + sign * tau * lam, 0.0))) @ u.conj().T
+    return float(max(w[lv].max() for w, _, lv in eighs)), eighs
+
+
+def ref_split_once(povm, live, point, tp):
+    """(weights, leaf effects, remainder effects) of a split, one padded
+    block at a time: the leaf S B S^dag and the remainder
+    S (lambda I - B) S^dag / (lambda - 1) of each live block from its own
+    eigh, and every other block P_i lambda / (lambda - 1)."""
+    t, s = tp.frames.shape[2], point.shape[-1]
+    top, eighs = ref_peel(live, point, tp)
+    leaf = np.zeros((len(live), tp.dim, tp.dim), dtype=np.complex128)
+    rest = np.array([p * (top / (top - 1.0)) for p in povm.effects])
+    for k, (i, (lam, u, lv)) in enumerate(zip(live, eighs)):
+        frame = tp.frames[i][:, t - s :]
+        for out, j, vals in ((leaf, k, lam), (rest, i, (top - lam) / (top - 1.0))):
+            m = (u * _saturate(np.where(lv, vals, 0.0))) @ u.conj().T
             e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
-            effects[i] = (e + e.conj().T) / 2.0
-        children.append(effects)
-    total = tau_plus + tau_minus
-    return (tau_minus / total, tau_plus / total), (tau_plus, tau_minus), children
+            out[j] = (e + e.conj().T) / 2.0
+    return (1.0 / top, 1.0 - 1.0 / top), leaf, rest
 
 
 def mixed_rank_povm(seed):
@@ -232,7 +221,7 @@ def nodes(povm, depth=2):
     yield povm
     for _ in range(depth):
         tp = build_tp_map(povm)
-        child = split_once(povm, _extremal_direction(tp), tp).child_minus
+        child = split_once(povm, *_extremal_direction(tp), tp).child_minus
         povm = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
         yield povm
 
@@ -241,16 +230,19 @@ def assert_same_map(tp, ref):
     assert tp.ranks == ref.ranks
     assert tp.frames.shape == ref.frames.shape
     assert np.array_equal(tp.frames, ref.frames)
-    assert np.array_equal(tp.matrix, ref.matrix)
+    t = ref.frames.shape[2]
+    kepts = [np.arange(t) >= t - r for r in ref.ranks]
+    assert np.array_equal(frame_columns(tp.frames, tp.kept), ref_map_matrix(ref.frames, kepts))
 
 
-def assert_same_split(povm, element, tp):
-    got = split_once(povm, element, tp)
-    weights, taus, children = ref_split_once(element, tp)
+def assert_same_split(povm, live, point, tp):
+    got = split_once(povm, live, point, tp)
+    weights, leaf, rest = ref_split_once(povm, live, point, tp)
     assert (got.weight_plus, got.weight_minus) == weights
-    assert (got.tau_plus, got.tau_minus) == taus
-    assert np.array_equal(got.child_plus.effects, children[0])
-    assert np.array_equal(got.child_minus.effects, children[1])
+    assert got.child_plus.labels == tuple(povm.labels[i] for i in live)
+    assert got.child_minus.labels == povm.labels
+    assert np.array_equal(got.child_plus.effects, leaf)
+    assert np.array_equal(got.child_minus.effects, rest)
 
 
 @pytest.mark.parametrize("name, povm", list(inputs()), ids=[n for n, _ in inputs()])
@@ -262,10 +254,12 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
         assert_same_map(tp, ref_build_tp_map(node))
         assert max(tp.ranks) > 1
         ragged |= len(set(tp.ranks) - {0}) > 1
-        element, weights = walk_with_root_weights(tp, monkeypatch)
+        (live, point), weights = walk_with_root_weights(tp, monkeypatch)
         general += np.count_nonzero(weights, axis=1).max() > 1
-        assert np.array_equal(element, ref_general_walk(tp, weights))
-        assert_same_split(node, element, tp)
+        ref_live, ref_point = ref_general_walk(tp, weights)
+        assert np.array_equal(live, ref_live)
+        assert np.array_equal(point, ref_point)
+        assert_same_split(node, live, point, tp)
     # two splits down, blocks of one original rank have different ranks
     assert ragged
     # some block keeps two live roots: the general-rank walk runs
@@ -284,27 +278,69 @@ def test_map_frames_are_one_stack_padded_in_front():
 
 
 def test_split_and_map_read_only_the_windows():
-    """The element contract: entries off the blocks' windows are ignored,
-    and an element not shaped like the map's stack is rejected."""
+    """The point contract: entries off the live blocks' windows are ignored
+    and the caller's point is not written; a point not shaped like the live
+    stack is rejected. apply_tp reads the map's whole stack the same way."""
     povm = mixed_rank_povm(0)
     tp = build_tp_map(povm)
-    element = _extremal_direction(tp)
+    live, point = _extremal_direction(tp)
+    t, s = tp.frames.shape[2], point.shape[-1]
     rng = np.random.default_rng(3)
+    noise = rng.standard_normal(point.shape) + 1j * rng.standard_normal(point.shape)
+    off = np.where(pair_mask(tp.kept[live, t - s :]), 0.0, noise)
+    assert np.count_nonzero(off) > 0
+    noisy = point + off
+    unwritten = noisy.copy()
+    clean, dirty = split_once(povm, live, point, tp), split_once(povm, live, noisy, tp)
+    assert np.array_equal(noisy, unwritten)
+    for name in ("weight_plus", "weight_minus"):
+        assert getattr(clean, name) == getattr(dirty, name)
+    for name in ("child_plus", "child_minus"):
+        a, b = getattr(clean, name), getattr(dirty, name)
+        assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
+    for bad in (point[:-1], point[:, 1:, 1:], point.reshape(len(point), -1)):
+        with pytest.raises(SplitError):
+            split_once(povm, live, bad, tp)
+    element = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
+    element[live, t - s :, t - s :] = point
     noise = rng.standard_normal(element.shape) + 1j * rng.standard_normal(element.shape)
     off = np.where(pair_mask(tp.kept), 0.0, noise)
-    assert np.count_nonzero(off) > 0
-    clean, noisy = split_once(povm, element, tp), split_once(povm, element + off, tp)
-    for name in ("weight_plus", "weight_minus", "tau_plus", "tau_minus"):
-        assert getattr(clean, name) == getattr(noisy, name)
-    for name in ("child_plus", "child_minus"):
-        a, b = getattr(clean, name), getattr(noisy, name)
-        assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
     assert np.array_equal(apply_tp(tp, element), apply_tp(tp, element + off))
     for bad in (element[:-1], element[:, 1:, 1:], element.reshape(len(element), -1)):
-        with pytest.raises(SplitError):
-            split_once(povm, bad, tp)
         with pytest.raises(ValueError):
             apply_tp(tp, bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.integers(d + 1, 3 * d * d), st.integers(1, d), st.integers(0, 2**32 - 1)
+        )
+    )
+)
+def test_root_split_peels_an_extreme_point(case):
+    """One split at a decomposition root: P = w+ E + w- R within 1e-12, E is
+    extreme, R is PSD with a strictly smaller rank profile, and every block
+    off the live ones is P_i lambda / (lambda - 1) bit for bit."""
+    d, k, cap, seed = case
+    povm = prune_and_merge(gen_random_povm(d, k, rank_cap=cap, seed=seed))
+    tp = build_tp_map(povm)
+    assume(not verdict_from_tp(tp).is_extreme)
+    live, point = _extremal_direction(tp)
+    split = split_once(povm, live, point, tp)
+    leaf, rest = split.child_plus, split.child_minus
+    mixed = split.weight_minus * rest.effects
+    mixed[live] += split.weight_plus * leaf.effects
+    assert np.max(np.abs(mixed - povm.effects)) <= 1e-12
+    pruned = _prune(d, leaf.labels, leaf.effects, PRUNE_TOL)
+    assert verdict_from_tp(build_tp_map(pruned)).is_extreme
+    assert np.linalg.eigvalsh(rest.effects).min() >= -1e-12
+    ranks = np.array(build_tp_map(rest).ranks)
+    assert np.all(ranks <= tp.ranks) and ranks.sum() < sum(tp.ranks)
+    top, _ = ref_peel(live, point, tp)
+    dead = np.setdiff1d(np.arange(len(tp.ranks)), live)
+    assert np.array_equal(rest.effects[dead], povm.effects[dead] * (top / (top - 1.0)))
 
 
 def test_rank_one_split_is_bit_identical():
@@ -313,22 +349,26 @@ def test_rank_one_split_is_bit_identical():
             tp = build_tp_map(node)
             assert_same_map(tp, ref_build_tp_map(node))
             assert set(tp.ranks) <= {0, 1}
-            assert_same_split(node, _extremal_direction(tp), tp)
+            assert_same_split(node, *_extremal_direction(tp), tp)
 
 
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
-    stack, not one per outcome or sub-rank, and the walk ends with one
-    eigvalsh; the scalar walk makes none, and a split makes one. Only the
-    general walk calls kernel_basis, once per step."""
+    live stack, not one per outcome or sub-rank; the scalar walk makes none.
+    A split makes one eigh, of the walk's live blocks only: at most d^2 of
+    them, however many blocks the measurement has. Only the general walk
+    calls kernel_basis, once per step."""
     d = 4
     povm = gen_random_povm(d, 12, rank_cap=4, seed=1)
     tp = build_tp_map(povm)
     counts = Counter()
+    blocks = []
 
     def counting(name, fn):
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name == "eigh":
+                blocks.append(len(args[0]))
             return fn(*args, **kwargs)
 
         return counted
@@ -336,14 +376,23 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigh", np.linalg.eigvalsh))
     monkeypatch.setattr(decompose, "kernel_basis", counting("steps", decompose.kernel_basis))
-    element = _extremal_direction(tp)
+    live, point = _extremal_direction(tp)
     # one kernel SVD per general step, plus the last one, which finds none
     general_steps = counts["steps"]
     assert general_steps > d
     assert counts["eigh"] <= general_steps
     counts.clear()
-    split_once(povm, element, tp)
+    split_once(povm, live, point, tp)
     assert counts["eigh"] == 1
+    assert blocks[-1] == len(live) <= d * d
+    # a sphere has many more blocks than d^2 = 4; the split's eigh sees the live ones
+    sphere = gen_covariant_sphere(50, seed=7)
+    sphere_tp = build_tp_map(sphere)
+    live, point = _extremal_direction(sphere_tp)
+    counts.clear()
+    split_once(sphere, live, point, sphere_tp)
+    assert counts["eigh"] == 1
+    assert blocks[-1] == len(live) <= 4 < len(sphere_tp.ranks)
 
 
 def corpus_povms(per_d=(7, 7, 6)):
@@ -364,7 +413,7 @@ def split_chain(povm, max_splits=256):
         tp = build_tp_map(node)
         if verdict_from_tp(tp).is_extreme:
             return
-        split = split_once(node, _extremal_direction(tp), tp)
+        split = split_once(node, *_extremal_direction(tp), tp)
         yield split
         child = split.child_minus
         node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
@@ -392,9 +441,11 @@ def test_general_walk_starts_from_at_most_d2_live_roots(monkeypatch):
     general step kills at least one root, so a general walk makes at most
     d^2 + 1 kernel SVDs, the last of which finds no kernel. Checked at every
     node of the peel chains of the leading criterion-2 draws and of
-    full-rank inputs at d = 3 and 4."""
+    full-rank inputs at d = 2, 3 and 4."""
     povms = list(corpus_povms())
     povms += [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    # a d = 2 chain with a two-step general walk: they are rare at d = 2
+    povms.append(gen_random_povm(2, 12, rank_cap=2, seed=1))
     calls = Counter()
     kernel = decompose.kernel_basis
 
@@ -409,12 +460,12 @@ def test_general_walk_starts_from_at_most_d2_live_roots(monkeypatch):
         node = prune_and_merge(povm)
         while not verdict_from_tp(tp := build_tp_map(node)).is_extreme:
             calls.clear()
-            element, weights = walk_with_root_weights(tp, monkeypatch)
+            (live, point), weights = walk_with_root_weights(tp, monkeypatch)
             assert np.count_nonzero(weights) <= d2
             assert calls["kernel"] <= d2 + 1
             if calls["kernel"]:
                 general[povm.dim] = max(general[povm.dim], calls["kernel"])
-            child = split_once(node, element, tp).child_minus
+            child = split_once(node, live, point, tp).child_minus
             node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
     # the general walk runs, and takes more than one step, at every d
     assert min(general[d] for d in (2, 3, 4)) > 2
