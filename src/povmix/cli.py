@@ -147,7 +147,8 @@ def _cmd_decompose(args, cfg: Config) -> int:
 
 def _cmd_density(args, cfg: Config) -> int:
     # one entry per label, as the trace_density parser requires
-    td = trace_density(_merge(_load_povm(args.povm), cfg.label_tol))
+    povm = _load_povm(args.povm)
+    td = trace_density(_merge(povm.dim, povm.labels, povm.effects, cfg.label_tol))
     print(serialize.dumps(serialize.trace_density_to_jsonable(td)))
     return 0
 

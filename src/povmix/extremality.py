@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, RANK_TOL, herm_basis
+from .linalg import RANK_TOL, herm_basis, psd_ok
 from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
@@ -104,11 +104,9 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     w, v = np.linalg.eigh(
         (povm.effects + povm.effects.conj().transpose(0, 2, 1)) / 2.0
     )
-    scale = 1.0 + float(np.max(np.abs(w)))
-    if float(w.min()) < -PSD_TOL * scale:
-        raise PovmError(
-            f"effect is not PSD: min eigenvalue {w.min():.3e}"
-        )
+    off = np.flatnonzero(~psd_ok(w))
+    if off.size:
+        raise PovmError(f"effect is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
     d = povm.dim
     kept = w > (rank_tol * np.maximum(w[:, -1], 1.0))[:, None]
     counts = np.count_nonzero(kept, axis=1)

@@ -1,9 +1,9 @@
 """Dense linear algebra with pinned tolerance and coordinate conventions.
 
-Input coercion, the Hermiticity defect, numerical null spaces and the real
-coordinates of Hermitian matrices, with the rank cutoffs and the PSD and
-Hermiticity acceptance rules the rest of the package relies on. All
-functions are pure; nothing mutates its arguments.
+Input coercion, numerical null spaces and the real coordinates of Hermitian
+matrices, with the rank cutoffs and the PSD and Hermiticity acceptance rules,
+per matrix, that the rest of the package relies on. All functions are pure;
+nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from functools import cache
 
 import numpy as np
 
-# A singular value sigma counts as zero when
-#   sigma <= RANK_TOL * sigma_max * max(rows, cols).
+# An effect's eigenvalue w counts toward its rank when
+#   w > RANK_TOL * max(w_max, 1)   (extremality.build_tp_map).
 RANK_TOL = 1e-10
 
 # PSD acceptance: min eigenvalue >= -PSD_TOL * (1 + max |eigenvalue|).
@@ -33,10 +33,24 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def herm_defect(m) -> float:
-    """Max-norm distance from Hermiticity, ||M - M^dag||_max."""
-    a = np.asarray(m, dtype=np.complex128)
-    return float(np.max(np.abs(a - a.conj().T)))
+def psd_ok(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """PSD acceptance of each row of ascending eigenvalues w (..., d)."""
+    return w[..., 0] >= -tol * (1.0 + np.abs(w).max(axis=-1))
+
+
+def stack_defects(a: np.ndarray, psd_tol: float = PSD_TOL):
+    """Both acceptance rules on each matrix M of an (m, d, d) stack.
+
+    Returns (defect, bound, lowest, psd), each of length m: defect is
+    ||M - M^dag||_max, and M is Hermitian iff defect <= bound; lowest is
+    the least eigenvalue of (M + M^dag)/2, and psd is psd_ok of its
+    eigenvalues at psd_tol.
+    """
+    adj = a.conj().swapaxes(1, 2)
+    defect = np.abs(a - adj).max(axis=(1, 2))
+    bound = HERM_TOL * (1.0 + np.abs(a).max(axis=(1, 2)))
+    w = np.linalg.eigvalsh((a + adj) / 2.0)
+    return defect, bound, w[:, 0], psd_ok(w, psd_tol)
 
 
 def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:

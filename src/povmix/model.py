@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_TOL, as_square_matrix, herm_defect
+from .linalg import PSD_TOL, as_square_matrix, stack_defects
 
 Label = Union[int, tuple]
 
@@ -211,24 +211,11 @@ def validate_povm(
     """Check PSD-ness, normalization, and label distinctness, reporting all
     violations rather than stopping at the first."""
     report = ValidationReport(dim=povm.dim, n_outcomes=povm.n_outcomes)
-    herm_scale = 1.0 + float(np.max(np.abs(povm.effects)))
-    for i in range(povm.n_outcomes):
-        effect = povm.effects[i]
-        defect = herm_defect(effect)
-        if defect > HERM_TOL * herm_scale:
-            report.non_hermitian.append((i, defect))
-            continue
-        w = np.linalg.eigvalsh((effect + effect.conj().T) / 2.0)
-        scale = 1.0 + float(np.max(np.abs(w)))
-        if w[0] < -psd_tol * scale:
-            report.non_psd.append((i, float(w[0])))
-    # Each repeated label is paired with the first label of its group.
-    _, (idx,) = align_label_universe([povm.labels], label_tol)
-    first: dict = {}
-    for j, u in enumerate(idx):
-        i = first.setdefault(u, j)
-        if i != j:
-            report.duplicate_labels.append((i, j))
+    defect, bound, lowest, psd = stack_defects(povm.effects, psd_tol)
+    hermitian = defect <= bound
+    report.non_hermitian = [(int(i), float(defect[i])) for i in np.flatnonzero(~hermitian)]
+    report.non_psd = [(int(i), float(lowest[i])) for i in np.flatnonzero(hermitian & ~psd)]
+    report.duplicate_labels = _repeats(povm.labels, label_tol)
     residual = float(
         np.max(np.abs(povm.effects.sum(axis=0) - np.eye(povm.dim)))
     )
@@ -239,7 +226,7 @@ def validate_povm(
 
 def _check_densities(a: np.ndarray) -> None:
     """DensityState's checks on a (m, d, d) stack of matrices: finite, unit
-    trace within 1e-12, Hermitian within HERM_TOL and PSD within PSD_TOL.
+    trace within 1e-12, and Hermitian and PSD by linalg.stack_defects.
 
     Raises on the first matrix that fails, with DensityState's message.
     """
@@ -249,18 +236,16 @@ def _check_densities(a: np.ndarray) -> None:
     off = np.flatnonzero(np.abs(trace - 1.0) > 1e-12)
     if off.size:
         raise PovmError(f"state trace {trace[off[0]]} is not 1 within 1e-12")
-    bound = HERM_TOL * (1.0 + np.abs(a).max(axis=(1, 2)))
-    defect = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    defect, bound, lowest, psd = stack_defects(a)
     off = np.flatnonzero(defect > bound)
     if off.size:
         i = off[0]
         raise ValueError(
             f"matrix is not Hermitian: defect {defect[i]:.3e} exceeds {bound[i]:.3e}"
         )
-    w = np.linalg.eigvalsh(a)
-    off = np.flatnonzero(w[:, 0] < -PSD_TOL * (1.0 + np.abs(w).max(axis=1)))
+    off = np.flatnonzero(~psd)
     if off.size:
-        raise PovmError(f"state is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
+        raise PovmError(f"state is not PSD: min eigenvalue {lowest[off[0]]:.3e}")
 
 
 def born_probabilities(povm: FinitePOVM, state: DensityState) -> np.ndarray:
@@ -409,6 +394,14 @@ def align_label_universe(label_lists: Sequence[Sequence[Label]], tol: float = LA
     return tuple(universe), maps
 
 
+def _repeats(labels: Sequence[Label], tol: float) -> list:
+    """(i, j) for each label j that coincides within tol with an earlier
+    one, i the first label of its group."""
+    _, (idx,) = align_label_universe([labels], tol)
+    first: dict = {}
+    return [(first[u], j) for j, u in enumerate(idx) if first.setdefault(u, j) != j]
+
+
 def effects_distance(a: FinitePOVM, b: FinitePOVM, label_tol: float = LABEL_TOL) -> float:
     """Max-norm distance between two measurements after label alignment.
 
@@ -416,12 +409,8 @@ def effects_distance(a: FinitePOVM, b: FinitePOVM, label_tol: float = LABEL_TOL)
     """
     if a.dim != b.dim:
         raise PovmError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    universe, (map_a, map_b) = align_label_universe([a.labels, b.labels], label_tol)
-    acc_a = np.zeros((len(universe), a.dim, a.dim), dtype=np.complex128)
-    acc_b = np.zeros_like(acc_a)
-    np.add.at(acc_a, map_a, a.effects)
-    np.add.at(acc_b, map_b, b.effects)
-    return float(np.max(np.abs(acc_a - acc_b)))
+    diff = _merge(a.dim, a.labels + b.labels, np.concatenate([a.effects, -b.effects]), label_tol)
+    return float(np.max(np.abs(diff.effects)))
 
 
 def convex_combine(components, label_tol: float = LABEL_TOL) -> FinitePOVM:
@@ -441,12 +430,9 @@ def convex_combine(components, label_tol: float = LABEL_TOL) -> FinitePOVM:
     dims = {p.dim for _, p in components}
     if len(dims) != 1:
         raise PovmError(f"mixed dimensions {sorted(dims)}")
-    d = dims.pop()
-    universe, maps = align_label_universe([p.labels for _, p in components], label_tol)
-    effects = np.zeros((len(universe), d, d), dtype=np.complex128)
-    for (w, povm), idx in zip(components, maps):
-        np.add.at(effects, idx, w * povm.effects)
-    return FinitePOVM(d, universe, effects)
+    labels = tuple(itertools.chain.from_iterable(p.labels for _, p in components))
+    effects = np.concatenate([w * p.effects for w, p in components])
+    return _merge(dims.pop(), labels, effects, label_tol)
 
 
 def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOVM:
@@ -463,16 +449,18 @@ def _prune(dim: int, labels, effects: np.ndarray, prune_tol: float) -> FinitePOV
     )
 
 
-def _merge(povm: FinitePOVM, label_tol: float) -> FinitePOVM:
-    """Sum outcomes whose labels coincide within label_tol; zero effects stay."""
-    universe, (idx,) = align_label_universe([povm.labels], label_tol)
-    effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
-    np.add.at(effects, idx, povm.effects)
-    return FinitePOVM._with_normal_labels(povm.dim, universe, effects)
+def _merge(dim: int, labels: Sequence[Label], effects: np.ndarray, label_tol: float) -> FinitePOVM:
+    """The measurement of a labelled stack of d x d effects: effects whose
+    labels coincide within label_tol are summed in stack order, and zero
+    effects stay. labels must already be normal."""
+    universe, (idx,) = align_label_universe([labels], label_tol)
+    merged = np.zeros((len(universe), dim, dim), dtype=np.complex128)
+    np.add.at(merged, idx, effects)
+    return FinitePOVM._with_normal_labels(dim, universe, merged)
 
 
 def prune_and_merge(povm: FinitePOVM, label_tol: float = LABEL_TOL) -> FinitePOVM:
     """Sum outcomes whose labels coincide, then drop effects with trace at or
     below PRUNE_TOL. Idempotent; raises if nothing survives."""
-    merged = _merge(povm, label_tol)
+    merged = _merge(povm.dim, povm.labels, povm.effects, label_tol)
     return _prune(povm.dim, merged.labels, merged.effects, PRUNE_TOL)

@@ -12,7 +12,8 @@ from .model import (
     FinitePOVM,
     Label,
     PovmError,
-    align_label_universe,
+    _merge,
+    _repeats,
     as_label,
 )
 
@@ -68,8 +69,7 @@ class PostProcessing:
 
 def is_injective(pp: PostProcessing, label_tol: float = LABEL_TOL) -> bool:
     """Whether all target labels are pairwise distinct within tolerance."""
-    universe, _ = align_label_universe([[dst for _, dst in pp.table]], label_tol)
-    return len(universe) == len(pp.table)
+    return not _repeats([dst for _, dst in pp.table], label_tol)
 
 
 def apply_postprocessing(
@@ -88,10 +88,7 @@ def apply_postprocessing(
                 f"post-processing needs integer labels, found {label!r}"
             )
         targets.append(pp.target(label))
-    universe, (idx,) = align_label_universe([targets], label_tol)
-    effects = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
-    np.add.at(effects, idx, povm.effects)
-    return FinitePOVM(povm.dim, universe, effects)
+    return _merge(povm.dim, targets, povm.effects, label_tol)
 
 
 def gen_pvm(basis) -> FinitePOVM:

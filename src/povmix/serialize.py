@@ -25,7 +25,7 @@ from .model import (
     FinitePOVM,
     PovmError,
     TraceDensity,
-    align_label_universe,
+    _repeats,
     label_to_jsonable,
 )
 from .outcomes import PostProcessing
@@ -357,11 +357,11 @@ def trace_density_from_jsonable(obj, path: str = "") -> TraceDensity:
     for key, values in (("weights", weights), ("densities", raw)):
         if len(values) != len(labels):
             raise ParseError(f"{prefix}{key}", f"expected {len(labels)} entries, got {len(values)}")
-    _, (idx,) = align_label_universe([labels])
-    first: dict = {}
-    for i, (u, weight, value) in enumerate(zip(idx, weights, raw)):
-        if first.setdefault(u, i) != i:
-            raise ParseError(f"{prefix}labels[{i}]", f"repeats labels[{first[u]}]")
+    # Exact: a writer may keep labels apart at any label_tol.
+    first = {j: i for i, j in _repeats(labels, 0.0)}
+    for i, (weight, value) in enumerate(zip(weights, raw)):
+        if i in first:
+            raise ParseError(f"{prefix}labels[{i}]", f"repeats labels[{first[i]}]")
         if weight < 0.0:
             raise ParseError(f"{prefix}weights[{i}]", f"expected a weight >= 0, got {weight!r}")
         if value is None and weight != 0.0:

@@ -17,6 +17,7 @@ from povmix.cli import main
 from povmix.config import Config
 from povmix.decompose import ExtremalMixture, MixtureComponent
 from povmix.serialize import (
+    ParseError,
     dumps,
     mixture_to_jsonable,
     povm_to_jsonable,
@@ -137,6 +138,28 @@ def test_density_round_trips_repeated_labels(tmp_path, capsys):
     assert td.labels == (0, 1)
     assert list(td.weights) == [2.0, 0.0]
     assert np.array_equal(td.densities[0], half) and td.densities[1] is None
+
+
+def test_density_output_parses_at_any_label_tol(tmp_path, capsys, monkeypatch):
+    # 1e-10 apart, the two points are one label at the default label_tol and
+    # two at 1e-12; the parser takes the two-entry document that gives
+    povm = tmp_path / "p.json"
+    half = np.eye(2) / 2
+    labels = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0 + 1e-10))
+    povm.write_text(dumps(povm_to_jsonable(FinitePOVM(2, labels, [half, half]))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"label_tol": 1e-12}))
+    monkeypatch.setenv("POVMIX_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "density", str(povm))
+    assert code == 0
+    doc = json.loads(out)
+    td = trace_density_from_jsonable(doc)
+    assert td.labels == labels
+    assert list(td.weights) == [1.0, 1.0]
+    # an exact repeat is still rejected
+    doc["labels"][1] = doc["labels"][0]
+    with pytest.raises(ParseError, match=r"repeats labels\[0\]"):
+        trace_density_from_jsonable(doc)
 
 
 def test_postprocess_warns_on_merge(tmp_path, capsys):
@@ -382,6 +405,39 @@ def _pipeline(tmp_path, povmix_cmd, a):
 
 
 MODULE_CMD = f"{shlex.quote(sys.executable)} -m povmix"
+
+# One round of the library on a point-labelled and an integer-labelled input;
+# prints the modules it imports after povmix itself.
+_ROUND = """
+import sys
+import povmix
+from povmix import serialize as ser
+before = set(sys.modules)
+rho = povmix.gen_random_state(2, seed=0)
+for povm in (povmix.gen_covariant_sphere(20, seed=0), povmix.gen_random_povm(2, 6, seed=1)):
+    assert povmix.validate_povm(povm).is_valid
+    povmix.is_extreme(povm)
+    mixture = povmix.decompose_extremal(povm)
+    povmix.verify_barycenter(povm, mixture)
+    povmix.sample_direct(povm, rho, 1000, seed=1)
+    povmix.sample_two_stage(mixture, rho, 1000, seed=1)
+    ser.mixture_from_jsonable(ser.loads(ser.dumps(ser.mixture_to_jsonable(mixture))))
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_round_imports_no_numpy_module_but_random():
+    # numpy loads some submodules on first use (np.unique loads numpy.ma);
+    # each one lands in the benchmark's peak_rss_mb
+    env = dict(os.environ)
+    src = str(Path(povmix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUND], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    late = [m for m in proc.stdout.split() if m.startswith("numpy.")]
+    assert all(m.startswith("numpy.random") for m in late), late
 
 
 def test_console_script_pipeline(tmp_path):

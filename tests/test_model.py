@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povmix import model
+from povmix.extremality import is_extreme
 from povmix.model import (
     DensityState,
     FinitePOVM,
@@ -108,6 +109,33 @@ def test_validate_povm_flags_each_violation():
     report = validate_povm(unnorm)
     assert not report.normalization_ok
     assert report.normalization_residual == pytest.approx(0.25)
+
+
+def test_validate_applies_the_hermitian_rule_to_each_effect():
+    # A 1.5e-12 defect exceeds 1e-12 (1 + ||h||_max) on a 1e-3 effect, though
+    # not 1e-12 (1 + 1), the bound scaled by the whole stack's largest entry.
+    h = np.diag([1e-3, 0.0]).astype(np.complex128)
+    h[0, 1] = 1.5e-12
+    report = validate_povm(FinitePOVM(2, (0, 1), np.array([h, I2 - h])))
+    assert report.non_hermitian == [(0, 1.5e-12)]
+    assert report.non_psd == [] and report.normalization_ok
+    assert report.messages() == ["effect 0 is not Hermitian (defect 1.500e-12)"]
+
+
+def test_validate_and_extremality_share_the_psd_rule():
+    # -1.5e-10 is below -1e-10 (1 + 1e-3), the bound of its own effect, but
+    # not below -1e-10 (1 + 1), the bound of the stack's largest eigenvalue.
+    h = np.diag([1e-3, -1.5e-10])
+    povm = FinitePOVM(2, (0, 1), np.array([h, I2 - h]))
+    report = validate_povm(povm)
+    assert report.non_psd == [(0, -1.5e-10)] and report.non_hermitian == []
+    with pytest.raises(PovmError, match="effect is not PSD: min eigenvalue -1.500e-10"):
+        is_extreme(povm)
+    # a tenth of that eigenvalue passes both
+    h = np.diag([1e-3, -1.5e-11])
+    povm = FinitePOVM(2, (0, 1), np.array([h, I2 - h]))
+    assert validate_povm(povm).is_valid
+    assert not is_extreme(povm).is_extreme
 
 
 def test_born_rule_on_sic_reference_state():

@@ -214,6 +214,8 @@ def inputs():
     yield "mixed ranks", mixed_rank_povm(0)
     for d, k, cap in ((3, 6, 2), (3, 5, 3), (4, 8, 2), (4, 6, 3)):
         yield f"d={d} k={k} cap={cap}", gen_random_povm(d, k, rank_cap=cap, seed=10 * d + cap)
+    # more effects than d^2: its splits leave nonzero blocks off live
+    yield "d=3 k=12 cap=2", gen_random_povm(3, 12, rank_cap=2, seed=1)
 
 
 def nodes(povm, depth=2):
@@ -249,6 +251,7 @@ def assert_same_split(povm, live, point, tp):
 def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
     ragged = False
     general = 0
+    dead = False
     for node in nodes(povm):
         tp = build_tp_map(node)
         assert_same_map(tp, ref_build_tp_map(node))
@@ -260,10 +263,14 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
         assert np.array_equal(live, ref_live)
         assert np.array_equal(point, ref_point)
         assert_same_split(node, live, point, tp)
+        dead |= np.count_nonzero(tp.ranks) > len(live)
     # two splits down, blocks of one original rank have different ranks
     assert ragged
     # some block keeps two live roots: the general-rank walk runs
     assert general > 0
+    # a split scales a nonzero block that is not live
+    if povm.n_outcomes > povm.dim**2:
+        assert dead
 
 
 def test_map_frames_are_one_stack_padded_in_front():
@@ -424,7 +431,7 @@ def test_walk_lands_on_an_extreme_point():
     """Every + child of a walk-directed split is extreme: the walk ends at an
     extreme point of the face, and the + saturation lands on it."""
     povms = [povm for _, povm in inputs()] + list(corpus_povms())
-    assert len(povms) == 25
+    assert len(povms) == 26
     splits = 0
     for povm in povms:
         for split in split_chain(povm):
