@@ -15,7 +15,6 @@ from .model import (
     born_probabilities,
     convex_combine,
     effects_distance,
-    expectation_operator,
     prune_and_merge,
     trace_density,
     validate_povm,
@@ -23,7 +22,6 @@ from .model import (
 from .extremality import (
     ExtremalityVerdict,
     TpMap,
-    apply_tp,
     build_tp_map,
     is_extreme,
 )
@@ -50,7 +48,6 @@ from .outcomes import (
 )
 from .sampling import (
     OutcomeHistogram,
-    merge_histograms,
     sample_direct,
     sample_two_stage,
     tv_distance,
@@ -75,14 +72,12 @@ __all__ = [
     "TraceDensity",
     "ValidationReport",
     "apply_postprocessing",
-    "apply_tp",
     "born_probabilities",
     "build_tp_map",
     "convex_combine",
     "decompose_extremal",
     "align_label_universe",
     "effects_distance",
-    "expectation_operator",
     "gen_covariant_sphere",
     "gen_ea_family",
     "gen_pvm",
@@ -93,7 +88,6 @@ __all__ = [
     "is_extreme",
     "is_injective",
     "load_config",
-    "merge_histograms",
     "prune_and_merge",
     "sample_direct",
     "sample_two_stage",

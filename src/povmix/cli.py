@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .config import Config, load_config
+from .config import SEED_LIMIT, Config, load_config
 from .decompose import decompose_extremal, verify_barycenter
 from .extremality import is_extreme
 from .model import PovmError, _merge, convex_combine, trace_density, validate_povm
@@ -75,8 +75,17 @@ def _require(args, names):
             raise _UsageError(f"--{name} is required for this kind")
 
 
+def _seed(args, cfg: Config) -> int:
+    """--seed, or the config's seed when the flag is absent; both lie in [0, 2**128)."""
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        raise _UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
+    return cfg.seed if args.seed is None else args.seed
+
+
 def _cmd_gen(args, cfg: Config) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = _seed(args, cfg)
+    if args.d is not None and args.d < 1:
+        raise _UsageError(f"--d must be >= 1, got {args.d}")
     kind = args.kind
     if kind == "sic":
         povm = gen_sic_qubit()
@@ -90,7 +99,7 @@ def _cmd_gen(args, cfg: Config) -> int:
         if args.seed is None:
             basis = np.eye(d)
         else:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(seed)
             g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
             q, r = np.linalg.qr(g)
             basis = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -168,7 +177,7 @@ def _cmd_postprocess(args, cfg: Config) -> int:
 
 def _cmd_sample(args, cfg: Config) -> int:
     state = _load_state(args.state)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = _seed(args, cfg)
     if args.mode == "direct":
         hist = sample_direct(_load_povm(args.input), state, args.n, seed=seed)
     else:
@@ -180,7 +189,7 @@ def _cmd_sample(args, cfg: Config) -> int:
 
 
 def _cmd_verify_barycenter(args, cfg: Config) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = _seed(args, cfg)
     paths = args.files
     if len(paths) > 2:
         raise _UsageError("expected at most two positional files: povm and mixture")

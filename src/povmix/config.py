@@ -21,6 +21,9 @@ ENV_VAR = "POVMIX_CONFIG"
 
 _DEFAULT_PATH = Path("~/.config/povmix.json")
 
+# Seeds key numpy's Philox generator, whose key holds 128 bits.
+SEED_LIMIT = 2**128
+
 
 @dataclass(frozen=True)
 class Config:
@@ -45,6 +48,8 @@ class Config:
             raise PovmError(f"config key 'max_leaves' must be >= 1, got {self.max_leaves}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise PovmError("config key 'seed' must be an integer")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise PovmError(f"config key 'seed' must be in [0, 2**128), got {self.seed}")
 
 
 def config_path() -> Path:

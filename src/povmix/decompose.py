@@ -152,9 +152,7 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
     return w, u, pos >= t - np.count_nonzero(kept, axis=1)[:, None]
 
 
-def split_once(
-    povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap | None = None
-) -> SplitResult:
+def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap) -> SplitResult:
     """Peel a point B of the face off: P = (1/lam) E + (1 - 1/lam) R.
 
     live lists the blocks where B may be nonzero, in increasing order, and
@@ -166,10 +164,8 @@ def split_once(
     live blocks and P_i lam / (lam - 1) on every other block. The split
     raises SplitError unless lam exceeds 1 and T(B) = T(I) up to
     RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It takes one eigh,
-    of the live blocks.
+    of the live blocks, and reads povm's map tp rather than build one.
     """
-    if tp is None:
-        tp = build_tp_map(povm)
     n, d, t = tp.frames.shape
     live = np.asarray(live)
     if live.ndim != 1 or live.size == 0 or live.dtype.kind not in "iu" or not (

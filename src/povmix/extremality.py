@@ -116,14 +116,6 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
     return TpMap(d, povm.labels, frames, tuple(counts.tolist()))
 
 
-def apply_tp(tp: TpMap, element: np.ndarray) -> np.ndarray:
-    """Evaluate the map on an (n, t, t) element's windows, returning a d x d matrix."""
-    n, _, t = tp.frames.shape
-    if np.shape(element) != (n, t, t):
-        raise ValueError(f"element shape {np.shape(element)} does not match stack {(n, t, t)}")
-    return (tp.frames @ element @ tp.frames.conj().transpose(0, 2, 1)).sum(axis=0)
-
-
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:
     """Injectivity verdict for an assembled map.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class FinitePOVM:
     @property
     def n_outcomes(self) -> int:
         return len(self.labels)
-
-    def __iter__(self):
-        return iter(zip(self.labels, self.effects))
 
 
 @dataclass(frozen=True)
@@ -269,34 +266,6 @@ def _born_stack(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
         )
     p[p < 0.0] = 0.0
     return p
-
-
-def _as_outcome_function(f) -> Callable[[Label], float]:
-    if isinstance(f, Mapping):
-        table = f
-
-        def lookup(label: Label) -> float:
-            return table[label]
-
-        return lookup
-    if callable(f):
-        return f
-    raise PovmError(f"expected a mapping or callable, got {type(f).__name__}")
-
-
-def expectation_operator(povm: FinitePOVM, f) -> np.ndarray:
-    """The operator sum_i f(y_i) P_i for a real function f of the labels."""
-    fn = _as_outcome_function(f)
-    total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
-    for label, effect in povm:
-        try:
-            value = complex(fn(label))
-        except Exception as exc:
-            raise PovmError(f"function undefined on label {label!r}") from exc
-        if abs(value.imag) > 1e-12 * (1.0 + abs(value)):
-            raise PovmError(f"function value {value} on label {label!r} is not real")
-        total += value.real * effect
-    return total
 
 
 def trace_density(povm: FinitePOVM) -> TraceDensity:

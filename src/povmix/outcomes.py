@@ -97,6 +97,8 @@ def gen_pvm(basis) -> FinitePOVM:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise PovmError(f"basis must be square, got shape {u.shape}")
     d = u.shape[0]
+    if d == 0:
+        raise PovmError("basis is empty: a measurement needs dimension >= 1")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
     if defect > _UNITARY_TOL:
         raise PovmError(f"basis is not unitary: ||U^dag U - 1||_max = {defect:.3e}")

@@ -55,20 +55,6 @@ class OutcomeHistogram:
         object.__setattr__(self, "n", int(self.n))
 
 
-def merge_histograms(histograms, label_tol: float = LABEL_TOL) -> OutcomeHistogram:
-    """Sum histograms over the union of their label sets."""
-    histograms = list(histograms)
-    if not histograms:
-        raise PovmError("nothing to merge")
-    universe, maps = align_label_universe(
-        [h.labels for h in histograms], label_tol
-    )
-    counts = np.zeros(len(universe), dtype=np.int64)
-    for h, m in zip(histograms, maps):
-        np.add.at(counts, np.asarray(m, dtype=np.intp), np.asarray(h.counts))
-    return OutcomeHistogram(tuple(universe), tuple(counts), int(counts.sum()))
-
-
 def _uniforms_at(seed, start: int, count: int) -> np.ndarray:
     # Philox.advance skips whole 4-double counter blocks, so advance to the
     # enclosing block and discard the in-block remainder.

@@ -311,20 +311,6 @@ def verdict_to_jsonable(verdict: ExtremalityVerdict) -> dict:
     }
 
 
-def verdict_from_jsonable(obj, path: str = "") -> ExtremalityVerdict:
-    prefix = f"{path}." if path else ""
-    extreme = _get(obj, "extreme", path)
-    if not isinstance(extreme, bool):
-        raise ParseError(f"{prefix}extreme", f"expected a boolean, got {extreme!r}")
-    return ExtremalityVerdict(
-        extreme,
-        _real_at(_get(obj, "margin", path), f"{prefix}margin"),
-        _int_at(_get(obj, "kernel_dim", path), f"{prefix}kernel_dim"),
-        _int_at(_get(obj, "domain_dim", path), f"{prefix}domain_dim"),
-        _real_at(_get(obj, "threshold", path), f"{prefix}threshold"),
-    )
-
-
 def trace_density_to_jsonable(td: TraceDensity) -> dict:
     residuals = [
         None if d is None else abs(float(np.trace(d).real) - 1.0)

@@ -100,3 +100,17 @@ def recombine_oracle(weights, effect_stacks, label_lists, label_tol=1e-9):
             i = find(label)
             total[i] = total.get(i, 0) + w * p
     return universe, total
+
+
+def apply_tp(tp, element):
+    """The sandwich map sum_i S_i X_i S_i^dag on an (n, t, t) stack, a d x d matrix.
+
+    It reads a whole stack the way split_once reads its point: the frames
+    are zero outside each block's trailing r_i columns, so finite entries
+    of X_i off the r_i x r_i window count as exact zeros, and a stack of
+    another shape raises ValueError.
+    """
+    n, _, t = tp.frames.shape
+    if np.shape(element) != (n, t, t):
+        raise ValueError(f"element shape {np.shape(element)} does not match stack {(n, t, t)}")
+    return (tp.frames @ element @ tp.frames.conj().transpose(0, 2, 1)).sum(axis=0)

@@ -200,6 +200,56 @@ def test_sample_commands(tmp_path, capsys):
     assert code == 1 and "--shards" in err
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_gen_pvm_rejects_an_empty_dimension(capsys, d):
+    code, out, err = run(capsys, "gen", "--kind", "pvm", "--d", str(d))
+    assert code == 1 and out == ""
+    assert "--d" in err
+
+
+def seeded_commands(tmp_path, capsys):
+    """Argument lists of every command that draws from a seed, without --seed."""
+    povm, mix, state = tmp_path / "p.json", tmp_path / "m.json", tmp_path / "rho.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--k", "4", "--seed", "6", "-o", str(povm))
+    run(capsys, "decompose", str(povm), "-o", str(mix))
+    state.write_text(dumps(state_to_jsonable(DensityState(2, np.eye(2) / 2))))
+    return [
+        ["gen", "--kind", "random", "--d", "2", "--k", "4"],
+        ["gen", "--kind", "covariant-sphere", "--n", "6"],
+        ["sample", "direct", str(povm), "--state", str(state), "--n", "50"],
+        ["sample", "two-stage", str(mix), "--state", str(state), "--n", "50"],
+        ["verify-barycenter", str(povm), str(mix), "--trials", "2"],
+    ]
+
+
+def test_seed_flag_out_of_range_is_a_usage_error(tmp_path, capsys):
+    """One rule for --seed on every command: 0 <= seed < 2**128, the Philox
+    key's range; outside it the message names the flag, not numpy's check."""
+    commands = seeded_commands(tmp_path, capsys) + [["gen", "--kind", "pvm", "--d", "2"]]
+    for argv in commands:
+        for seed in (-1, 2**128):
+            code, out, err = run(capsys, *argv, "--seed", str(seed))
+            assert code == 1 and out == "", argv
+            assert "--seed must be in [0, 2**128)" in err, argv
+        code, _, err = run(capsys, *argv, "--seed", str(2**128 - 1))
+        assert code == 0, (argv, err)
+
+
+def test_config_seed_out_of_range_names_the_key(tmp_path, capsys, monkeypatch):
+    commands = seeded_commands(tmp_path, capsys)
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("POVMIX_CONFIG", str(cfg))
+    for seed in (-1, 2**128):
+        cfg.write_text(json.dumps({"seed": seed}))
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert "config key 'seed' must be in [0, 2**128)" in err, argv
+    cfg.write_text(json.dumps({"seed": 2**128 - 1}))
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_verify_barycenter_stdin_modes(tmp_path, capsys, monkeypatch):
     povm = tmp_path / "p.json"
     mix = tmp_path / "m.json"

@@ -20,6 +20,7 @@ from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
 from oracles import frame_oracle
+from test_acceptance import _rank_cap
 from test_extremality import haar_unitary
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -41,7 +42,8 @@ def test_split_coin_with_explicit_kernel_element():
     # B = (2I, 0) is on the face: T(B) = I. lambda = 2 peels the leaf {I}
     # off with weight 1/2 and leaves {0, I}
     povm = coin()
-    result = split_once(povm, np.array([0, 1]), np.array([2 * I2, 0 * I2]))
+    tp = build_tp_map(povm)
+    result = split_once(povm, np.array([0, 1]), np.array([2 * I2, 0 * I2]), tp)
     assert result.weight_plus == pytest.approx(0.5)
     assert result.weight_minus == pytest.approx(0.5)
     assert result.child_plus.labels == (0, 1)
@@ -50,7 +52,7 @@ def test_split_coin_with_explicit_kernel_element():
     assert np.allclose(result.child_minus.effects[0], 0, atol=1e-14)
     assert np.allclose(result.child_minus.effects[1], I2, atol=1e-14)
     # the same point with block 1 dead: the leaf carries block 0 only
-    result = split_once(povm, np.array([0]), np.array([2 * I2]))
+    result = split_once(povm, np.array([0]), np.array([2 * I2]), tp)
     assert result.child_plus.labels == (0,)
     assert np.allclose(result.child_plus.effects, [I2], atol=1e-14)
     assert np.allclose(result.child_minus.effects, [0 * I2, I2], atol=1e-14)
@@ -81,13 +83,14 @@ def test_split_strictly_shrinks_block_dimension():
 
 def test_split_rejects_non_kernel_and_one_sided_elements():
     povm = coin()
+    tp = build_tp_map(povm)
     live = np.array([0, 1])
     with pytest.raises(SplitError, match="not above 1"):
         # B = I is the measurement itself: lambda = 1, nothing to peel
-        split_once(povm, live, np.array([I2, I2]))
+        split_once(povm, live, np.array([I2, I2]), tp)
     with pytest.raises(SplitError, match="off the face"):
         # T(B) = 3I/2, not I: the residual check trips
-        split_once(povm, live, np.array([3 * I2, 0 * I2]))
+        split_once(povm, live, np.array([3 * I2, 0 * I2]), tp)
     for bad_live, bad_point in [
         (live, np.array([2 * I2])),
         (live, np.zeros((2, 3, 3))),
@@ -98,7 +101,7 @@ def test_split_rejects_non_kernel_and_one_sided_elements():
         (np.array([], dtype=int), np.zeros((0, 2, 2))),
     ]:
         with pytest.raises(SplitError):
-            split_once(povm, bad_live, bad_point)
+            split_once(povm, bad_live, bad_point, tp)
 
 
 def test_decompose_coin_gives_an_even_projective_mixture():
@@ -352,6 +355,38 @@ def test_labels_merge_once_at_the_root(monkeypatch):
         assert a.weight == b.weight
         assert a.povm.labels == b.povm.labels
         assert np.array_equal(a.povm.effects, b.povm.effects)
+
+
+def criterion_2_draws(per_dim=3):
+    """The first per_dim draws of each dimension of criterion 2's corpus."""
+    for d, master in ((2, 1002), (3, 1003), (4, 1004)):
+        rng = np.random.default_rng(master)
+        for _ in range(per_dim):
+            k = int(rng.integers(2, 3 * d * d + 1))
+            cap = _rank_cap(d, k)
+            yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
+
+
+def test_chain_builds_two_maps_per_peel(monkeypatch):
+    """Complexity guard: each peel builds its node's map and its leaf's, and
+    the split reads the node's map, so L leaves cost exactly 2L - 1 maps."""
+    built = 0
+
+    def counting_build_tp_map(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return build_tp_map(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "build_tp_map", counting_build_tp_map)
+    peeled = 0
+    for povm in [*criterion_2_draws(), gen_covariant_sphere(50, seed=7)]:
+        built = 0
+        mixture = decompose_extremal(povm)
+        assert mixture.complete
+        leaves = len(mixture.components)
+        peeled += leaves - 1
+        assert built == 2 * leaves - 1
+    assert peeled > 50
 
 
 def face_dim(povm):

@@ -3,7 +3,6 @@ import pytest
 
 from povmix.decompose import SplitError, _extremal_direction, split_once
 from povmix.extremality import (
-    apply_tp,
     build_tp_map,
     frame_columns,
     is_extreme,
@@ -19,7 +18,7 @@ from povmix.outcomes import (
     gen_trine,
 )
 
-from oracles import gram_extremality_oracle
+from oracles import apply_tp, gram_extremality_oracle
 
 I2 = np.eye(2, dtype=np.complex128)
 

@@ -14,7 +14,6 @@ from povmix.model import (
     born_probabilities,
     convex_combine,
     effects_distance,
-    expectation_operator,
     labels_equal,
     prune_and_merge,
     trace_density,
@@ -168,17 +167,6 @@ def test_born_clamps_rounding_noise_only():
     strongly_bad = FinitePOVM(2, (0, 1), np.array([np.diag([1.0, -0.1]), np.diag([0.0, 1.1])]))
     with pytest.raises(PovmError):
         born_probabilities(strongly_bad, rho)
-
-
-def test_expectation_operator():
-    povm = z_pvm()
-    assert np.allclose(expectation_operator(povm, lambda y: 1.0), I2)
-    op = expectation_operator(povm, {0: 2.0, 1: -3.0})
-    assert np.allclose(op, np.diag([2.0, -3.0]))
-    with pytest.raises(PovmError):
-        expectation_operator(povm, {0: 2.0})  # undefined on label 1
-    with pytest.raises(PovmError):
-        expectation_operator(povm, lambda y: 1j)
 
 
 def test_trace_density_unit_traces():

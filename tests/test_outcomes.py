@@ -83,6 +83,8 @@ def test_gen_pvm():
         assert np.allclose(effect @ effect, effect, atol=1e-14)  # projector
     with pytest.raises(PovmError):
         gen_pvm(np.array([[1.0, 0.0], [1.0, 0.0]]))  # not unitary
+    with pytest.raises(PovmError, match="basis is empty"):
+        gen_pvm(np.eye(0))
 
 
 def test_reference_generators_validate():

@@ -31,7 +31,6 @@ from povmix.decompose import (
 from povmix.extremality import (
     MARGIN_FACTOR,
     TpMap,
-    apply_tp,
     build_tp_map,
     frame_columns,
     pair_mask,
@@ -40,6 +39,8 @@ from povmix.extremality import (
 from povmix.linalg import RANK_TOL, herm_basis, herm_matrices, kernel_basis
 from povmix.model import PRUNE_TOL, FinitePOVM, _prune, prune_and_merge
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm
+
+from oracles import apply_tp
 
 
 def ref_frame_columns(frame):
@@ -287,7 +288,7 @@ def test_map_frames_are_one_stack_padded_in_front():
 def test_split_and_map_read_only_the_windows():
     """The point contract: entries off the live blocks' windows are ignored
     and the caller's point is not written; a point not shaped like the live
-    stack is rejected. apply_tp reads the map's whole stack the same way."""
+    stack is rejected. The apply_tp oracle reads the map's whole stack the same way."""
     povm = mixed_rank_povm(0)
     tp = build_tp_map(povm)
     live, point = _extremal_direction(tp)

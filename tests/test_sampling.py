@@ -17,7 +17,6 @@ from povmix.sampling import (
     OutcomeHistogram,
     _BinTable,
     _uniforms_at,
-    merge_histograms,
     sample_direct,
     sample_two_stage,
     tv_distance,
@@ -183,17 +182,6 @@ def test_tv_distance_aligns_point_labels():
     h1 = OutcomeHistogram(((0.0, 1.0),), (10,), 10)
     h2 = OutcomeHistogram(((0.0, 1.0 + 1e-12),), (10,), 10)
     assert tv_distance(h1, h2) == 0.0
-
-
-def test_merge_histograms():
-    h1 = OutcomeHistogram((0, 1), (3, 4), 7)
-    h2 = OutcomeHistogram((1, 2), (1, 6), 7)
-    merged = merge_histograms([h1, h2])
-    assert merged.n == 14
-    assert merged.labels == (0, 1, 2)
-    assert merged.counts == (3, 5, 6)
-    with pytest.raises(PovmError):
-        merge_histograms([])
 
 
 def test_sampling_rejects_bad_inputs():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from povmix.decompose import decompose_extremal, verify_barycenter
-from povmix.extremality import is_extreme
 from povmix.model import DensityState, FinitePOVM, effects_distance, trace_density
 from povmix.outcomes import (
     PostProcessing,
@@ -30,8 +29,6 @@ from povmix.serialize import (
     state_to_jsonable,
     trace_density_from_jsonable,
     trace_density_to_jsonable,
-    verdict_from_jsonable,
-    verdict_to_jsonable,
 )
 
 
@@ -85,12 +82,6 @@ def test_postprocessing_round_trip():
     pp = PostProcessing(((0, 7), (1, (0.5, -1.0)), (2, 7)))
     back = round_trip(pp, postprocessing_to_jsonable, postprocessing_from_jsonable)
     assert back.table == pp.table
-
-
-def test_verdict_round_trip():
-    verdict = is_extreme(gen_random_povm(2, 3, seed=4))
-    back = round_trip(verdict, verdict_to_jsonable, verdict_from_jsonable)
-    assert back == verdict
 
 
 def test_trace_density_round_trip():
@@ -190,10 +181,6 @@ def _malformed(slot, bad):
         doc = mixture_to_jsonable(decompose_extremal(gen_random_povm(2, 3, seed=6)))
         doc["components"][1]["weight"] = bad
         return doc, mixture_from_jsonable, "components[1].weight"
-    if slot in ("margin", "threshold"):
-        doc = verdict_to_jsonable(is_extreme(gen_random_povm(2, 3, seed=4)))
-        doc[slot] = bad
-        return doc, verdict_from_jsonable, slot
     if slot == "trace weight":
         doc = trace_density_to_jsonable(trace_density(gen_random_povm(2, 3, seed=4)))
         doc["weights"][1] = bad
@@ -205,7 +192,7 @@ def _malformed(slot, bad):
 
 @pytest.mark.parametrize("bad", [True, None, "x", HUGE], ids=["true", "null", "str", "huge"])
 @pytest.mark.parametrize(
-    "slot", ["effect", "label", "weight", "state", "margin", "threshold", "trace weight"]
+    "slot", ["effect", "label", "weight", "state", "trace weight"]
 )
 def test_malformed_number_is_reported_at_its_path(slot, bad):
     """numpy would read true as 1.0 and null as NaN, and float() of a huge
@@ -254,9 +241,9 @@ def test_non_finite_matrix_entry_is_reported_at_its_path(slot, literal):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("slot", ["label", "weight", "margin", "threshold", "trace weight"])
+@pytest.mark.parametrize("slot", ["label", "weight", "trace weight"])
 def test_non_finite_real_is_reported_at_its_path(slot, literal):
-    """Labels, mixture and trace weights and verdict figures must be finite too."""
+    """Labels, mixture weights and trace weights must be finite too."""
     _assert_non_finite_rejected(slot, literal)
 
 
@@ -370,7 +357,6 @@ def _fuzz_documents():
             trace_density_from_jsonable,
         ),
         ("postprocessing", postprocessing_to_jsonable(pp), postprocessing_from_jsonable),
-        ("verdict", verdict_to_jsonable(is_extreme(random)), verdict_from_jsonable),
     ]
 
 
