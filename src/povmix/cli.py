@@ -9,6 +9,7 @@ extreme, 3 incomplete decomposition, 1 any error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -93,6 +94,8 @@ def _cmd_gen(args, cfg: Config) -> int:
         povm = gen_trine()
     elif kind == "ea":
         _require(args, ["a"])
+        if not math.isfinite(args.a):
+            raise _UsageError(f"--a must be finite, got {args.a}")
         povm = gen_ea_family(args.a)
     elif kind == "pvm":
         d = 2 if args.d is None else args.d
@@ -193,12 +196,9 @@ def _cmd_verify_barycenter(args, cfg: Config) -> int:
     paths = args.files
     if len(paths) > 2:
         raise _UsageError("expected at most two positional files: povm and mixture")
-    if len(paths) == 2:
+    if paths:
         povm = _load_povm(paths[0])
-        mixture = _load_mixture(paths[1])
-    elif len(paths) == 1:
-        povm = _load_povm(paths[0])
-        mixture = _load_mixture("-")
+        mixture = _load_mixture(paths[1] if len(paths) == 2 else "-")
     else:
         # Self-consistency mode for pipelines: recombine the mixture read
         # from stdin and verify against that.
@@ -288,10 +288,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args, load_config())
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PovmError, OSError, RuntimeError, ValueError) as exc:
+    except (_UsageError, PovmError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

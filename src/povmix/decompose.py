@@ -32,7 +32,7 @@ from .extremality import (
     pair_mask,
     verdict_from_tp,
 )
-from .linalg import RANK_TOL, herm_coords, herm_matrices, kernel_basis, window_kernel
+from .linalg import RANK_TOL, herm_matrices, kernel_basis, window_kernel
 from .model import (
     LABEL_TOL,
     PRUNE_TOL,
@@ -340,17 +340,16 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
     every live block has one live root, the point is extreme (a rank-one
     block's map column is its scalar column), and the walk ends. Otherwise
     the general walk refines the live blocks. A step takes one SVD of the
-    real map with the live columns of S_i G_i and one eigh of its first
-    kernel vector's Hermitian stack, and updates
-    G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become zero
-    columns, dropped from the next step by mask where they stand. Each step
-    kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
+    real map on the kept pairs of S_i G_i's live columns, sum_i |kept_i|^2
+    columns, and one eigh of its first kernel vector's Hermitian stack, and
+    updates G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become
+    zero columns, dropped from the next step by mask where they stand. Each
+    step kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
     """
     n, d, t = tp.frames.shape
     d2 = d * d
-    # Root s_ij as an (n t, d, 1) stack, dead slots as zero columns.
-    roots = tp.frames.swapaxes(1, 2).reshape(n * t, d, 1)
-    columns = herm_coords(roots @ _dagger(roots)).T
+    # Root s_ij's column is its diagonal pair (i, j, j); dead slots give zeros.
+    columns = frame_columns(tp.frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
     scale = tp.kept.reshape(-1).astype(np.float64)  # c_ij
     while np.count_nonzero(scale) > 2 * (d2 + 1):
         active = np.flatnonzero(scale)
@@ -372,11 +371,12 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
     if np.count_nonzero(kept, axis=1).max() > 1:
         frames = tp.frames[live, :, t - s :]
         for _ in range(tp.domain_dim + 16):
-            basis = kernel_basis(frame_columns(frames @ factors, kept), margin_factor)
+            pairs = pair_mask(kept)
+            basis = kernel_basis(frame_columns(frames @ factors, pairs), margin_factor)
             if basis.shape[1] == 0:
                 break
             y = np.zeros((live.size, s * s))
-            y[pair_mask(kept).reshape(live.size, -1)] = basis[:, 0]
+            y[pairs.reshape(live.size, -1)] = basis[:, 0]
             w, u, live_eig = _live_eigh(herm_matrices(y, s), kept)
             tau, flip = _saturating_step(w[live_eig])
             if flip:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, herm_basis, psd_ok
+from .linalg import RANK_TOL, herm_coords, psd_ok
 from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
@@ -32,7 +32,7 @@ class TpMap:
 
     frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
     the trailing r_i columns of frames[i] and the t - r_i columns in front
-    are zero. Its real d^2 x sum r_i^2 matrix is frame_columns(frames, kept).
+    are zero. Its real map matrix is frame_columns(frames, pair_mask(kept)).
 
     An element of the domain is a Hermitian (n, t, t) stack in the frames'
     coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
@@ -76,19 +76,20 @@ def pair_mask(kept: np.ndarray) -> np.ndarray:
     return kept[:, :, None] & kept[:, None, :]
 
 
-def frame_columns(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Real map columns of a padded frame stack (n, d, t): the Hermitian
-    coordinates of S_i B_jk S_i^dag, B the basis of linalg.herm_basis (Q).
-    Block i is Q_d M_i Q_t^dag, M_i its complex map, with M_i's singular values.
+def frame_columns(frames: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Real map columns of a padded frame stack (n, d, t) over the pairs in use.
 
-    kept (n, t) marks each frame's live columns. The result is d^2 x
-    sum_i |kept_i|^2: blocks in stack order, (j, k) row-major over each
-    block's kept pairs.
+    One column per pair (i, p, q) that pairs (n, t, t) marks, row-major: the
+    Hermitian coordinates of S_i B_pq S_i^dag (B of linalg.herm_basis), the
+    Hermitian part of c_pq s_ip s_iq^dag with c = 1, sqrt(2) and -i sqrt(2)
+    for p = q, p < q and p > q. The result is d^2 x count(pairs).
     """
-    n, d, t = frames.shape
-    sandwich = np.einsum("iap,ibq->abipq", frames, frames.conj()).reshape(d * d * n, t * t)
-    blocks = (sandwich @ herm_basis(t).conj().T).reshape(d * d, n * t * t)
-    return (herm_basis(d) @ blocks).real[:, pair_mask(kept).reshape(-1)]
+    i, p, q = np.nonzero(pairs)
+    left = frames[i, :, p]
+    off = p != q
+    if off.any():  # diagonal pairs, such as the scalar walk's, skip the scaling
+        left[off] *= np.where(p[off] < q[off], np.sqrt(2.0), -1j * np.sqrt(2.0))[:, None]
+    return herm_coords(left[:, :, None] @ frames[i, None, :, q].conj()).T
 
 
 def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
@@ -129,7 +130,7 @@ def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> Extremal
         raise PovmError("map has an empty domain (all effects are zero)")
     if n > d2:
         return ExtremalityVerdict(False, 0.0, n - d2, n, 0.0)
-    s = np.linalg.svd(frame_columns(tp.frames, tp.kept), compute_uv=False)
+    s = np.linalg.svd(frame_columns(tp.frames, pair_mask(tp.kept)), compute_uv=False)
     sigma_max = float(s[0])
     threshold = margin_factor * sigma_max * max(d2, n)
     margin = float(s[-1])

@@ -207,6 +207,15 @@ def test_gen_pvm_rejects_an_empty_dimension(capsys, d):
     assert "--d" in err
 
 
+@pytest.mark.parametrize("a", ["inf", "-inf", "nan"])
+def test_gen_ea_rejects_a_non_finite_angle(capsys, a):
+    """A non-finite --a is a usage error that names the flag, raised before
+    numpy sees the angle, so no RuntimeWarning escapes."""
+    code, out, err = run(capsys, "gen", "--kind", "ea", f"--a={a}")
+    assert code == 1 and out == ""
+    assert f"--a must be finite, got {float(a)}" in err
+
+
 def seeded_commands(tmp_path, capsys):
     """Argument lists of every command that draws from a seed, without --seed."""
     povm, mix, state = tmp_path / "p.json", tmp_path / "m.json", tmp_path / "rho.json"

@@ -15,7 +15,7 @@ from povmix.decompose import (
     split_once,
     verify_barycenter,
 )
-from povmix.extremality import MARGIN_FACTOR, build_tp_map, frame_columns, is_extreme
+from povmix.extremality import MARGIN_FACTOR, build_tp_map, frame_columns, is_extreme, pair_mask
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
@@ -393,7 +393,7 @@ def face_dim(povm):
     """Real dimension of the Hermitian kernel of the map at the decomposition
     root: domain_dim - rank, with rank cut by the verdict's rule."""
     tp = build_tp_map(model.prune_and_merge(povm))
-    return linalg.kernel_basis(frame_columns(tp.frames, tp.kept), MARGIN_FACTOR).shape[1]
+    return linalg.kernel_basis(frame_columns(tp.frames, pair_mask(tp.kept)), MARGIN_FACTOR).shape[1]
 
 
 def certificate_corpus():

@@ -9,6 +9,7 @@ from povmix.extremality import (
     pair_mask,
     verdict_from_tp,
 )
+from povmix.linalg import herm_coords
 from povmix.model import FinitePOVM
 from povmix.outcomes import (
     gen_ea_family,
@@ -57,7 +58,7 @@ def test_frame_columns_convention():
     s = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     padded = np.zeros((1, 3, 3), dtype=np.complex128)
     padded[0, :, 1:] = s
-    cols = frame_columns(padded, np.array([[False, True, True]]))
+    cols = frame_columns(padded, pair_mask(np.array([[False, True, True]])))
     assert cols.shape == (9, 4)
     assert cols.dtype == np.float64
     for m, b in enumerate(hermitian_basis(2)):
@@ -65,6 +66,45 @@ def test_frame_columns_convention():
         expected = [np.trace(c @ x) for c in hermitian_basis(3)]
         assert np.max(np.abs(np.imag(expected))) < 1e-14
         assert np.allclose(cols[:, m], np.real(expected), rtol=0, atol=1e-14)
+
+
+def test_diagonal_pairs_are_the_root_columns():
+    """The scalar walk's columns: on the diagonal pair of every slot the
+    builder gives herm_coords(s s^dag) of each root s, bit for bit, and a
+    dead slot (a zero column of a padded frame) gives a zero column."""
+    povms = [gen_random_povm(d, 3 * d, rank_cap=d - 1, seed=d) for d in (2, 3, 4)]
+    povms.append(gen_random_povm(3, 20, rank_cap=1, seed=5))
+    # ranks 2, 1, 1, 2: the rank-one frames carry a dead slot
+    e = gen_random_povm(3, 6, rank_cap=1, seed=6).effects
+    povms.append(FinitePOVM(3, (0, 1, 2, 3), np.array([e[0] + e[1], e[2], e[3], e[4] + e[5]])))
+    dead = 0
+    for povm in povms:
+        tp = build_tp_map(povm)
+        n, d, t = tp.frames.shape
+        roots = tp.frames.swapaxes(1, 2).reshape(n * t, d, 1)
+        expected = herm_coords(roots @ roots.conj().swapaxes(1, 2)).T
+        cols = frame_columns(tp.frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
+        assert cols.tobytes() == expected.tobytes()
+        assert np.all(cols[:, ~tp.kept.reshape(-1)] == 0.0)
+        dead += np.count_nonzero(~tp.kept)
+    assert dead > 0
+
+
+def test_a_sub_mask_selects_columns_of_the_full_mask():
+    """frame_columns(f, m) is frame_columns(f, all pairs) restricted to m's
+    pairs, in order. Each column comes from its own product, but a BLAS
+    product over another stack may round differently, hence the 1e-15."""
+    rng = np.random.default_rng(4)
+    for seed in range(12):
+        d = 2 + seed % 3
+        tp = build_tp_map(gen_random_povm(d, d + 2 + seed % 5, rank_cap=1 + seed % d, seed=seed))
+        n, _, t = tp.frames.shape
+        full = frame_columns(tp.frames, np.ones((n, t, t), dtype=bool))
+        assert full.shape == (d * d, n * t * t)
+        mask = rng.random((n, t, t)) < 0.4
+        sub = frame_columns(tp.frames, mask)
+        assert sub.shape == (d * d, np.count_nonzero(mask))
+        assert np.max(np.abs(sub - full[:, mask.reshape(-1)]), initial=0.0) <= 1e-15
 
 
 def test_real_map_has_the_complex_maps_singular_values():
@@ -78,7 +118,7 @@ def test_real_map_has_the_complex_maps_singular_values():
         i, j, k = np.nonzero(pair_mask(tp.kept))
         f = tp.frames
         complex_cols = np.einsum("ca,cb->abc", f[i, :, j], f[i, :, k].conj()).reshape(d * d, -1)
-        matrix = frame_columns(tp.frames, tp.kept)
+        matrix = frame_columns(tp.frames, pair_mask(tp.kept))
         assert matrix.dtype == np.float64 and matrix.shape == complex_cols.shape
         s_real = np.linalg.svd(matrix, compute_uv=False)
         s_complex = np.linalg.svd(complex_cols, compute_uv=False)
@@ -89,7 +129,7 @@ def test_build_tp_map_shapes_and_frames():
     tp = build_tp_map(coin())
     assert tp.ranks == (2, 2)
     assert tp.domain_dim == 8
-    assert frame_columns(tp.frames, tp.kept).shape == (4, 8)
+    assert frame_columns(tp.frames, pair_mask(tp.kept)).shape == (4, 8)
     assert tp.frames.shape == (2, 2, 2)
     # frames reproduce the effects: S S^dag = P, S the trailing r columns
     for frame, r in zip(tp.frames, tp.ranks):

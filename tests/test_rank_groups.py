@@ -8,8 +8,8 @@ time on the same padded blocks. Stacking changes no arithmetic inside a
 block, so every output must be equal bit for bit, not just close. The one
 exception is the change to real Hermitian coordinates: a BLAS product over
 the whole stack need not match per-block products in the last bit, so the
-references apply that shared conversion, the products with the basis
-matrices of linalg.herm_basis, once to their stacked per-block columns.
+references apply that shared conversion, linalg.herm_coords, once to their
+stacked per-block matrices.
 From coordinates back to Hermitian blocks every entry is a single product,
 so that conversion runs block by block.
 """
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from povmix import decompose
+from povmix import decompose, extremality
 from povmix.decompose import (
     SplitError,
     _extremal_direction,
@@ -36,28 +36,30 @@ from povmix.extremality import (
     pair_mask,
     verdict_from_tp,
 )
-from povmix.linalg import RANK_TOL, herm_basis, herm_matrices, kernel_basis
+from povmix.linalg import RANK_TOL, herm_coords, herm_matrices, kernel_basis
 from povmix.model import PRUNE_TOL, FinitePOVM, _prune, prune_and_merge
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm
 
 from oracles import apply_tp
 
 
-def ref_frame_columns(frame):
-    """Complex columns vec(S E_jk S^dag) of one padded d x t frame, all t^2 pairs."""
-    d, t = frame.shape
-    return np.einsum("aj,bk->abjk", frame, frame.conj()).reshape(d * d, t * t)
+def ref_frame_columns(frame, kept):
+    """Per kept pair (p, q) of one padded d x t frame, row-major: the
+    matrix c_pq s_p s_q^dag, whose Hermitian part is S B_pq S^dag, with
+    c = 1, sqrt(2) and -i sqrt(2) for p = q, p < q and p > q."""
+    out = []
+    for p, q in zip(*np.nonzero(np.outer(kept, kept))):
+        c = np.sqrt(2.0) if p < q else -1j * np.sqrt(2.0)
+        left = frame[:, p] if p == q else frame[:, p] * c
+        out.append(left[:, None] @ frame[:, q].conj()[None, :])
+    return out
 
 
 def ref_map_matrix(frames, kepts):
-    """Real map of padded frames: each block's complex columns, stacked and
-    put into Hermitian coordinates by one shared conversion, then each
-    block's kept pairs (j, k) row-major."""
-    d, t = frames[0].shape
-    stacked = np.stack([ref_frame_columns(f) for f in frames], axis=1).reshape(-1, t * t)
-    blocks = (stacked @ herm_basis(t).conj().T).reshape(d * d, -1)
-    pairs = np.concatenate([np.outer(kept, kept).reshape(-1) for kept in kepts])
-    return (herm_basis(d) @ blocks).real[:, pairs]
+    """Real map of padded frames: each block's kept-pair matrices, one block
+    at a time, put into Hermitian coordinates by one shared conversion."""
+    blocks = [m for frame, kept in zip(frames, kepts) for m in ref_frame_columns(frame, kept)]
+    return herm_coords(np.array(blocks)).T
 
 
 def ref_build_tp_map(povm, rank_tol=RANK_TOL):
@@ -235,7 +237,9 @@ def assert_same_map(tp, ref):
     assert np.array_equal(tp.frames, ref.frames)
     t = ref.frames.shape[2]
     kepts = [np.arange(t) >= t - r for r in ref.ranks]
-    assert np.array_equal(frame_columns(tp.frames, tp.kept), ref_map_matrix(ref.frames, kepts))
+    assert np.array_equal(
+        frame_columns(tp.frames, pair_mask(tp.kept)), ref_map_matrix(ref.frames, kepts)
+    )
 
 
 def assert_same_split(povm, live, point, tp):
@@ -477,3 +481,49 @@ def test_general_walk_starts_from_at_most_d2_live_roots(monkeypatch):
             node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
     # the general walk runs, and takes more than one step, at every d
     assert min(general[d] for d in (2, 3, 4)) > 2
+
+
+def test_walk_converts_only_the_pairs_in_use(monkeypatch):
+    """Complexity guard: the map-column builder converts one matrix per pair
+    it is given. The scalar walk gives it the diagonal of every slot; each
+    general-walk step gives it the kept pairs of its live roots, so a step
+    converts sum_i |kept_i|^2 matrices, not live * s^2. Checked at every node
+    of the peel chains of the leading criterion-2 draws and of full-rank
+    inputs at d = 3 and 4."""
+    povms = list(corpus_povms())
+    povms += [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    rows, calls = [], []
+    convert, build = extremality.herm_coords, decompose.frame_columns
+
+    def converted(x):
+        rows.append(x.shape[0])
+        return convert(x)
+
+    def built(frames, pairs):
+        rows.clear()
+        out = build(frames, pairs)
+        calls.append((pairs.copy(), sum(rows)))
+        return out
+
+    monkeypatch.setattr(extremality, "herm_coords", converted)
+    monkeypatch.setattr(decompose, "frame_columns", built)
+    steps = padded = 0
+    for povm in povms:
+        node = prune_and_merge(povm)
+        while not verdict_from_tp(tp := build_tp_map(node)).is_extreme:
+            calls.clear()
+            live, point = _extremal_direction(tp)
+            n, _, t = tp.frames.shape
+            (roots, converted_rows), *general = calls
+            assert np.array_equal(roots, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
+            assert converted_rows == n * t
+            for pairs, converted_rows in general:
+                kept = np.diagonal(pairs, axis1=1, axis2=2)
+                assert np.array_equal(pairs, pair_mask(kept))
+                assert converted_rows == np.sum(np.count_nonzero(kept, axis=1) ** 2)
+                padded += converted_rows < pairs.size
+            steps += len(general)
+            child = split_once(node, live, point, tp).child_minus
+            node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+    # the general walk runs, and most steps skip dead roots of the live stack
+    assert steps > 0 and padded > steps // 2
