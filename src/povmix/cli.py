@@ -137,6 +137,7 @@ def _cmd_extremal_check(args, cfg: Config) -> int:
         margin_factor=cfg.extremality_margin_factor,
         rank_tol=cfg.rank_tol,
         label_tol=cfg.label_tol,
+        psd_tol=cfg.psd_tol,
     )
     print(serialize.dumps(serialize.verdict_to_jsonable(verdict)))
     return 0 if verdict.is_extreme else 2
@@ -152,6 +153,7 @@ def _cmd_decompose(args, cfg: Config) -> int:
         margin_factor=cfg.extremality_margin_factor,
         rank_tol=cfg.rank_tol,
         label_tol=cfg.label_tol,
+        psd_tol=cfg.psd_tol,
     )
     _write_text(args.output, serialize.dumps(serialize.mixture_to_jsonable(mixture)))
     return 0 if mixture.complete else 3

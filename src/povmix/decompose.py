@@ -13,11 +13,14 @@ lambda. B_i = 0 off the walk's at most d^2 live blocks, so there R_i is
 P_i lambda / (lambda - 1), one common scale. The chain is Caratheodory on
 the face F of the input: peel one extreme point off, continue on the
 remainder, and stop once the remainder is extreme, after at most dim F + 1
-leaves.
+leaves. The chain carries the remainder as its map, and the remainder's
+walk normally starts from the point just peeled (see split_once and
+_extremal_direction).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +31,20 @@ from .extremality import (
     ExtremalityVerdict,
     TpMap,
     build_tp_map,
+    factor_effects,
     frame_columns,
     pair_mask,
     verdict_from_tp,
 )
-from .linalg import RANK_TOL, herm_matrices, kernel_basis, window_kernel
+from .linalg import (
+    PSD_TOL,
+    RANK_TOL,
+    herm_coords,
+    herm_matrices,
+    kernel_basis,
+    rank_ok,
+    window_kernel,
+)
 from .model import (
     LABEL_TOL,
     PRUNE_TOL,
@@ -71,16 +83,34 @@ class SplitError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class WarmStart:
+    """A parent's extreme point written on its remainder's roots.
+
+    weights (n t), one per slot of the remainder's roots, is
+    lambda_k / sigma_k on each root the split kept and 0 elsewhere; each
+    root the split peeled (sigma_k = 0) comes along as one column of peeled
+    (d^2, m) with weight peeled_weights[k] = lambda_k, so the weighted
+    columns of both still sum to the identity's coordinates.
+    """
+
+    weights: np.ndarray
+    peeled: np.ndarray
+    peeled_weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class SplitResult:
     """One peel of a measurement: P = weight_plus E + weight_minus R.
 
     child_plus is the leaf E, over the split's live blocks only; child_minus
-    is the remainder R, over every block of the parent."""
+    is the remainder's map, and warm the parent's point written on its roots
+    (None when the walk on the remainder must start fresh)."""
 
     weight_plus: float
     weight_minus: float
     child_plus: FinitePOVM
-    child_minus: FinitePOVM
+    child_minus: TpMap
+    warm: WarmStart | None
 
 
 @dataclass(frozen=True)
@@ -152,8 +182,14 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
     return w, u, pos >= t - np.count_nonzero(kept, axis=1)[:, None]
 
 
-def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap) -> SplitResult:
-    """Peel a point B of the face off: P = (1/lam) E + (1 - 1/lam) R.
+def split_once(
+    tp: TpMap,
+    live: np.ndarray,
+    point: np.ndarray,
+    rank_tol: float = RANK_TOL,
+    psd_tol: float = PSD_TOL,
+) -> SplitResult:
+    """Peel a point B of the face off a measurement's map: P = (1/lam) E + (1 - 1/lam) R.
 
     live lists the blocks where B may be nonzero, in increasing order, and
     point stacks their B_i, each in the trailing r_i x r_i window of an s x s
@@ -163,8 +199,22 @@ def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap)
     remainder R, weight 1 - 1/lam, is S (lam I - B) S^dag / (lam - 1) on the
     live blocks and P_i lam / (lam - 1) on every other block. The split
     raises SplitError unless lam exceeds 1 and T(B) = T(I) up to
-    RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It takes one eigh,
-    of the live blocks, and reads povm's map tp rather than build one.
+    RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It makes one eigh, of
+    the live blocks, B_i = U diag(lam_k) U^dag.
+
+    The remainder comes back as its map. Every other block's frame is
+    scaled by sqrt(lam / (lam - 1)). A live block whose B_i is diagonal in
+    its frame's columns, as the scalar walk leaves it, keeps its frame with
+    column k scaled by sqrt(sigma_k), sigma_k = (lam - lam_k) / (lam - 1)
+    read off the remainder's factor from the one eigh, under the rank rule
+    of factor_effects on the eigenvalues |s_k|^2 sigma_k; any other live
+    block is refactored by factor_effects (rank_tol, psd_tol) from its
+    remainder effect. Kept columns move to the back of their block; blocks
+    whose rank falls to zero are dropped by index. The warm start writes B
+    on the remainder's roots, and the map then carries its root columns,
+    the parent's scaled by lam / (lam - 1) and by sigma_k. Both are skipped
+    (warm is None, the roots are rebuilt on use) when a live block was
+    refactored or the rank rule drops a root that the saturation kept.
     """
     n, d, t = tp.frames.shape
     live = np.asarray(live)
@@ -172,7 +222,7 @@ def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap)
         0 <= live[0] and live[-1] < n and np.all(np.diff(live) > 0)
     ):
         raise SplitError(f"live blocks {live!r} are not increasing block indices below {n}")
-    s = int(np.array(tp.ranks)[live].max())
+    s = int(tp.ranks[live].max())
     if np.shape(point) != (live.size, s, s):
         raise SplitError(
             f"point shape {np.shape(point)} does not match live stack {(live.size, s, s)}"
@@ -181,6 +231,10 @@ def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap)
     frames = tp.frames[live, :, t - s :]
     x = np.where(pair_mask(kept), point, 0j)
     x = (x + _dagger(x)) / 2.0
+    # B's diagonal, read before _live_eigh writes the dead one
+    pos = np.arange(s)
+    b = x[:, pos, pos].real.copy()
+    diagonal = np.count_nonzero(x, axis=(1, 2)) == np.count_nonzero(b, axis=1)
     # T(B) - T(I), with T(I) = sum_i S_i S_i^dag over every block
     offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.tensordot(
         tp.frames, tp.frames.conj(), axes=([0, 2], [0, 2])
@@ -201,15 +255,65 @@ def split_once(povm: FinitePOVM, live: np.ndarray, point: np.ndarray, tp: TpMap)
     m = (u * _saturate(sat)[:, :, None, :]) @ _dagger(u)
     e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
     leaf, near = (e + _dagger(e)) / 2.0
-    far = povm.effects * (top / (top - 1.0))
-    far[live] = near
+    sigma = _saturate(np.where(kept, m[1][:, pos, pos].real, 0.0))
+    minus, warm = _remainder(tp, live, b, sigma, diagonal, near, top, rank_tol, psd_tol)
     labels = tuple(tp.labels[i] for i in live.tolist())
     return SplitResult(
         weight_plus=1.0 / top,
         weight_minus=1.0 - 1.0 / top,
         child_plus=FinitePOVM._with_normal_labels(d, labels, leaf),
-        child_minus=FinitePOVM._with_normal_labels(d, tp.labels, far),
+        child_minus=minus,
+        warm=warm,
     )
+
+
+def _remainder(tp, live, b, sigma, diagonal, near, top, rank_tol, psd_tol):
+    """The remainder's map and warm start, as split_once describes them.
+
+    b and sigma (live, s) are the diagonals of B and of the remainder's
+    factor on the live blocks' windows, zero off each window's kept
+    columns; diagonal marks the blocks whose B_i is diagonal, and near
+    holds the live blocks' remainder effects."""
+    n, d, t = tp.frames.shape
+    s = b.shape[1]
+    scale = top / (top - 1.0)
+    old = tp.frames[live, :, t - s :]
+    # The rank rule on the eigenvalues |s_k|^2 sigma_k of a diagonal block;
+    # kept columns move to the back, in their order.
+    keep = rank_ok(np.einsum("kdj,kdj->kj", old.conj(), old).real * sigma, rank_tol)
+    order = np.argsort(keep, axis=1, kind="stable")
+    kept_sigma = np.where(keep, sigma, 0.0)
+    frames = tp.frames * np.sqrt(scale)
+    frames[live, :, t - s :] = np.take_along_axis(
+        old * np.sqrt(kept_sigma)[:, None, :], order[:, None, :], axis=2
+    )
+    ranks = tp.ranks.copy()
+    ranks[live] = np.count_nonzero(keep, axis=1)
+    mixed = live[~diagonal]
+    if mixed.size:
+        fresh, counts = factor_effects(near[~diagonal], rank_tol, psd_tol)
+        frames[mixed] = 0.0
+        frames[mixed, :, t - fresh.shape[2] :] = fresh
+        ranks[mixed] = counts
+    alive = np.ones(n, dtype=bool)
+    alive[live[ranks[live] == 0]] = False
+    width = t - int(ranks[alive].max(initial=0))
+    labels = tp.labels if alive.all() else tuple(itertools.compress(tp.labels, alive.tolist()))
+    child = TpMap(d, labels, frames[alive, :, width:], ranks[alive])
+    if mixed.size or not np.array_equal(keep, sigma > 0.0):
+        return child, None
+    # The roots, carried, fill the cache that TpMap.roots would compute.
+    roots = tp.roots.reshape(-1, n, t)
+    parent = roots[:, live, t - s :]
+    roots = roots * scale
+    roots[:, live, t - s :] = np.take_along_axis(parent * kept_sigma, order[None], axis=2)
+    object.__setattr__(child, "roots", roots[:, alive, width:].reshape(len(roots), -1))
+    weights = np.zeros((n, t))
+    weights[live, t - s :] = np.take_along_axis(
+        np.where(keep, b / np.where(keep, sigma, 1.0), 0.0), order, axis=1
+    )
+    peeled = (sigma == 0.0) & (b > 0.0)
+    return child, WarmStart(weights[alive, width:].reshape(-1), parent[:, peeled], b[peeled])
 
 
 def _saturating_step(lam: np.ndarray):
@@ -314,7 +418,72 @@ def _eliminate(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return z
 
 
-def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
+def _pivot(columns: np.ndarray, warm: WarmStart, d: int):
+    """Simplex pivots from a warm start to a basic solution on the roots.
+
+    The basis starts as the warm point's active columns: its roots with
+    nonzero weight and its peeled columns. Phase one of the simplex method
+    then minimizes the peeled weights over {c >= 0 : sum_j c_j a_j = I}:
+    each pivot enters the root column of least reduced cost, and the ratio
+    test picks the leaving column, peeled ones first on ties and then the
+    lowest index (Bland's rule, which also picks the entering column after
+    a degenerate step). Once no peeled column is left, the weights are
+    solved again on the final d^2 x d^2 basis, and those within _CLAMP of
+    zero, relative to the largest, become exact zeros. Returns the weights
+    on the columns, or None when the warm point is unusable: fewer than d^2
+    active columns, no column improves (or the entering one has no positive
+    step), d^2 + 16 pivots do not clear the peeled columns, or a solved
+    weight falls below -_CLAMP relative to the largest.
+    """
+    d2 = d * d
+    m = warm.peeled_weights.size
+    roots = np.flatnonzero(warm.weights)
+    if roots.size + m != d2:
+        return None
+    # variables: peeled column k is k, root j is m + j; Bland's order
+    var = np.concatenate([np.arange(m), m + roots])
+    basis = np.concatenate([warm.peeled, columns[:, roots]], axis=1)
+    x = np.concatenate([warm.peeled_weights, warm.weights[roots]])
+    norms = np.linalg.norm(columns, axis=0)
+    bland = False
+    for _ in range(d2 + 16):
+        cost = (var < m).astype(np.float64)
+        if not cost.any():
+            break
+        dual = np.linalg.solve(basis.T, cost)
+        reduced = -(dual @ columns)
+        improving = np.flatnonzero(reduced < -1e-12 * np.linalg.norm(dual) * norms)
+        if improving.size == 0:
+            return None
+        enter = improving[0] if bland else improving[np.argmin(reduced[improving])]
+        step = np.linalg.solve(basis, columns[:, enter])
+        rows = np.flatnonzero(step > _PIVOT_TOL * np.abs(step).max())
+        if rows.size == 0:
+            return None
+        ratios = x[rows] / step[rows]
+        theta = float(ratios.min())
+        ties = rows[ratios <= theta + 1e-12 * max(theta, 1.0)]
+        leave = ties[np.argmin(var[ties])]
+        bland = theta <= 1e-12
+        x = np.maximum(x - theta * step, 0.0)
+        x[leave] = theta
+        var[leave] = m + enter
+        basis[:, leave] = columns[:, enter]
+    else:
+        return None
+    x = np.linalg.solve(basis, herm_coords(np.eye(d)))
+    if x.min() < -_CLAMP * x.max():
+        return None
+    # degenerate basic weights, as _saturate clamps factors
+    x[x <= _CLAMP * x.max()] = 0.0
+    weights = np.zeros(columns.shape[1])
+    weights[var - m] = x
+    return weights
+
+
+def _extremal_direction(
+    tp: TpMap, margin_factor: float = MARGIN_FACTOR, warm: WarmStart | None = None
+):
     """Walk to an extreme point of the measurement's face and return it.
 
     The walk runs over roots: column j of frame i, written s_ij s_ij^dag
@@ -327,6 +496,16 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
     every other block ends at B_i = 0. T(B) = T(I), so split_once peels
     S B S^dag off as one extreme component.
 
+    Below the root the walk normally starts warm: warm, from the split that
+    made this map, is the parent's extreme point written on this node's
+    roots, and simplex pivots (_pivot) move it to a basic solution on the
+    roots alone, one pivot per peeled root in the usual case. That replaces
+    recombination and the scalar walk. The fresh walk below runs at the root
+    and wherever the warm start is unusable: the split gave none (a live
+    block off the diagonal, or the rank rule and the saturation disagree),
+    or _pivot returns None (fewer than d^2 active roots, no improving
+    column, the pivot cap, or a re-solved weight below -1e-12 relative).
+
     Recombination runs while more than 2(d^2 + 1) roots are active: it cuts
     them, in stack order, into 2(d^2 + 1) contiguous groups, walks the
     groups' summed columns down to at most d^2 groups and scales each root
@@ -334,7 +513,8 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
     round's walk is one pass unless a kernel vector drifts: one SVD of its
     window, then elimination along the kernel (see _scalar_walk). The same
     scalar walk then runs over single roots until their columns are
-    injective, which leaves at most d^2 live roots. The live blocks are held
+    injective, which leaves at most d^2 live roots. Either start ends here,
+    with injective live roots. The live blocks are held
     as one stack of s x s blocks: the trailing s columns of the map's frame
     stack, and factors G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. If
     every live block has one live root, the point is extreme (a rank-one
@@ -348,18 +528,20 @@ def _extremal_direction(tp: TpMap, margin_factor: float = MARGIN_FACTOR):
     """
     n, d, t = tp.frames.shape
     d2 = d * d
-    # Root s_ij's column is its diagonal pair (i, j, j); dead slots give zeros.
-    columns = frame_columns(tp.frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
-    scale = tp.kept.reshape(-1).astype(np.float64)  # c_ij
-    while np.count_nonzero(scale) > 2 * (d2 + 1):
-        active = np.flatnonzero(scale)
-        bounds = np.arange(2 * d2 + 3) * active.size // (2 * (d2 + 1))
-        summed = np.add.reduceat(columns[:, active] * scale[active], bounds[:-1], axis=1)
-        gamma = _scalar_walk(summed, np.ones(2 * (d2 + 1)), d2, margin_factor)
-        scale[active] *= np.repeat(gamma, np.diff(bounds))
-    scale = _scalar_walk(columns, scale, 0, margin_factor).reshape(n, t)
+    columns = tp.roots
+    scale = None if warm is None else _pivot(columns, warm, d)  # c_ij
+    if scale is None:
+        scale = tp.kept.reshape(-1).astype(np.float64)
+        while np.count_nonzero(scale) > 2 * (d2 + 1):
+            active = np.flatnonzero(scale)
+            bounds = np.arange(2 * d2 + 3) * active.size // (2 * (d2 + 1))
+            summed = np.add.reduceat(columns[:, active] * scale[active], bounds[:-1], axis=1)
+            gamma = _scalar_walk(summed, np.ones(2 * (d2 + 1)), d2, margin_factor)
+            scale[active] *= np.repeat(gamma, np.diff(bounds))
+        scale = _scalar_walk(columns, scale, 0, margin_factor)
+    scale = scale.reshape(n, t)
     live = np.flatnonzero(scale.any(axis=1))
-    s = int(np.array(tp.ranks)[live].max())
+    s = int(tp.ranks[live].max())
     # Factors G (B = G G^dag) of the live blocks, s x s. kept marks G's live
     # columns, anywhere in the block.
     weights = scale[live, t - s :]
@@ -395,6 +577,7 @@ def decompose_extremal(
     margin_factor: float = MARGIN_FACTOR,
     rank_tol: float = RANK_TOL,
     label_tol: float = LABEL_TOL,
+    psd_tol: float = PSD_TOL,
 ) -> ExtremalMixture:
     """Decompose a measurement into a finite mixture of extreme ones.
 
@@ -406,8 +589,11 @@ def decompose_extremal(
     R_(k+1) drops rank, so it lies outside the face of R_(k+1), which holds
     every later leaf: no two leaves coincide, and the chain has at most
     dim F + 1 leaves. Labels are merged once, at the root: children carry the root's
-    merged labels, which are pairwise distinct, so below the root only
-    effects with trace at or below PRUNE_TOL are dropped. Once
+    merged labels, which are pairwise distinct. Only the root and each
+    + child get a map built from effects; every remainder's map, without
+    its blocks of rank zero, and the warm start of its walk come from its
+    split, and its effects are formed once it is the last leaf. psd_tol
+    is the PSD rule of every map. Once
     max_leaves - 1 leaves are peeled, the remainder is emitted with its
     non-extreme verdict and the mixture is flagged incomplete; the convex
     reconstruction identity holds either way.
@@ -415,18 +601,19 @@ def decompose_extremal(
     leaves = []
     weight = 1.0
     node = prune_and_merge(povm, label_tol)
+    tp, warm = build_tp_map(node, rank_tol, psd_tol), None
     while True:
-        tp = build_tp_map(node, rank_tol)
         verdict = verdict_from_tp(tp, margin_factor)
         if verdict.is_extreme or len(leaves) >= max_leaves - 1:
             break
         try:
-            split = split_once(node, *_extremal_direction(tp, margin_factor), tp)
+            live, point = _extremal_direction(tp, margin_factor, warm)
+            split = split_once(tp, live, point, rank_tol, psd_tol)
         except SplitError as exc:
             raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
         plus = split.child_plus
         plus = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
-        plus_verdict = verdict_from_tp(build_tp_map(plus, rank_tol), margin_factor)
+        plus_verdict = verdict_from_tp(build_tp_map(plus, rank_tol, psd_tol), margin_factor)
         if not plus_verdict.is_extreme:
             raise SplitError(
                 f"split failed at leaf {len(leaves)}: the + child is not extreme "
@@ -434,9 +621,9 @@ def decompose_extremal(
             )
         leaves.append(MixtureComponent(weight * split.weight_plus, plus, plus_verdict))
         weight *= split.weight_minus
-        minus = split.child_minus
-        node = _prune(minus.dim, minus.labels, minus.effects, PRUNE_TOL)
-    leaves.append(MixtureComponent(weight, node, verdict))
+        tp, warm = split.child_minus, split.warm
+    # a remainder's effects are formed once, as the last leaf
+    leaves.append(MixtureComponent(weight, tp.to_povm() if leaves else node, verdict))
     return ExtremalMixture(povm.dim, tuple(leaves), verdict.is_extreme)
 
 

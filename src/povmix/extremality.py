@@ -14,11 +14,12 @@ smallest singular value against a relative threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import RANK_TOL, herm_coords, psd_ok
+from .linalg import PSD_TOL, RANK_TOL, herm_coords, psd_ok, rank_ok
 from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 
 # Verdict threshold: non-extreme when the smallest singular value is at or
@@ -26,13 +27,15 @@ from .model import LABEL_TOL, FinitePOVM, PovmError, prune_and_merge
 MARGIN_FACTOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TpMap:
     """The assembled sandwich map of a measurement.
 
     frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
     the trailing r_i columns of frames[i] and the t - r_i columns in front
     are zero. Its real map matrix is frame_columns(frames, pair_mask(kept)).
+    ranks is an int array; domain_dim = sum r_i^2 and kept, the (n, t) mask
+    of each frame's trailing r_i columns, are computed once, on construction.
 
     An element of the domain is a Hermitian (n, t, t) stack in the frames'
     coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
@@ -41,17 +44,30 @@ class TpMap:
     dim: int
     labels: tuple
     frames: np.ndarray
-    ranks: tuple
+    ranks: np.ndarray
+    domain_dim: int = field(init=False)
+    kept: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def domain_dim(self) -> int:
-        return int(np.dot(self.ranks, self.ranks))
-
-    @property
-    def kept(self) -> np.ndarray:
-        """(n, t) mask of each frame's trailing r_i columns."""
+    def __post_init__(self):
+        ranks = np.asarray(self.ranks, dtype=np.intp)
         t = self.frames.shape[2]
-        return np.arange(t) >= t - np.array(self.ranks, dtype=int)[:, None]
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "domain_dim", int(ranks @ ranks))
+        object.__setattr__(self, "kept", np.arange(t) >= t - ranks[:, None])
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Real columns (d^2, n t) of the roots s_ij s_ij^dag, slot (i, j) at
+        column i t + j: the diagonal pairs of every slot, zero where dead.
+        A remainder's map with a warm start comes with them (split_once)."""
+        n, _, t = self.frames.shape
+        return frame_columns(self.frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
+
+    def to_povm(self) -> FinitePOVM:
+        """The measurement with effects S_i S_i^dag, formed from the frames."""
+        e = self.frames @ self.frames.conj().swapaxes(1, 2)
+        e = (e + e.conj().swapaxes(1, 2)) / 2.0
+        return FinitePOVM._with_normal_labels(self.dim, self.labels, e)
 
 
 @dataclass(frozen=True)
@@ -92,29 +108,34 @@ def frame_columns(frames: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return herm_coords(left[:, :, None] @ frames[i, None, :, q].conj()).T
 
 
-def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL) -> TpMap:
-    """Assemble the sandwich map of a measurement.
+def factor_effects(effects: np.ndarray, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL):
+    """Frames (n, d, t) and ranks of a stack of effects: the rank and PSD rules.
 
     Each frame S_i is sqrt(P_i) restricted to the numerical range of P_i,
-    computed directly from the eigendecomposition (eigenvectors above the
-    relative rank cutoff, scaled by sqrt of their eigenvalues). Eigenvalues
-    come ascending, so the kept ones are a suffix: the frame stack is the
-    trailing t eigenvectors, the dropped ones scaled to zero columns in
-    front; zero effects contribute none.
+    computed directly from the eigendecomposition: eigenvectors with
+    eigenvalue above rank_tol * max(w_max, 1), scaled by sqrt of their
+    eigenvalues. Eigenvalues come ascending, so the kept ones are a suffix:
+    the frame stack is the trailing t eigenvectors, t the largest rank, the
+    dropped ones scaled to zero columns in front. An effect whose spectrum
+    fails psd_ok at psd_tol raises PovmError.
     """
-    w, v = np.linalg.eigh(
-        (povm.effects + povm.effects.conj().transpose(0, 2, 1)) / 2.0
-    )
-    off = np.flatnonzero(~psd_ok(w))
+    w, v = np.linalg.eigh((effects + effects.conj().transpose(0, 2, 1)) / 2.0)
+    off = np.flatnonzero(~psd_ok(w, psd_tol))
     if off.size:
         raise PovmError(f"effect is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
-    d = povm.dim
-    kept = w > (rank_tol * np.maximum(w[:, -1], 1.0))[:, None]
+    d = effects.shape[1]
+    kept = rank_ok(w, rank_tol)
     counts = np.count_nonzero(kept, axis=1)
     t = int(counts.max(initial=0))
     kept = kept[:, d - t :]
-    frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
-    return TpMap(d, povm.labels, frames, tuple(counts.tolist()))
+    return v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :], counts
+
+
+def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> TpMap:
+    """Assemble the sandwich map of a measurement: one eigh of every effect
+    (factor_effects); zero effects contribute none."""
+    frames, ranks = factor_effects(povm.effects, rank_tol, psd_tol)
+    return TpMap(povm.dim, povm.labels, frames, ranks)
 
 
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:
@@ -143,6 +164,7 @@ def is_extreme(
     margin_factor: float = MARGIN_FACTOR,
     rank_tol: float = RANK_TOL,
     label_tol: float = LABEL_TOL,
+    psd_tol: float = PSD_TOL,
 ) -> ExtremalityVerdict:
     """Decide extremality of a measurement.
 
@@ -150,4 +172,4 @@ def is_extreme(
     first, so the verdict refers to the measurement's nonzero outcomes.
     """
     pruned = prune_and_merge(povm, label_tol=label_tol)
-    return verdict_from_tp(build_tp_map(pruned, rank_tol), margin_factor)
+    return verdict_from_tp(build_tp_map(pruned, rank_tol, psd_tol), margin_factor)

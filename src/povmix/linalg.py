@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 # An effect's eigenvalue w counts toward its rank when
-#   w > RANK_TOL * max(w_max, 1)   (extremality.build_tp_map).
+#   w > RANK_TOL * max(w_max, 1)   (rank_ok).
 RANK_TOL = 1e-10
 
 # PSD acceptance: min eigenvalue >= -PSD_TOL * (1 + max |eigenvalue|).
@@ -31,6 +31,11 @@ def as_square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def rank_ok(w: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Which eigenvalues count toward the rank, per row of w (..., d)."""
+    return w > (tol * np.maximum(w.max(axis=-1), 1.0))[..., None]
 
 
 def psd_ok(w: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -421,6 +421,21 @@ def _psd_case(tmp_path):
     return ["validate", _write_povm(tmp_path / "p.json", effects)]
 
 
+@pytest.mark.parametrize("command", ["validate", "extremal-check", "decompose"])
+@pytest.mark.parametrize("psd_tol, code", [(None, 1), (1e-6, 0)], ids=["default", "1e-6"])
+def test_psd_tol_reaches_every_effect_check(tmp_path, capsys, monkeypatch, command, psd_tol, code):
+    """validate, extremal-check and decompose accept the same effects at
+    every psd_tol: the configured key reaches the map's PSD rule, not only
+    validate's."""
+    cfg = tmp_path / "cfg.json"
+    if psd_tol is not None:
+        cfg.write_text(json.dumps({"psd_tol": psd_tol}))
+    monkeypatch.setenv("POVMIX_CONFIG", str(cfg))
+    got, out, err = run(capsys, command, _psd_case(tmp_path)[1])
+    assert got == code
+    assert ("not PSD" in out + err) == bool(code)
+
+
 def _seed_case(tmp_path):
     return ["gen", "--kind", "random", "--d", "2", "--k", "3"]
 

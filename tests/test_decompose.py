@@ -40,35 +40,40 @@ def reconstruct(mixture):
 
 def test_split_coin_with_explicit_kernel_element():
     # B = (2I, 0) is on the face: T(B) = I. lambda = 2 peels the leaf {I}
-    # off with weight 1/2 and leaves {0, I}
+    # off with weight 1/2 and leaves {0, I}, whose zero block is dropped
     povm = coin()
     tp = build_tp_map(povm)
-    result = split_once(povm, np.array([0, 1]), np.array([2 * I2, 0 * I2]), tp)
+    result = split_once(tp, np.array([0, 1]), np.array([2 * I2, 0 * I2]))
     assert result.weight_plus == pytest.approx(0.5)
     assert result.weight_minus == pytest.approx(0.5)
     assert result.child_plus.labels == (0, 1)
     assert np.allclose(result.child_plus.effects[0], I2, atol=1e-14)
     assert np.allclose(result.child_plus.effects[1], 0, atol=1e-14)
-    assert np.allclose(result.child_minus.effects[0], 0, atol=1e-14)
-    assert np.allclose(result.child_minus.effects[1], I2, atol=1e-14)
+    rest = result.child_minus.to_povm()
+    assert rest.labels == (1,)
+    assert np.allclose(rest.effects, [I2], atol=1e-14)
     # the same point with block 1 dead: the leaf carries block 0 only
-    result = split_once(povm, np.array([0]), np.array([2 * I2]), tp)
+    result = split_once(tp, np.array([0]), np.array([2 * I2]))
     assert result.child_plus.labels == (0,)
     assert np.allclose(result.child_plus.effects, [I2], atol=1e-14)
-    assert np.allclose(result.child_minus.effects, [0 * I2, I2], atol=1e-14)
+    rest = result.child_minus.to_povm()
+    assert rest.labels == (1,)
+    assert np.allclose(rest.effects, [I2], atol=1e-14)
 
 
 def test_split_reconstructs_parent():
     povm = gen_random_povm(3, 5, seed=3)
     tp = build_tp_map(povm)
     live, point = _extremal_direction(tp)
-    result = split_once(povm, live, point, tp=tp)
-    mixed = result.weight_minus * result.child_minus.effects
+    result = split_once(tp, live, point)
+    rest = result.child_minus.to_povm()
+    mixed = np.zeros_like(povm.effects)
+    mixed[list(rest.labels)] = result.weight_minus * rest.effects
     mixed[live] += result.weight_plus * result.child_plus.effects
     assert np.max(np.abs(mixed - povm.effects)) < 1e-12
     # both children remain valid measurements
     assert np.allclose(result.child_plus.effects.sum(axis=0), np.eye(3), atol=1e-12)
-    assert np.allclose(result.child_minus.effects.sum(axis=0), np.eye(3), atol=1e-12)
+    assert np.allclose(rest.effects.sum(axis=0), np.eye(3), atol=1e-12)
 
 
 def test_split_strictly_shrinks_block_dimension():
@@ -76,9 +81,9 @@ def test_split_strictly_shrinks_block_dimension():
         povm = gen_random_povm(2, 5, rank_cap=1, seed=seed)
         tp = build_tp_map(povm)
         parent_dim = block_dim(povm)
-        result = split_once(povm, *_extremal_direction(tp), tp=tp)
+        result = split_once(tp, *_extremal_direction(tp))
         assert block_dim(result.child_plus) < parent_dim
-        assert block_dim(result.child_minus) < parent_dim
+        assert block_dim(result.child_minus.to_povm()) < parent_dim
 
 
 def test_split_rejects_non_kernel_and_one_sided_elements():
@@ -87,10 +92,10 @@ def test_split_rejects_non_kernel_and_one_sided_elements():
     live = np.array([0, 1])
     with pytest.raises(SplitError, match="not above 1"):
         # B = I is the measurement itself: lambda = 1, nothing to peel
-        split_once(povm, live, np.array([I2, I2]), tp)
+        split_once(tp, live, np.array([I2, I2]))
     with pytest.raises(SplitError, match="off the face"):
         # T(B) = 3I/2, not I: the residual check trips
-        split_once(povm, live, np.array([3 * I2, 0 * I2]), tp)
+        split_once(tp, live, np.array([3 * I2, 0 * I2]))
     for bad_live, bad_point in [
         (live, np.array([2 * I2])),
         (live, np.zeros((2, 3, 3))),
@@ -101,7 +106,7 @@ def test_split_rejects_non_kernel_and_one_sided_elements():
         (np.array([], dtype=int), np.zeros((0, 2, 2))),
     ]:
         with pytest.raises(SplitError):
-            split_once(povm, bad_live, bad_point, tp)
+            split_once(tp, bad_live, bad_point)
 
 
 def test_decompose_coin_gives_an_even_projective_mixture():
@@ -182,12 +187,12 @@ def test_chain_raises_when_a_peeled_child_is_not_extreme(monkeypatch):
     povm = gen_random_povm(3, 6, rank_cap=2, seed=5)
     calls = 0
 
-    def bad_second_split(node, *args, **kwargs):
+    def bad_second_split(tp, *args, **kwargs):
         nonlocal calls
         calls += 1
-        result = split_once(node, *args, **kwargs)
-        # the remainder itself is not extreme: hand it back as the + child
-        return dataclasses.replace(result, child_plus=node) if calls == 2 else result
+        result = split_once(tp, *args, **kwargs)
+        # the node itself is not extreme: hand it back as the + child
+        return dataclasses.replace(result, child_plus=tp.to_povm()) if calls == 2 else result
 
     assert len(decompose_extremal(povm).components) > 2
     monkeypatch.setattr(decompose, "split_once", bad_second_split)
@@ -367,9 +372,10 @@ def criterion_2_draws(per_dim=3):
             yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
 
 
-def test_chain_builds_two_maps_per_peel(monkeypatch):
-    """Complexity guard: each peel builds its node's map and its leaf's, and
-    the split reads the node's map, so L leaves cost exactly 2L - 1 maps."""
+def test_chain_builds_one_map_per_leaf(monkeypatch):
+    """Complexity guard: the chain builds the root's map and each + leaf's;
+    every remainder's map comes from its split, so L leaves cost exactly L
+    maps."""
     built = 0
 
     def counting_build_tp_map(*args, **kwargs):
@@ -385,7 +391,7 @@ def test_chain_builds_two_maps_per_peel(monkeypatch):
         assert mixture.complete
         leaves = len(mixture.components)
         peeled += leaves - 1
-        assert built == 2 * leaves - 1
+        assert built == leaves
     assert peeled > 50
 
 
@@ -490,7 +496,7 @@ def test_walk_kernel_svds_grow_with_log_outcomes(monkeypatch):
     live, point = _extremal_direction(tp)
     assert calls["window"] <= math.ceil(math.log2(n)) + 2
     assert calls["svd"] == calls["window"] + calls["kernel"]
-    child = split_once(sphere, live, point, tp).child_plus
+    child = split_once(tp, live, point).child_plus
     assert is_extreme(child).is_extreme
     assert block_dim(child) <= d * d
 
@@ -506,11 +512,10 @@ def test_recombination_walk_on_higher_ranks():
         tp = build_tp_map(povm)
         rank_sets.append(set(tp.ranks))
         assert povm.n_outcomes > 2 * (d * d + 1)
-        split = split_once(povm, *_extremal_direction(tp), tp)
+        split = split_once(tp, *_extremal_direction(tp))
         assert is_extreme(split.child_plus).is_extreme
         assert block_dim(split.child_plus) <= d * d
-        child = split.child_minus
-        povm = model._prune(d, child.labels, child.effects, model.PRUNE_TOL)
+        povm = split.child_minus.to_povm()
     assert rank_sets == [{2}, {1, 2}]
 
 

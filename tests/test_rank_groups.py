@@ -181,22 +181,55 @@ def ref_peel(live, point, tp):
     return float(max(w[lv].max() for w, _, lv in eighs)), eighs
 
 
-def ref_split_once(povm, live, point, tp):
-    """(weights, leaf effects, remainder effects) of a split, one padded
-    block at a time: the leaf S B S^dag and the remainder
-    S (lambda I - B) S^dag / (lambda - 1) of each live block from its own
-    eigh, and every other block P_i lambda / (lambda - 1)."""
+def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
+    """(weights, leaf effects, remainder labels, ranks and frames) of a
+    split, one padded block at a time. The leaf S B S^dag and the remainder
+    factor m = U diag(sigma) U^dag, sigma = (lambda - lambda_k) / (lambda - 1),
+    of each live block come from its own eigh. The remainder's frame is
+    S_i sqrt(lambda / (lambda - 1)) on every other block. A live block whose
+    B_i is diagonal keeps each column s_k with rank-rule eigenvalue
+    |s_k|^2 m_kk, scaled by sqrt(m_kk), at the back of the block; another
+    live block is refactored from its remainder effect S m S^dag as
+    ref_build_tp_map does. Blocks of rank zero are dropped."""
     t, s = tp.frames.shape[2], point.shape[-1]
     top, eighs = ref_peel(live, point, tp)
+    scale = top / (top - 1.0)
     leaf = np.zeros((len(live), tp.dim, tp.dim), dtype=np.complex128)
-    rest = np.array([p * (top / (top - 1.0)) for p in povm.effects])
+    frames = [f * np.sqrt(scale) for f in tp.frames]
+    ranks = list(tp.ranks)
     for k, (i, (lam, u, lv)) in enumerate(zip(live, eighs)):
         frame = tp.frames[i][:, t - s :]
-        for out, j, vals in ((leaf, k, lam), (rest, i, (top - lam) / (top - 1.0))):
+        effects = []
+        for vals in (lam, (top - lam) / (top - 1.0)):
             m = (u * _saturate(np.where(lv, vals, 0.0))) @ u.conj().T
             e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
-            out[j] = (e + e.conj().T) / 2.0
-    return (1.0 / top, 1.0 - 1.0 / top), leaf, rest
+            effects.append((e + e.conj().T) / 2.0)
+        leaf[k] = effects[0]
+        window = np.arange(s) >= s - tp.ranks[i]
+        b = np.where(np.outer(window, window), point[k], 0.0)
+        if np.count_nonzero(b - np.diag(np.diag(b))) == 0:
+            sigma = _saturate(np.where(window, m.diagonal().real, 0.0))
+            eig = np.sum(frame.conj() * frame, axis=0).real * sigma
+            keep = eig > rank_tol * max(float(eig.max()), 1.0)
+            frames[i] = np.zeros_like(frames[i])
+            frames[i][:, t - np.count_nonzero(keep) :] = frame[:, keep] * np.sqrt(sigma[keep])
+            ranks[i] = np.count_nonzero(keep)
+        else:
+            remainder = FinitePOVM(tp.dim, (0,), effects[1][None])
+            fresh = ref_build_tp_map(remainder, rank_tol)
+            frames[i] = np.zeros_like(frames[i])
+            r = fresh.ranks[0]
+            frames[i][:, t - r :] = fresh.frames[0][:, fresh.frames.shape[2] - r :]
+            ranks[i] = fresh.ranks[0]
+    alive = [i for i, r in enumerate(ranks) if r > 0 or i not in live]
+    width = max(ranks[i] for i in alive)
+    return (
+        (1.0 / top, 1.0 - 1.0 / top),
+        leaf,
+        tuple(tp.labels[i] for i in alive),
+        np.array([ranks[i] for i in alive]),
+        np.array([frames[i][:, t - width :] for i in alive]),
+    )
 
 
 def mixed_rank_povm(seed):
@@ -222,17 +255,17 @@ def inputs():
 
 
 def nodes(povm, depth=2):
-    """The input and, below it, the minus child of each split, pruned."""
+    """The input and, below it, the minus child of each split, its effects
+    formed from the remainder's map."""
     yield povm
     for _ in range(depth):
         tp = build_tp_map(povm)
-        child = split_once(povm, *_extremal_direction(tp), tp).child_minus
-        povm = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+        povm = split_once(tp, *_extremal_direction(tp)).child_minus.to_povm()
         yield povm
 
 
 def assert_same_map(tp, ref):
-    assert tp.ranks == ref.ranks
+    assert np.array_equal(tp.ranks, ref.ranks)
     assert tp.frames.shape == ref.frames.shape
     assert np.array_equal(tp.frames, ref.frames)
     t = ref.frames.shape[2]
@@ -242,14 +275,21 @@ def assert_same_map(tp, ref):
     )
 
 
-def assert_same_split(povm, live, point, tp):
-    got = split_once(povm, live, point, tp)
-    weights, leaf, rest = ref_split_once(povm, live, point, tp)
+def assert_same_split(live, point, tp):
+    got = split_once(tp, live, point)
+    weights, leaf, labels, ranks, frames = ref_split_once(live, point, tp)
     assert (got.weight_plus, got.weight_minus) == weights
-    assert got.child_plus.labels == tuple(povm.labels[i] for i in live)
-    assert got.child_minus.labels == povm.labels
+    assert got.child_plus.labels == tuple(tp.labels[i] for i in live)
     assert np.array_equal(got.child_plus.effects, leaf)
-    assert np.array_equal(got.child_minus.effects, rest)
+    rest = got.child_minus
+    assert rest.labels == labels
+    assert np.array_equal(rest.ranks, ranks)
+    assert np.array_equal(rest.frames, frames)
+    # the carried roots are the scaled parent roots: equal to the rebuilt
+    # ones up to rounding
+    n, _, t = frames.shape
+    rebuilt = frame_columns(frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
+    assert np.max(np.abs(rest.roots - rebuilt)) <= 1e-14 * np.max(np.abs(rebuilt))
 
 
 @pytest.mark.parametrize("name, povm", list(inputs()), ids=[n for n, _ in inputs()])
@@ -267,7 +307,7 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
         ref_live, ref_point = ref_general_walk(tp, weights)
         assert np.array_equal(live, ref_live)
         assert np.array_equal(point, ref_point)
-        assert_same_split(node, live, point, tp)
+        assert_same_split(live, point, tp)
         dead |= np.count_nonzero(tp.ranks) > len(live)
     # two splits down, blocks of one original rank have different ranks
     assert ragged
@@ -281,7 +321,7 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
 def test_map_frames_are_one_stack_padded_in_front():
     povm = mixed_rank_povm(0)
     tp = build_tp_map(povm)
-    assert tp.ranks == (1, 2, 0, 3, 2, 1)
+    assert tuple(tp.ranks) == (1, 2, 0, 3, 2, 1)
     assert tp.frames.shape == (6, 3, 3)
     for frame, effect, r in zip(tp.frames, povm.effects, tp.ranks):
         assert np.all(frame[:, : 3 - r] == 0)
@@ -303,16 +343,19 @@ def test_split_and_map_read_only_the_windows():
     assert np.count_nonzero(off) > 0
     noisy = point + off
     unwritten = noisy.copy()
-    clean, dirty = split_once(povm, live, point, tp), split_once(povm, live, noisy, tp)
+    clean, dirty = split_once(tp, live, point), split_once(tp, live, noisy)
     assert np.array_equal(noisy, unwritten)
     for name in ("weight_plus", "weight_minus"):
         assert getattr(clean, name) == getattr(dirty, name)
-    for name in ("child_plus", "child_minus"):
-        a, b = getattr(clean, name), getattr(dirty, name)
-        assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
+    a, b = clean.child_plus, dirty.child_plus
+    assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
+    a, b = clean.child_minus, dirty.child_minus
+    assert a.labels == b.labels and a.ranks.tobytes() == b.ranks.tobytes()
+    assert a.frames.tobytes() == b.frames.tobytes() and a.roots.tobytes() == b.roots.tobytes()
+    assert (clean.warm is None) == (dirty.warm is None)
     for bad in (point[:-1], point[:, 1:, 1:], point.reshape(len(point), -1)):
         with pytest.raises(SplitError):
-            split_once(povm, live, bad, tp)
+            split_once(tp, live, bad)
     element = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
     element[live, t - s :, t - s :] = point
     noise = rng.standard_normal(element.shape) + 1j * rng.standard_normal(element.shape)
@@ -333,26 +376,31 @@ def test_split_and_map_read_only_the_windows():
 )
 def test_root_split_peels_an_extreme_point(case):
     """One split at a decomposition root: P = w+ E + w- R within 1e-12, E is
-    extreme, R is PSD with a strictly smaller rank profile, and every block
-    off the live ones is P_i lambda / (lambda - 1) bit for bit."""
+    extreme, R is PSD with a strictly smaller rank profile, and the frame of
+    every block off the live ones is S_i sqrt(lambda / (lambda - 1)) bit for
+    bit."""
     d, k, cap, seed = case
     povm = prune_and_merge(gen_random_povm(d, k, rank_cap=cap, seed=seed))
     tp = build_tp_map(povm)
     assume(not verdict_from_tp(tp).is_extreme)
     live, point = _extremal_direction(tp)
-    split = split_once(povm, live, point, tp)
-    leaf, rest = split.child_plus, split.child_minus
-    mixed = split.weight_minus * rest.effects
+    split = split_once(tp, live, point)
+    leaf, rest = split.child_plus, split.child_minus.to_povm()
+    index = [povm.labels.index(label) for label in rest.labels]
+    mixed = np.zeros_like(povm.effects)
+    mixed[index] = split.weight_minus * rest.effects
     mixed[live] += split.weight_plus * leaf.effects
     assert np.max(np.abs(mixed - povm.effects)) <= 1e-12
     pruned = _prune(d, leaf.labels, leaf.effects, PRUNE_TOL)
     assert verdict_from_tp(build_tp_map(pruned)).is_extreme
     assert np.linalg.eigvalsh(rest.effects).min() >= -1e-12
     ranks = np.array(build_tp_map(rest).ranks)
-    assert np.all(ranks <= tp.ranks) and ranks.sum() < sum(tp.ranks)
+    assert np.all(ranks <= tp.ranks[index]) and ranks.sum() < sum(tp.ranks)
     top, _ = ref_peel(live, point, tp)
     dead = np.setdiff1d(np.arange(len(tp.ranks)), live)
-    assert np.array_equal(rest.effects[dead], povm.effects[dead] * (top / (top - 1.0)))
+    t, width = tp.frames.shape[2], split.child_minus.frames.shape[2]
+    carried = split.child_minus.frames[np.searchsorted(index, dead)]
+    assert np.array_equal(carried, tp.frames[dead][..., t - width :] * np.sqrt(top / (top - 1.0)))
 
 
 def test_rank_one_split_is_bit_identical():
@@ -361,15 +409,17 @@ def test_rank_one_split_is_bit_identical():
             tp = build_tp_map(node)
             assert_same_map(tp, ref_build_tp_map(node))
             assert set(tp.ranks) <= {0, 1}
-            assert_same_split(node, *_extremal_direction(tp), tp)
+            assert_same_split(*_extremal_direction(tp), tp)
 
 
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
     live stack, not one per outcome or sub-rank; the scalar walk makes none.
     A split makes one eigh, of the walk's live blocks only: at most d^2 of
-    them, however many blocks the measurement has. Only the general walk
-    calls kernel_basis, once per step."""
+    them, however many blocks the measurement has. A live block that the
+    general walk left off the diagonal is refactored for the remainder's
+    map by one more eigh, of those blocks only. Only the general walk calls
+    kernel_basis, once per step."""
     d = 4
     povm = gen_random_povm(d, 12, rank_cap=4, seed=1)
     tp = build_tp_map(povm)
@@ -394,15 +444,17 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     assert general_steps > d
     assert counts["eigh"] <= general_steps
     counts.clear()
-    split_once(povm, live, point, tp)
-    assert counts["eigh"] == 1
-    assert blocks[-1] == len(live) <= d * d
+    blocks.clear()
+    split_once(tp, live, point)
+    assert counts["eigh"] == 2
+    assert blocks[0] == len(live) <= d * d
+    assert blocks[1] <= len(live)
     # a sphere has many more blocks than d^2 = 4; the split's eigh sees the live ones
     sphere = gen_covariant_sphere(50, seed=7)
     sphere_tp = build_tp_map(sphere)
     live, point = _extremal_direction(sphere_tp)
     counts.clear()
-    split_once(sphere, live, point, sphere_tp)
+    split_once(sphere_tp, live, point)
     assert counts["eigh"] == 1
     assert blocks[-1] == len(live) <= 4 < len(sphere_tp.ranks)
 
@@ -418,17 +470,16 @@ def corpus_povms(per_d=(7, 7, 6)):
 
 
 def split_chain(povm, max_splits=256):
-    """The splits of a decomposition's peel chain: split each node along its
-    walk direction and go on with the pruned minus child until it is extreme."""
-    node = prune_and_merge(povm)
+    """The splits of a decomposition's peel chain: split each node at the
+    point its walk reaches, warm-started from the split before, and go on
+    with the remainder's map until it is extreme."""
+    tp, warm = build_tp_map(prune_and_merge(povm)), None
     for _ in range(max_splits):
-        tp = build_tp_map(node)
         if verdict_from_tp(tp).is_extreme:
             return
-        split = split_once(node, *_extremal_direction(tp), tp)
+        split = split_once(tp, *_extremal_direction(tp, MARGIN_FACTOR, warm))
         yield split
-        child = split.child_minus
-        node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+        tp, warm = split.child_minus, split.warm
     raise AssertionError("peel chain did not end")
 
 
@@ -477,8 +528,7 @@ def test_general_walk_starts_from_at_most_d2_live_roots(monkeypatch):
             assert calls["kernel"] <= d2 + 1
             if calls["kernel"]:
                 general[povm.dim] = max(general[povm.dim], calls["kernel"])
-            child = split_once(node, live, point, tp).child_minus
-            node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+            node = split_once(tp, live, point).child_minus.to_povm()
     # the general walk runs, and takes more than one step, at every d
     assert min(general[d] for d in (2, 3, 4)) > 2
 
@@ -506,6 +556,7 @@ def test_walk_converts_only_the_pairs_in_use(monkeypatch):
         return out
 
     monkeypatch.setattr(extremality, "herm_coords", converted)
+    monkeypatch.setattr(extremality, "frame_columns", built)
     monkeypatch.setattr(decompose, "frame_columns", built)
     steps = padded = 0
     for povm in povms:
@@ -523,7 +574,6 @@ def test_walk_converts_only_the_pairs_in_use(monkeypatch):
                 assert converted_rows == np.sum(np.count_nonzero(kept, axis=1) ** 2)
                 padded += converted_rows < pairs.size
             steps += len(general)
-            child = split_once(node, live, point, tp).child_minus
-            node = _prune(child.dim, child.labels, child.effects, PRUNE_TOL)
+            node = split_once(tp, live, point).child_minus.to_povm()
     # the general walk runs, and most steps skip dead roots of the live stack
     assert steps > 0 and padded > steps // 2

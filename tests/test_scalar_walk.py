@@ -115,7 +115,7 @@ def test_degenerate_windows_go_through_the_same_pass(monkeypatch):
             assert kernel.shape[1] == 0
     assert max(kernel_dims) > 1
     tp = build_tp_map(povm)
-    plus = split_once(povm, *_extremal_direction(tp), tp).child_plus
+    plus = split_once(tp, *_extremal_direction(tp)).child_plus
     assert is_extreme(plus).is_extreme
 
 
