@@ -31,7 +31,6 @@ from .extremality import (
     ExtremalityVerdict,
     TpMap,
     build_tp_map,
-    factor_effects,
     frame_columns,
     pair_mask,
     verdict_from_tp,
@@ -88,7 +87,8 @@ class WarmStart:
 
     weights (n t), one per slot of the remainder's roots, is
     lambda_k / sigma_k on each root the split kept and 0 elsewhere; each
-    root the split peeled (sigma_k = 0) comes along as one column of peeled
+    root with lambda_k > 0 that the split's rank rule dropped (every root
+    with sigma_k = 0 among them) comes along as one column of peeled
     (d^2, m) with weight peeled_weights[k] = lambda_k, so the weighted
     columns of both still sum to the identity's coordinates.
     """
@@ -103,14 +103,14 @@ class SplitResult:
     """One peel of a measurement: P = weight_plus E + weight_minus R.
 
     child_plus is the leaf E, over the split's live blocks only; child_minus
-    is the remainder's map, and warm the parent's point written on its roots
-    (None when the walk on the remainder must start fresh)."""
+    is the remainder's map, and warm the parent's point written on its
+    roots."""
 
     weight_plus: float
     weight_minus: float
     child_plus: FinitePOVM
     child_minus: TpMap
-    warm: WarmStart | None
+    warm: WarmStart
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,7 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
 
 
 def split_once(
-    tp: TpMap,
-    live: np.ndarray,
-    point: np.ndarray,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
+    tp: TpMap, live: np.ndarray, point: np.ndarray, rank_tol: float = RANK_TOL
 ) -> SplitResult:
     """Peel a point B of the face off a measurement's map: P = (1/lam) E + (1 - 1/lam) R.
 
@@ -200,21 +196,18 @@ def split_once(
     live blocks and P_i lam / (lam - 1) on every other block. The split
     raises SplitError unless lam exceeds 1 and T(B) = T(I) up to
     RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It makes one eigh, of
-    the live blocks, B_i = U diag(lam_k) U^dag.
+    the live blocks, B_i = U_i diag(lam_k) U_i^dag.
 
     The remainder comes back as its map. Every other block's frame is
-    scaled by sqrt(lam / (lam - 1)). A live block whose B_i is diagonal in
-    its frame's columns, as the scalar walk leaves it, keeps its frame with
-    column k scaled by sqrt(sigma_k), sigma_k = (lam - lam_k) / (lam - 1)
-    read off the remainder's factor from the one eigh, under the rank rule
-    of factor_effects on the eigenvalues |s_k|^2 sigma_k; any other live
-    block is refactored by factor_effects (rank_tol, psd_tol) from its
-    remainder effect. Kept columns move to the back of their block; blocks
-    whose rank falls to zero are dropped by index. The warm start writes B
-    on the remainder's roots, and the map then carries its root columns,
-    the parent's scaled by lam / (lam - 1) and by sigma_k. Both are skipped
-    (warm is None, the roots are rebuilt on use) when a live block was
-    refactored or the rank rule drops a root that the saturation kept.
+    scaled by sqrt(lam / (lam - 1)). A live block's frame is S_i U_i
+    sqrt(sigma), sigma_k = (lam - lam_k) / (lam - 1): column k is kept by
+    the map's rank rule on the squared norms |S_i u_k|^2 sigma_k. R is PSD by
+    construction, so the split makes no PSD decision. Kept columns move to
+    the back of their block; blocks whose rank falls to zero are dropped by
+    index. The map carries its root columns: the parent's scaled by
+    lam / (lam - 1) on every other block, and those of S_i u_k scaled by
+    sigma_k on the live ones. The warm start writes B on the remainder's
+    roots.
     """
     n, d, t = tp.frames.shape
     live = np.asarray(live)
@@ -231,10 +224,6 @@ def split_once(
     frames = tp.frames[live, :, t - s :]
     x = np.where(pair_mask(kept), point, 0j)
     x = (x + _dagger(x)) / 2.0
-    # B's diagonal, read before _live_eigh writes the dead one
-    pos = np.arange(s)
-    b = x[:, pos, pos].real.copy()
-    diagonal = np.count_nonzero(x, axis=(1, 2)) == np.count_nonzero(b, axis=1)
     # T(B) - T(I), with T(I) = sum_i S_i S_i^dag over every block
     offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.tensordot(
         tp.frames, tp.frames.conj(), axes=([0, 2], [0, 2])
@@ -250,70 +239,60 @@ def split_once(
             f"point is off the face: ||T(B) - T(I)|| = {residual:.3e} "
             f"with amplification {amplification:.3e}"
         )
-    # Leaf and remainder factors U diag(.) U^dag of the live blocks, stacked.
-    sat = np.stack([np.where(on, lam, 0.0), np.where(on, (top - lam) / (top - 1.0), 0.0)])
-    m = (u * _saturate(sat)[:, :, None, :]) @ _dagger(u)
+    # Leaf and remainder eigenvalues of the live blocks, saturated.
+    lam, sigma = _saturate(
+        np.stack([np.where(on, lam, 0.0), np.where(on, (top - lam) / (top - 1.0), 0.0)])
+    )
+    m = (u * lam[:, None, :]) @ _dagger(u)
     e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
-    leaf, near = (e + _dagger(e)) / 2.0
-    sigma = _saturate(np.where(kept, m[1][:, pos, pos].real, 0.0))
-    minus, warm = _remainder(tp, live, b, sigma, diagonal, near, top, rank_tol, psd_tol)
+    minus, warm = _remainder(tp, live, frames @ u, lam, sigma, top, rank_tol)
     labels = tuple(tp.labels[i] for i in live.tolist())
     return SplitResult(
         weight_plus=1.0 / top,
         weight_minus=1.0 - 1.0 / top,
-        child_plus=FinitePOVM._with_normal_labels(d, labels, leaf),
+        child_plus=FinitePOVM._with_normal_labels(d, labels, (e + _dagger(e)) / 2.0),
         child_minus=minus,
         warm=warm,
     )
 
 
-def _remainder(tp, live, b, sigma, diagonal, near, top, rank_tol, psd_tol):
+def _remainder(tp, live, v, lam, sigma, top, rank_tol):
     """The remainder's map and warm start, as split_once describes them.
 
-    b and sigma (live, s) are the diagonals of B and of the remainder's
-    factor on the live blocks' windows, zero off each window's kept
-    columns; diagonal marks the blocks whose B_i is diagonal, and near
-    holds the live blocks' remainder effects."""
+    v (live, d, s) stacks the columns S_i u_k of the live blocks' windows,
+    and lam and sigma (live, s) their saturated leaf and remainder
+    eigenvalues, zero off each block's live eigenpairs."""
     n, d, t = tp.frames.shape
-    s = b.shape[1]
+    s = v.shape[2]
     scale = top / (top - 1.0)
-    old = tp.frames[live, :, t - s :]
-    # The rank rule on the eigenvalues |s_k|^2 sigma_k of a diagonal block;
-    # kept columns move to the back, in their order.
-    keep = rank_ok(np.einsum("kdj,kdj->kj", old.conj(), old).real * sigma, rank_tol)
+    # The rank rule on the squared norms |S_i u_k|^2 sigma_k; kept columns move
+    # to the back, in their order.
+    keep = rank_ok(np.einsum("kdj,kdj->kj", v.conj(), v).real * sigma, rank_tol)
     order = np.argsort(keep, axis=1, kind="stable")
     kept_sigma = np.where(keep, sigma, 0.0)
     frames = tp.frames * np.sqrt(scale)
     frames[live, :, t - s :] = np.take_along_axis(
-        old * np.sqrt(kept_sigma)[:, None, :], order[:, None, :], axis=2
+        v * np.sqrt(kept_sigma)[:, None, :], order[:, None, :], axis=2
     )
     ranks = tp.ranks.copy()
     ranks[live] = np.count_nonzero(keep, axis=1)
-    mixed = live[~diagonal]
-    if mixed.size:
-        fresh, counts = factor_effects(near[~diagonal], rank_tol, psd_tol)
-        frames[mixed] = 0.0
-        frames[mixed, :, t - fresh.shape[2] :] = fresh
-        ranks[mixed] = counts
     alive = np.ones(n, dtype=bool)
     alive[live[ranks[live] == 0]] = False
     width = t - int(ranks[alive].max(initial=0))
     labels = tp.labels if alive.all() else tuple(itertools.compress(tp.labels, alive.tolist()))
     child = TpMap(d, labels, frames[alive, :, width:], ranks[alive])
-    if mixed.size or not np.array_equal(keep, sigma > 0.0):
-        return child, None
     # The roots, carried, fill the cache that TpMap.roots would compute.
-    roots = tp.roots.reshape(-1, n, t)
-    parent = roots[:, live, t - s :]
-    roots = roots * scale
-    roots[:, live, t - s :] = np.take_along_axis(parent * kept_sigma, order[None], axis=2)
+    cols = frame_columns(v, np.broadcast_to(np.eye(s, dtype=bool), (live.size, s, s)))
+    cols = cols.reshape(-1, live.size, s)
+    roots = tp.roots.reshape(-1, n, t) * scale
+    roots[:, live, t - s :] = np.take_along_axis(cols * kept_sigma, order[None], axis=2)
     object.__setattr__(child, "roots", roots[:, alive, width:].reshape(len(roots), -1))
     weights = np.zeros((n, t))
     weights[live, t - s :] = np.take_along_axis(
-        np.where(keep, b / np.where(keep, sigma, 1.0), 0.0), order, axis=1
+        np.where(keep, lam / np.where(keep, sigma, 1.0), 0.0), order, axis=1
     )
-    peeled = (sigma == 0.0) & (b > 0.0)
-    return child, WarmStart(weights[alive, width:].reshape(-1), parent[:, peeled], b[peeled])
+    peeled = ~keep & (lam > 0.0)
+    return child, WarmStart(weights[alive, width:].reshape(-1), cols[:, peeled], lam[peeled])
 
 
 def _saturating_step(lam: np.ndarray):
@@ -487,7 +466,7 @@ def _extremal_direction(
     """Walk to an extreme point of the measurement's face and return it.
 
     The walk runs over roots: column j of frame i, written s_ij s_ij^dag
-    with weight c_ij, so that B_i = diag(c_ij) in the frame's eigenbasis.
+    with weight c_ij, so that B_i = diag(c_ij) in the frame's columns.
     Starting from the measurement itself (every c_ij = 1, B_i = identity),
     it moves along kernel directions, zeroing at least one root per step,
     until the current point is extreme. It returns (live, B): the blocks
@@ -501,10 +480,9 @@ def _extremal_direction(
     roots, and simplex pivots (_pivot) move it to a basic solution on the
     roots alone, one pivot per peeled root in the usual case. That replaces
     recombination and the scalar walk. The fresh walk below runs at the root
-    and wherever the warm start is unusable: the split gave none (a live
-    block off the diagonal, or the rank rule and the saturation disagree),
-    or _pivot returns None (fewer than d^2 active roots, no improving
-    column, the pivot cap, or a re-solved weight below -1e-12 relative).
+    and wherever _pivot returns None (fewer than d^2 active roots, no
+    improving column, the pivot cap, or a re-solved weight below -1e-12
+    relative).
 
     Recombination runs while more than 2(d^2 + 1) roots are active: it cuts
     them, in stack order, into 2(d^2 + 1) contiguous groups, walks the
@@ -593,7 +571,7 @@ def decompose_extremal(
     + child get a map built from effects; every remainder's map, without
     its blocks of rank zero, and the warm start of its walk come from its
     split, and its effects are formed once it is the last leaf. psd_tol
-    is the PSD rule of every map. Once
+    is the PSD rule of the maps built from effects. Once
     max_leaves - 1 leaves are peeled, the remainder is emitted with its
     non-extreme verdict and the mixture is flagged incomplete; the convex
     reconstruction identity holds either way.
@@ -608,7 +586,7 @@ def decompose_extremal(
             break
         try:
             live, point = _extremal_direction(tp, margin_factor, warm)
-            split = split_once(tp, live, point, rank_tol, psd_tol)
+            split = split_once(tp, live, point, rank_tol)
         except SplitError as exc:
             raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
         plus = split.child_plus

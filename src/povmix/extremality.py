@@ -3,10 +3,12 @@
 A measurement {P_i} is extreme in the convex set of measurements exactly when
 the linear map
 
-    T: (A_1, ..., A_k) -> sum_i S_i A_i S_i^dag,   S_i = sqrt(P_i) restricted
-                                                    to the range of P_i,
+    T: (A_1, ..., A_k) -> sum_i S_i A_i S_i^dag,   S_i S_i^dag = P_i,
 
-is injective on Hermitian A_i acting on the r_i-dimensional range of P_i.
+is injective on Hermitian r_i x r_i blocks A_i, for any d x r_i factors S_i
+of full column rank r_i = rank(P_i). Two such factors of one effect differ
+by a unitary, which the map's domain absorbs, so the verdict does not
+depend on the factors chosen.
 The map is assembled as a real d^2 x (sum_i r_i^2) matrix in Hermitian
 coordinates (see frame_columns), and injectivity is decided by its
 smallest singular value against a relative threshold.
@@ -31,9 +33,11 @@ MARGIN_FACTOR = 1e-10
 class TpMap:
     """The assembled sandwich map of a measurement.
 
-    frames is one (n, d, t) stack, t the largest rank: S_i (d x r_i) fills
-    the trailing r_i columns of frames[i] and the t - r_i columns in front
-    are zero. Its real map matrix is frame_columns(frames, pair_mask(kept)).
+    frames is one (n, d, t) stack, t the largest rank: a full-rank factor
+    S_i (d x r_i) of P_i = S_i S_i^dag fills the trailing r_i columns of
+    frames[i] and the t - r_i columns in front are zero. build_tp_map takes
+    the eigenframe of sqrt(P_i); a split's remainder carries other factors.
+    Its real map matrix is frame_columns(frames, pair_mask(kept)).
     ranks is an int array; domain_dim = sum r_i^2 and kept, the (n, t) mask
     of each frame's trailing r_i columns, are computed once, on construction.
 
@@ -59,7 +63,7 @@ class TpMap:
     def roots(self) -> np.ndarray:
         """Real columns (d^2, n t) of the roots s_ij s_ij^dag, slot (i, j) at
         column i t + j: the diagonal pairs of every slot, zero where dead.
-        A remainder's map with a warm start comes with them (split_once)."""
+        A remainder's map comes with them (split_once)."""
         n, _, t = self.frames.shape
         return frame_columns(self.frames, np.broadcast_to(np.eye(t, dtype=bool), (n, t, t)))
 
@@ -108,34 +112,29 @@ def frame_columns(frames: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return herm_coords(left[:, :, None] @ frames[i, None, :, q].conj()).T
 
 
-def factor_effects(effects: np.ndarray, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL):
-    """Frames (n, d, t) and ranks of a stack of effects: the rank and PSD rules.
+def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> TpMap:
+    """Assemble the sandwich map of a measurement: one eigh of every effect.
 
-    Each frame S_i is sqrt(P_i) restricted to the numerical range of P_i,
-    computed directly from the eigendecomposition: eigenvectors with
-    eigenvalue above rank_tol * max(w_max, 1), scaled by sqrt of their
-    eigenvalues. Eigenvalues come ascending, so the kept ones are a suffix:
-    the frame stack is the trailing t eigenvectors, t the largest rank, the
-    dropped ones scaled to zero columns in front. An effect whose spectrum
-    fails psd_ok at psd_tol raises PovmError.
+    Each frame S_i is sqrt(P_i) restricted to the numerical range of P_i:
+    the eigenvectors with eigenvalue above rank_tol * max(w_max, 1), scaled
+    by the square roots of their eigenvalues. Eigenvalues come ascending, so
+    the kept ones are a suffix: the frame stack is the trailing t
+    eigenvectors, t the largest rank, the dropped ones scaled to zero
+    columns in front; zero effects contribute none. An effect whose
+    spectrum fails psd_ok at psd_tol raises PovmError.
     """
+    effects = povm.effects
     w, v = np.linalg.eigh((effects + effects.conj().transpose(0, 2, 1)) / 2.0)
     off = np.flatnonzero(~psd_ok(w, psd_tol))
     if off.size:
         raise PovmError(f"effect is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
-    d = effects.shape[1]
+    d = povm.dim
     kept = rank_ok(w, rank_tol)
-    counts = np.count_nonzero(kept, axis=1)
-    t = int(counts.max(initial=0))
+    ranks = np.count_nonzero(kept, axis=1)
+    t = int(ranks.max(initial=0))
     kept = kept[:, d - t :]
-    return v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :], counts
-
-
-def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> TpMap:
-    """Assemble the sandwich map of a measurement: one eigh of every effect
-    (factor_effects); zero effects contribute none."""
-    frames, ranks = factor_effects(povm.effects, rank_tol, psd_tol)
-    return TpMap(povm.dim, povm.labels, frames, ranks)
+    frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
+    return TpMap(d, povm.labels, frames, ranks)
 
 
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:

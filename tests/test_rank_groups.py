@@ -183,14 +183,13 @@ def ref_peel(live, point, tp):
 
 def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
     """(weights, leaf effects, remainder labels, ranks and frames) of a
-    split, one padded block at a time. The leaf S B S^dag and the remainder
-    factor m = U diag(sigma) U^dag, sigma = (lambda - lambda_k) / (lambda - 1),
-    of each live block come from its own eigh. The remainder's frame is
-    S_i sqrt(lambda / (lambda - 1)) on every other block. A live block whose
-    B_i is diagonal keeps each column s_k with rank-rule eigenvalue
-    |s_k|^2 m_kk, scaled by sqrt(m_kk), at the back of the block; another
-    live block is refactored from its remainder effect S m S^dag as
-    ref_build_tp_map does. Blocks of rank zero are dropped."""
+    split, one padded block at a time. The leaf S B S^dag of each live block
+    comes from its own eigh, B = U diag(lambda_k) U^dag, as does the
+    remainder's eigenvalue sigma_k = (lambda - lambda_k) / (lambda - 1). The
+    remainder's frame is S_i sqrt(lambda / (lambda - 1)) on every other
+    block. A live block keeps each column v_k = S u_k whose squared norm
+    |v_k|^2 sigma_k passes the rank rule, scaled by sqrt(sigma_k), at the
+    back of the block. Blocks of rank zero are dropped."""
     t, s = tp.frames.shape[2], point.shape[-1]
     top, eighs = ref_peel(live, point, tp)
     scale = top / (top - 1.0)
@@ -199,28 +198,16 @@ def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
     ranks = list(tp.ranks)
     for k, (i, (lam, u, lv)) in enumerate(zip(live, eighs)):
         frame = tp.frames[i][:, t - s :]
-        effects = []
-        for vals in (lam, (top - lam) / (top - 1.0)):
-            m = (u * _saturate(np.where(lv, vals, 0.0))) @ u.conj().T
-            e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
-            effects.append((e + e.conj().T) / 2.0)
-        leaf[k] = effects[0]
-        window = np.arange(s) >= s - tp.ranks[i]
-        b = np.where(np.outer(window, window), point[k], 0.0)
-        if np.count_nonzero(b - np.diag(np.diag(b))) == 0:
-            sigma = _saturate(np.where(window, m.diagonal().real, 0.0))
-            eig = np.sum(frame.conj() * frame, axis=0).real * sigma
-            keep = eig > rank_tol * max(float(eig.max()), 1.0)
-            frames[i] = np.zeros_like(frames[i])
-            frames[i][:, t - np.count_nonzero(keep) :] = frame[:, keep] * np.sqrt(sigma[keep])
-            ranks[i] = np.count_nonzero(keep)
-        else:
-            remainder = FinitePOVM(tp.dim, (0,), effects[1][None])
-            fresh = ref_build_tp_map(remainder, rank_tol)
-            frames[i] = np.zeros_like(frames[i])
-            r = fresh.ranks[0]
-            frames[i][:, t - r :] = fresh.frames[0][:, fresh.frames.shape[2] - r :]
-            ranks[i] = fresh.ranks[0]
+        m = (u * _saturate(np.where(lv, lam, 0.0))) @ u.conj().T
+        e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
+        leaf[k] = (e + e.conj().T) / 2.0
+        sigma = _saturate(np.where(lv, (top - lam) / (top - 1.0), 0.0))
+        v = frame @ u
+        eig = np.sum(v.conj() * v, axis=0).real * sigma
+        keep = eig > rank_tol * max(float(eig.max()), 1.0)
+        frames[i] = np.zeros_like(frames[i])
+        frames[i][:, t - np.count_nonzero(keep) :] = v[:, keep] * np.sqrt(sigma[keep])
+        ranks[i] = np.count_nonzero(keep)
     alive = [i for i, r in enumerate(ranks) if r > 0 or i not in live]
     width = max(ranks[i] for i in alive)
     return (
@@ -352,7 +339,10 @@ def test_split_and_map_read_only_the_windows():
     a, b = clean.child_minus, dirty.child_minus
     assert a.labels == b.labels and a.ranks.tobytes() == b.ranks.tobytes()
     assert a.frames.tobytes() == b.frames.tobytes() and a.roots.tobytes() == b.roots.tobytes()
-    assert (clean.warm is None) == (dirty.warm is None)
+    a, b = clean.warm, dirty.warm
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.peeled.tobytes() == b.peeled.tobytes()
+    assert a.peeled_weights.tobytes() == b.peeled_weights.tobytes()
     for bad in (point[:-1], point[:, 1:, 1:], point.reshape(len(point), -1)):
         with pytest.raises(SplitError):
             split_once(tp, live, bad)
@@ -415,11 +405,10 @@ def test_rank_one_split_is_bit_identical():
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
     live stack, not one per outcome or sub-rank; the scalar walk makes none.
-    A split makes one eigh, of the walk's live blocks only: at most d^2 of
-    them, however many blocks the measurement has. A live block that the
-    general walk left off the diagonal is refactored for the remainder's
-    map by one more eigh, of those blocks only. Only the general walk calls
-    kernel_basis, once per step."""
+    A split makes exactly one eigh, of the walk's live blocks only: at most
+    d^2 of them, however many blocks the measurement has, and the remainder's
+    map reuses it, also for blocks the general walk left off the diagonal.
+    Only the general walk calls kernel_basis, once per step."""
     d = 4
     povm = gen_random_povm(d, 12, rank_cap=4, seed=1)
     tp = build_tp_map(povm)
@@ -446,9 +435,10 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     counts.clear()
     blocks.clear()
     split_once(tp, live, point)
-    assert counts["eigh"] == 2
-    assert blocks[0] == len(live) <= d * d
-    assert blocks[1] <= len(live)
+    assert counts["eigh"] == 1
+    assert blocks == [len(live)] and len(live) <= d * d
+    # the general walk left a live block off the diagonal
+    assert np.any(point[:, ~np.eye(point.shape[-1], dtype=bool)])
     # a sphere has many more blocks than d^2 = 4; the split's eigh sees the live ones
     sphere = gen_covariant_sphere(50, seed=7)
     sphere_tp = build_tp_map(sphere)

@@ -92,6 +92,55 @@ def test_carried_map_gives_the_verdict_of_a_rebuilt_map(monkeypatch):
     assert started > nodes // 2 and warm_nodes >= started
 
 
+def test_every_split_writes_its_point_on_the_remainders_roots():
+    """Every split, live blocks off the diagonal included, hands the
+    remainder a warm start: its weighted root columns plus its weighted
+    peeled columns are the identity's coordinates, within 1e-12 relative."""
+    for povm in [*criterion_2_draws(), gen_random_povm(3, 27, rank_cap=3, seed=7)]:
+        for k, (tp, _, warm) in enumerate(chain(povm)):
+            if k == 0:
+                continue
+            assert isinstance(warm, decompose.WarmStart)
+            identity = linalg.herm_coords(np.eye(tp.dim))
+            total = tp.roots @ warm.weights + warm.peeled @ warm.peeled_weights
+            assert np.linalg.norm(total - identity) <= 1e-12 * np.linalg.norm(identity)
+            assert np.all(warm.weights >= 0.0) and np.all(warm.peeled_weights > 0.0)
+
+
+def unconstrained_draws(count=24):
+    """Seeded draws with d = 2, 3, 4, up to 3 d^2 effects and rank caps up
+    to d, outside criterion 2's caps: their general walks often leave live
+    blocks off the diagonal."""
+    rng = np.random.default_rng(2029)
+    for j in range(count):
+        d = 2 + j % 3
+        k = int(rng.integers(d + 1, 3 * d * d + 1))
+        cap = int(rng.integers(1, d + 1))
+        yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
+
+
+def test_unconstrained_draws_give_extreme_leaves_that_recombine(monkeypatch):
+    """Every leaf passes a fresh is_extreme, and the mixture recombines to
+    the input within 1e-12, on draws where most split points are off the
+    diagonal."""
+    points = Counter()
+    split = decompose.split_once
+
+    def recorded(tp, live, point, *args):
+        points["off"] += bool(np.any(point[:, ~np.eye(point.shape[-1], dtype=bool)]))
+        points["all"] += 1
+        return split(tp, live, point, *args)
+
+    monkeypatch.setattr(decompose, "split_once", recorded)
+    for povm in unconstrained_draws():
+        mixture = decompose_extremal(povm)
+        assert mixture.complete
+        for c in mixture.components:
+            assert is_extreme(c.povm).is_extreme
+        assert effects_distance(povm, reconstruct(mixture)) <= 1e-12
+    assert points["off"] > points["all"] // 2
+
+
 @pytest.mark.parametrize("n", [50, 100, 200])
 def test_every_sphere_node_below_the_root_starts_warm(n, monkeypatch):
     walks = Counter()
@@ -148,15 +197,28 @@ def calls_by_walk(monkeypatch, name):
     ids=["fewer than d^2 roots", "rank-2 live blocks"],
 )
 def test_an_unusable_warm_start_takes_the_fresh_walk(make, monkeypatch):
-    """A warm point with fewer than d^2 active roots, or one that the
-    general walk left off the diagonal, falls back to the fresh walk, which
-    still peels extreme points off until the chain ends."""
+    """A warm point with fewer than d^2 active roots falls back to the fresh
+    walk, which still peels extreme points off until the chain ends. The
+    octahedron's extreme points have two roots; an extreme point with a
+    rank-2 block has fewer than d^2 roots, as sum_i rank(B_i)^2 <= d^2.
+    Here that is the only reason _pivot gives up."""
     povm = make()
     fresh = calls_by_walk(monkeypatch, "_scalar_walk")
+    unusable = []
+    pivot = decompose._pivot
+
+    def recorded(columns, warm, d):
+        weights = pivot(columns, warm, d)
+        if weights is None:
+            unusable.append(np.count_nonzero(warm.weights) + warm.peeled_weights.size < d * d)
+        return weights
+
+    monkeypatch.setattr(decompose, "_pivot", recorded)
     mixture = decompose_extremal(povm)
     assert mixture.complete
-    # a node below the root walked fresh
+    # a node below the root walked fresh, each for too few active roots
     assert max(fresh) > 1
+    assert unusable and all(unusable)
     for c in mixture.components:
         assert is_extreme(c.povm).is_extreme
     assert effects_distance(povm, reconstruct(mixture)) < 1e-12
@@ -174,7 +236,7 @@ def test_window_factorizations_run_only_at_the_root(monkeypatch):
 
 def test_eigh_below_the_root_sees_at_most_d2_blocks(monkeypatch):
     """Complexity guard: after the root's map, every eigh of a decomposition
-    (split, general walk step, refactored live blocks and each leaf's map)
+    (split, general walk step and each leaf's map)
     sees at most d^2 blocks, however many outcomes the node has."""
     blocks = []
 
