@@ -57,7 +57,7 @@ from .model import (
 )
 from .outcomes import _densities, _state_factor
 
-# A split is rejected when max(1, 1/(lambda - 1)) * ||T(B) - T(I)|| exceeds
+# A split is rejected when max(1, 1/(lambda - 1)) * ||T(B) - I|| exceeds
 # this; the children would then miss exact normalization.
 RESIDUAL_TOL = 1e-9
 
@@ -188,26 +188,27 @@ def split_once(
     """Peel a point B of the face off a measurement's map: P = (1/lam) E + (1 - 1/lam) R.
 
     live lists the blocks where B may be nonzero, in increasing order, and
-    point stacks their B_i, each in the trailing r_i x r_i window of an s x s
-    block (s the largest rank of a live block), read only on that window; a
-    point of another shape raises SplitError. With lam = lambda_max(B), the
-    leaf E = S B S^dag over the live blocks has weight 1/lam, and the
-    remainder R, weight 1 - 1/lam, is S (lam I - B) S^dag / (lam - 1) on the
-    live blocks and P_i lam / (lam - 1) on every other block. The split
-    raises SplitError unless lam exceeds 1 and T(B) = T(I) up to
-    RESIDUAL_TOL after scaling by max(1, 1/(lam - 1)). It makes one eigh, of
-    the live blocks, B_i = U_i diag(lam_k) U_i^dag.
+    point (live, t, t) stacks their B_i in the map's t x t blocks, read only
+    on the kept pairs pair_mask(tp.kept[live]); a point of another shape
+    raises SplitError. With lam = lambda_max(B), the leaf E = S B S^dag over
+    the live blocks has weight 1/lam, and the remainder R, weight
+    1 - 1/lam, is S (lam I - B) S^dag / (lam - 1) on the live blocks and
+    P_i lam / (lam - 1) on every other block. The split raises SplitError
+    unless lam exceeds 1 and T(B) = I up to RESIDUAL_TOL after scaling by
+    max(1, 1/(lam - 1)); checking against I, not the carried T(I), also
+    sees the drift of a long chain. It makes one eigh, of the live blocks,
+    B_i = U_i diag(lam_k) U_i^dag.
 
     The remainder comes back as its map. Every other block's frame is
     scaled by sqrt(lam / (lam - 1)). A live block's frame is S_i U_i
-    sqrt(sigma), sigma_k = (lam - lam_k) / (lam - 1): column k is kept by
-    the map's rank rule on the squared norms |S_i u_k|^2 sigma_k. R is PSD by
-    construction, so the split makes no PSD decision. Kept columns move to
-    the back of their block; blocks whose rank falls to zero are dropped by
-    index. The map carries its root columns: the parent's scaled by
-    lam / (lam - 1) on every other block, and those of S_i u_k scaled by
-    sigma_k on the live ones. The warm start writes B on the remainder's
-    roots.
+    sqrt(sigma), sigma_k = (lam - lam_k) / (lam - 1), written in place:
+    column k is kept by the map's rank rule on the squared norms
+    |S_i u_k|^2 sigma_k. R is PSD by construction, so the split makes no PSD
+    decision. Blocks whose rank falls to zero are dropped by index, and
+    columns dead in every remaining block are trimmed. The map carries its
+    root columns: the parent's scaled by lam / (lam - 1) on every other
+    block, and those of S_i u_k scaled by sigma_k on the live ones. The warm
+    start writes B on the remainder's roots.
     """
     n, d, t = tp.frames.shape
     live = np.asarray(live)
@@ -215,19 +216,15 @@ def split_once(
         0 <= live[0] and live[-1] < n and np.all(np.diff(live) > 0)
     ):
         raise SplitError(f"live blocks {live!r} are not increasing block indices below {n}")
-    s = int(tp.ranks[live].max())
-    if np.shape(point) != (live.size, s, s):
+    if np.shape(point) != (live.size, t, t):
         raise SplitError(
-            f"point shape {np.shape(point)} does not match live stack {(live.size, s, s)}"
+            f"point shape {np.shape(point)} does not match live stack {(live.size, t, t)}"
         )
-    kept = tp.kept[live, t - s :]
-    frames = tp.frames[live, :, t - s :]
+    kept = tp.kept[live]
+    frames = tp.frames[live]
     x = np.where(pair_mask(kept), point, 0j)
     x = (x + _dagger(x)) / 2.0
-    # T(B) - T(I), with T(I) = sum_i S_i S_i^dag over every block
-    offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.tensordot(
-        tp.frames, tp.frames.conj(), axes=([0, 2], [0, 2])
-    )
+    offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.eye(d)
     lam, u, on = _live_eigh(x, kept)
     top = float(lam[on].max(initial=0.0))
     if top - 1.0 <= 1e-12 * top:
@@ -236,7 +233,7 @@ def split_once(
     amplification = max(1.0, 1.0 / (top - 1.0))
     if amplification * residual > RESIDUAL_TOL:
         raise SplitError(
-            f"point is off the face: ||T(B) - T(I)|| = {residual:.3e} "
+            f"point is off the face: ||T(B) - I|| = {residual:.3e} "
             f"with amplification {amplification:.3e}"
         )
     # Leaf and remainder eigenvalues of the live blocks, saturated.
@@ -259,40 +256,35 @@ def split_once(
 def _remainder(tp, live, v, lam, sigma, top, rank_tol):
     """The remainder's map and warm start, as split_once describes them.
 
-    v (live, d, s) stacks the columns S_i u_k of the live blocks' windows,
-    and lam and sigma (live, s) their saturated leaf and remainder
-    eigenvalues, zero off each block's live eigenpairs."""
+    v (live, d, t) stacks the columns S_i u_k of the live blocks, and lam
+    and sigma (live, t) their saturated leaf and remainder eigenvalues, zero
+    off each block's live eigenpairs. Every array is written in place on
+    the live blocks, then restricted to the surviving blocks and the
+    columns some surviving block keeps."""
     n, d, t = tp.frames.shape
-    s = v.shape[2]
     scale = top / (top - 1.0)
-    # The rank rule on the squared norms |S_i u_k|^2 sigma_k; kept columns move
-    # to the back, in their order.
+    # the rank rule on the squared norms |S_i u_k|^2 sigma_k
     keep = rank_ok(np.einsum("kdj,kdj->kj", v.conj(), v).real * sigma, rank_tol)
-    order = np.argsort(keep, axis=1, kind="stable")
     kept_sigma = np.where(keep, sigma, 0.0)
     frames = tp.frames * np.sqrt(scale)
-    frames[live, :, t - s :] = np.take_along_axis(
-        v * np.sqrt(kept_sigma)[:, None, :], order[:, None, :], axis=2
-    )
-    ranks = tp.ranks.copy()
-    ranks[live] = np.count_nonzero(keep, axis=1)
+    frames[live] = v * np.sqrt(kept_sigma)[:, None, :]
+    kept = tp.kept.copy()
+    kept[live] = keep
     alive = np.ones(n, dtype=bool)
-    alive[live[ranks[live] == 0]] = False
-    width = t - int(ranks[alive].max(initial=0))
+    alive[live] = keep.any(axis=1)
+    used = kept[alive].any(axis=0)
     labels = tp.labels if alive.all() else tuple(itertools.compress(tp.labels, alive.tolist()))
-    child = TpMap(d, labels, frames[alive, :, width:], ranks[alive])
+    child = TpMap(d, labels, frames[alive][:, :, used], kept[alive][:, used])
     # The roots, carried, fill the cache that TpMap.roots would compute.
-    cols = frame_columns(v, np.broadcast_to(np.eye(s, dtype=bool), (live.size, s, s)))
-    cols = cols.reshape(-1, live.size, s)
+    cols = frame_columns(v, np.broadcast_to(np.eye(t, dtype=bool), (live.size, t, t)))
+    cols = cols.reshape(-1, live.size, t)
     roots = tp.roots.reshape(-1, n, t) * scale
-    roots[:, live, t - s :] = np.take_along_axis(cols * kept_sigma, order[None], axis=2)
-    object.__setattr__(child, "roots", roots[:, alive, width:].reshape(len(roots), -1))
+    roots[:, live] = cols * kept_sigma
+    object.__setattr__(child, "roots", roots[:, alive][:, :, used].reshape(len(roots), -1))
     weights = np.zeros((n, t))
-    weights[live, t - s :] = np.take_along_axis(
-        np.where(keep, lam / np.where(keep, sigma, 1.0), 0.0), order, axis=1
-    )
+    weights[live] = np.where(keep, lam / np.where(keep, sigma, 1.0), 0.0)
     peeled = ~keep & (lam > 0.0)
-    return child, WarmStart(weights[alive, width:].reshape(-1), cols[:, peeled], lam[peeled])
+    return child, WarmStart(weights[alive][:, used].reshape(-1), cols[:, peeled], lam[peeled])
 
 
 def _saturating_step(lam: np.ndarray):
@@ -470,10 +462,10 @@ def _extremal_direction(
     Starting from the measurement itself (every c_ij = 1, B_i = identity),
     it moves along kernel directions, zeroing at least one root per step,
     until the current point is extreme. It returns (live, B): the blocks
-    with a live root, in increasing order, and their B_i, each in the
-    trailing r_i x r_i window of one s x s block (s the largest live rank);
-    every other block ends at B_i = 0. T(B) = T(I), so split_once peels
-    S B S^dag off as one extreme component.
+    with a live root, in increasing order, and their B_i (live, t, t) in
+    the map's blocks, zero off each block's kept pairs; every other block
+    ends at B_i = 0. T(B) = I, so split_once peels S B S^dag off as one
+    extreme component.
 
     Below the root the walk normally starts warm: warm, from the split that
     made this map, is the parent's extreme point written on this node's
@@ -493,8 +485,8 @@ def _extremal_direction(
     scalar walk then runs over single roots until their columns are
     injective, which leaves at most d^2 live roots. Either start ends here,
     with injective live roots. The live blocks are held
-    as one stack of s x s blocks: the trailing s columns of the map's frame
-    stack, and factors G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. If
+    as one stack of t x t blocks: their frames, and factors
+    G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. If
     every live block has one live root, the point is extreme (a rank-one
     block's map column is its scalar column), and the walk ends. Otherwise
     the general walk refines the live blocks. A step takes one SVD of the
@@ -519,25 +511,24 @@ def _extremal_direction(
         scale = _scalar_walk(columns, scale, 0, margin_factor)
     scale = scale.reshape(n, t)
     live = np.flatnonzero(scale.any(axis=1))
-    s = int(tp.ranks[live].max())
-    # Factors G (B = G G^dag) of the live blocks, s x s. kept marks G's live
+    # Factors G (B = G G^dag) of the live blocks, t x t. kept marks G's live
     # columns, anywhere in the block.
-    weights = scale[live, t - s :]
+    weights = scale[live]
     kept = weights > 0.0
-    pos = np.arange(s)
-    factors = np.zeros((live.size, s, s), dtype=np.complex128)
+    pos = np.arange(t)
+    factors = np.zeros((live.size, t, t), dtype=np.complex128)
     factors[:, pos, pos] = np.sqrt(weights)
     # With one live root per block the point is already extreme.
     if np.count_nonzero(kept, axis=1).max() > 1:
-        frames = tp.frames[live, :, t - s :]
+        frames = tp.frames[live]
         for _ in range(tp.domain_dim + 16):
             pairs = pair_mask(kept)
             basis = kernel_basis(frame_columns(frames @ factors, pairs), margin_factor)
             if basis.shape[1] == 0:
                 break
-            y = np.zeros((live.size, s * s))
+            y = np.zeros((live.size, t * t))
             y[pairs.reshape(live.size, -1)] = basis[:, 0]
-            w, u, live_eig = _live_eigh(herm_matrices(y, s), kept)
+            w, u, live_eig = _live_eigh(herm_matrices(y, t), kept)
             tau, flip = _saturating_step(w[live_eig])
             if flip:
                 w = -w
@@ -647,11 +638,15 @@ def verify_barycenter(
     effects = np.concatenate([p.effects for _, p in pairs])
     stacked_map = np.concatenate(leaf_maps)
     stacked_weight = np.concatenate([np.full(p.n_outcomes, w) for w, p in pairs])
-    own = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
-    recombined = np.zeros_like(own)
-    np.add.at(own, own_map, povm.effects)
-    np.add.at(recombined, stacked_map, stacked_weight[:, None, None] * effects)
-    effect_residual = float(np.max(np.abs(own - recombined)))
+    # One signed sum over the labelled stack (-w_k E_k) u P, leaves first, so
+    # each entry rounds as the recombination minus the measurement.
+    residual = np.zeros((len(universe), povm.dim, povm.dim), dtype=np.complex128)
+    np.add.at(
+        residual,
+        np.concatenate([stacked_map, own_map]),
+        np.concatenate([-stacked_weight[:, None, None] * effects, povm.effects]),
+    )
+    effect_residual = float(np.max(np.abs(residual)))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, trials, _TRIAL_CHUNK):

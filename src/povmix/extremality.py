@@ -33,31 +33,30 @@ MARGIN_FACTOR = 1e-10
 class TpMap:
     """The assembled sandwich map of a measurement.
 
-    frames is one (n, d, t) stack, t the largest rank: a full-rank factor
-    S_i (d x r_i) of P_i = S_i S_i^dag fills the trailing r_i columns of
-    frames[i] and the t - r_i columns in front are zero. build_tp_map takes
-    the eigenframe of sqrt(P_i); a split's remainder carries other factors.
-    Its real map matrix is frame_columns(frames, pair_mask(kept)).
-    ranks is an int array; domain_dim = sum r_i^2 and kept, the (n, t) mask
-    of each frame's trailing r_i columns, are computed once, on construction.
+    frames is one (n, d, t) stack and kept its (n, t) mask: the kept
+    columns of frames[i] are a full-rank factor S_i (d x r_i) of
+    P_i = S_i S_i^dag, in any positions, and every other column is zero.
+    build_tp_map takes the eigenframe of sqrt(P_i), which fills the
+    trailing r_i columns; a split's remainder carries other factors, where
+    its eigh puts them. Its real map matrix is
+    frame_columns(frames, pair_mask(kept)). ranks, an int array, and
+    domain_dim = sum r_i^2 are computed once from kept, on construction.
 
     An element of the domain is a Hermitian (n, t, t) stack in the frames'
-    coordinates, block i in the window pair_mask(kept)[i], zeros elsewhere.
+    coordinates, block i on the pairs pair_mask(kept)[i], zeros elsewhere.
     """
 
     dim: int
     labels: tuple
     frames: np.ndarray
-    ranks: np.ndarray
+    kept: np.ndarray = field(repr=False)
+    ranks: np.ndarray = field(init=False)
     domain_dim: int = field(init=False)
-    kept: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=np.intp)
-        t = self.frames.shape[2]
+        ranks = np.count_nonzero(self.kept, axis=1)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "domain_dim", int(ranks @ ranks))
-        object.__setattr__(self, "kept", np.arange(t) >= t - ranks[:, None])
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -130,11 +129,10 @@ def build_tp_map(povm: FinitePOVM, rank_tol: float = RANK_TOL, psd_tol: float = 
         raise PovmError(f"effect is not PSD: min eigenvalue {w[off[0], 0]:.3e}")
     d = povm.dim
     kept = rank_ok(w, rank_tol)
-    ranks = np.count_nonzero(kept, axis=1)
-    t = int(ranks.max(initial=0))
+    t = int(np.count_nonzero(kept, axis=1).max(initial=0))
     kept = kept[:, d - t :]
     frames = v[:, :, d - t :] * np.sqrt(np.where(kept, w[:, d - t :], 0.0))[:, None, :]
-    return TpMap(d, povm.labels, frames, ranks)
+    return TpMap(d, povm.labels, frames, kept)
 
 
 def verdict_from_tp(tp: TpMap, margin_factor: float = MARGIN_FACTOR) -> ExtremalityVerdict:

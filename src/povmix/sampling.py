@@ -190,8 +190,7 @@ def tv_distance(
     if h1.n == 0 or h2.n == 0:
         raise PovmError("total variation of an empty histogram is undefined")
     universe, maps = align_label_universe([h1.labels, h2.labels], label_tol)
-    p = np.zeros(len(universe))
-    q = np.zeros(len(universe))
-    np.add.at(p, np.asarray(maps[0], dtype=np.intp), np.asarray(h1.counts) / h1.n)
-    np.add.at(q, np.asarray(maps[1], dtype=np.intp), np.asarray(h2.counts) / h2.n)
-    return 0.5 * float(np.abs(p - q).sum())
+    diff = np.zeros(len(universe))
+    signed = np.concatenate([np.asarray(h1.counts) / h1.n, np.asarray(h2.counts) / -h2.n])
+    np.add.at(diff, np.concatenate(maps), signed)
+    return 0.5 * float(np.abs(diff).sum())

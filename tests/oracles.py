@@ -106,9 +106,9 @@ def apply_tp(tp, element):
     """The sandwich map sum_i S_i X_i S_i^dag on an (n, t, t) stack, a d x d matrix.
 
     It reads a whole stack the way split_once reads its point: the frames
-    are zero outside each block's trailing r_i columns, so finite entries
-    of X_i off the r_i x r_i window count as exact zeros, and a stack of
-    another shape raises ValueError.
+    are zero outside each block's kept columns, so finite entries of X_i
+    off the kept pairs count as exact zeros, and a stack of another shape
+    raises ValueError.
     """
     n, _, t = tp.frames.shape
     if np.shape(element) != (n, t, t):

@@ -253,12 +253,11 @@ def test_unitary_covariance_of_verdict():
 
 def walk_offset(tp):
     """The walk's point minus the measurement, B - I, as the map's (n, t, t)
-    stack: B on the live blocks' windows, I on every block's window."""
+    stack: B on the live blocks' kept pairs, I on every block's kept pairs."""
     live, point = _extremal_direction(tp)
     n, _, t = tp.frames.shape
-    s = point.shape[-1]
     element = np.zeros((n, t, t), dtype=np.complex128)
-    element[live, t - s :, t - s :] = np.where(pair_mask(tp.kept[live, t - s :]), point, 0.0)
+    element[live] = np.where(pair_mask(tp.kept[live]), point, 0.0)
     pos = np.arange(t)
     element[:, pos, pos] -= tp.kept
     return element

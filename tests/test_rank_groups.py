@@ -1,15 +1,15 @@
 """The decomposition path on one padded block stack, against per-block code.
 
 The map holds every block in one stack of t x t blocks (t the largest
-rank), each block's frame in its trailing columns; the general walk and the
-split hold the walk's live blocks in one stack of s x s blocks the same way
-(s the largest live rank). The reference functions below evaluate each of them one block at a
-time on the same padded blocks. Stacking changes no arithmetic inside a
-block, so every output must be equal bit for bit, not just close. The one
-exception is the change to real Hermitian coordinates: a BLAS product over
-the whole stack need not match per-block products in the last bit, so the
-references apply that shared conversion, linalg.herm_coords, once to their
-stacked per-block matrices.
+rank), each block's frame in the columns its kept mask marks, wherever they
+stand; the general walk and the split hold the walk's live blocks as the
+same t x t blocks. The reference functions below evaluate each of them one
+block at a time on the same padded blocks. Stacking changes no arithmetic
+inside a block, so every output must be equal bit for bit, not just close.
+The one exception is the change to real Hermitian coordinates: a BLAS
+product over the whole stack need not match per-block products in the last
+bit, so the references apply that shared conversion, linalg.herm_coords,
+once to their stacked per-block matrices.
 From coordinates back to Hermitian blocks every entry is a single product,
 so that conversion runs block by block.
 """
@@ -75,7 +75,8 @@ def ref_build_tp_map(povm, rank_tol=RANK_TOL):
     padded = np.zeros((len(frames), d, t), dtype=np.complex128)
     for i, f in enumerate(frames):
         padded[i, :, t - f.shape[1] :] = f
-    return TpMap(d, povm.labels, padded, ranks)
+    kept = np.array([np.arange(t) >= t - r for r in ranks])
+    return TpMap(d, povm.labels, padded, kept)
 
 
 def ref_floor(hs):
@@ -101,11 +102,10 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
 
     weights (n, t) are the root weights c_ij that the scalar walk returns,
     root j of block i at column j of its frame. A block is live while one of
-    its roots is; each live block keeps the trailing s columns of its frame
-    (s the largest live rank), a factor g = diag(sqrt(c_ij)) with
-    coordinates B = g g^dag, and a mask of g's live columns, the roots with
-    c_ij > 0. When every live block has one live root, the point is extreme
-    as it stands. Otherwise a step reads each block's part of the real
+    its roots is; each live block keeps its whole d x t frame, a factor
+    g = diag(sqrt(c_ij)) with coordinates B = g g^dag, and a mask of g's
+    live columns, the roots with c_ij > 0. When every live block has one
+    live root, the point is extreme as it stands. Otherwise a step reads each block's part of the real
     kernel vector as the Hermitian coordinates of its kept pairs, writes the
     floor on each block's dead diagonal, so the dead eigenvalues sort first,
     negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda) and
@@ -114,11 +114,10 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
     """
     t = tp.frames.shape[2]
     live = [i for i in range(len(tp.ranks)) if np.any(weights[i] > 0.0)]
-    s = max(tp.ranks[i] for i in live)
     frames, factors, kepts = [], [], []
     for i in live:
-        c = weights[i, t - s :]
-        frames.append(tp.frames[i][:, t - s :])
+        c = weights[i]
+        frames.append(tp.frames[i])
         factors.append(np.diag(np.sqrt(c)).astype(np.complex128))
         kepts.append(c > 0.0)
     if max(np.count_nonzero(kept) for kept in kepts) > 1:
@@ -133,9 +132,9 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
             offset = 0
             for kept in kepts:
                 k = np.count_nonzero(kept)
-                y = np.zeros(s * s)
+                y = np.zeros(t * t)
                 y[np.outer(kept, kept).reshape(-1)] = vec[offset : offset + k * k]
-                hs.append(herm_matrices(y, s))
+                hs.append(herm_matrices(y, t))
                 offset += k * k
             eighs = ref_live_eigh(hs, kepts)
             tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
@@ -168,36 +167,34 @@ def walk_with_root_weights(tp, monkeypatch):
 
 def ref_peel(live, point, tp):
     """lambda and the per-block eigenpairs of a split, one padded block at a
-    time, each block read from the trailing r x r window of its point."""
-    s = point.shape[-1]
+    time, each block read on the kept pairs of its point."""
     hs, kepts = [], []
     for b, i in zip(point, live):
-        r = tp.ranks[i]
-        x = np.zeros((s, s), dtype=np.complex128)
-        x[s - r :, s - r :] = b[s - r :, s - r :]
+        kept = tp.kept[i]
+        x = np.where(np.outer(kept, kept), b, 0j)
         hs.append((x + x.conj().T) / 2.0)
-        kepts.append(np.arange(s) >= s - r)
+        kepts.append(kept)
     eighs = ref_live_eigh(hs, kepts)
     return float(max(w[lv].max() for w, _, lv in eighs)), eighs
 
 
 def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
-    """(weights, leaf effects, remainder labels, ranks and frames) of a
+    """(weights, leaf effects, remainder labels, kept masks and frames) of a
     split, one padded block at a time. The leaf S B S^dag of each live block
     comes from its own eigh, B = U diag(lambda_k) U^dag, as does the
     remainder's eigenvalue sigma_k = (lambda - lambda_k) / (lambda - 1). The
     remainder's frame is S_i sqrt(lambda / (lambda - 1)) on every other
     block. A live block keeps each column v_k = S u_k whose squared norm
-    |v_k|^2 sigma_k passes the rank rule, scaled by sqrt(sigma_k), at the
-    back of the block. Blocks of rank zero are dropped."""
-    t, s = tp.frames.shape[2], point.shape[-1]
+    |v_k|^2 sigma_k passes the rank rule, scaled by sqrt(sigma_k), in its
+    own position k. Blocks of rank zero are dropped, and so are the columns
+    that no remaining block keeps."""
     top, eighs = ref_peel(live, point, tp)
     scale = top / (top - 1.0)
     leaf = np.zeros((len(live), tp.dim, tp.dim), dtype=np.complex128)
     frames = [f * np.sqrt(scale) for f in tp.frames]
-    ranks = list(tp.ranks)
+    kepts = list(tp.kept)
     for k, (i, (lam, u, lv)) in enumerate(zip(live, eighs)):
-        frame = tp.frames[i][:, t - s :]
+        frame = tp.frames[i]
         m = (u * _saturate(np.where(lv, lam, 0.0))) @ u.conj().T
         e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
         leaf[k] = (e + e.conj().T) / 2.0
@@ -206,16 +203,16 @@ def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
         eig = np.sum(v.conj() * v, axis=0).real * sigma
         keep = eig > rank_tol * max(float(eig.max()), 1.0)
         frames[i] = np.zeros_like(frames[i])
-        frames[i][:, t - np.count_nonzero(keep) :] = v[:, keep] * np.sqrt(sigma[keep])
-        ranks[i] = np.count_nonzero(keep)
-    alive = [i for i, r in enumerate(ranks) if r > 0 or i not in live]
-    width = max(ranks[i] for i in alive)
+        frames[i][:, keep] = v[:, keep] * np.sqrt(sigma[keep])
+        kepts[i] = keep
+    alive = [i for i, kept in enumerate(kepts) if kept.any() or i not in live]
+    used = np.any([kepts[i] for i in alive], axis=0)
     return (
         (1.0 / top, 1.0 - 1.0 / top),
         leaf,
         tuple(tp.labels[i] for i in alive),
-        np.array([ranks[i] for i in alive]),
-        np.array([frames[i][:, t - width :] for i in alive]),
+        np.array([kepts[i][used] for i in alive]),
+        np.array([frames[i][:, used] for i in alive]),
     )
 
 
@@ -252,25 +249,23 @@ def nodes(povm, depth=2):
 
 
 def assert_same_map(tp, ref):
-    assert np.array_equal(tp.ranks, ref.ranks)
+    assert np.array_equal(tp.kept, ref.kept)
     assert tp.frames.shape == ref.frames.shape
     assert np.array_equal(tp.frames, ref.frames)
-    t = ref.frames.shape[2]
-    kepts = [np.arange(t) >= t - r for r in ref.ranks]
     assert np.array_equal(
-        frame_columns(tp.frames, pair_mask(tp.kept)), ref_map_matrix(ref.frames, kepts)
+        frame_columns(tp.frames, pair_mask(tp.kept)), ref_map_matrix(ref.frames, ref.kept)
     )
 
 
 def assert_same_split(live, point, tp):
     got = split_once(tp, live, point)
-    weights, leaf, labels, ranks, frames = ref_split_once(live, point, tp)
+    weights, leaf, labels, kept, frames = ref_split_once(live, point, tp)
     assert (got.weight_plus, got.weight_minus) == weights
     assert got.child_plus.labels == tuple(tp.labels[i] for i in live)
     assert np.array_equal(got.child_plus.effects, leaf)
     rest = got.child_minus
     assert rest.labels == labels
-    assert np.array_equal(rest.ranks, ranks)
+    assert np.array_equal(rest.kept, kept)
     assert np.array_equal(rest.frames, frames)
     # the carried roots are the scaled parent roots: equal to the rebuilt
     # ones up to rounding
@@ -317,16 +312,18 @@ def test_map_frames_are_one_stack_padded_in_front():
 
 
 def test_split_and_map_read_only_the_windows():
-    """The point contract: entries off the live blocks' windows are ignored
-    and the caller's point is not written; a point not shaped like the live
-    stack is rejected. The apply_tp oracle reads the map's whole stack the same way."""
+    """The point contract: entries off the live blocks' kept pairs are
+    ignored and the caller's point is not written; a point not shaped like
+    the live stack of t x t blocks is rejected. The apply_tp oracle reads
+    the map's whole stack the same way."""
     povm = mixed_rank_povm(0)
     tp = build_tp_map(povm)
     live, point = _extremal_direction(tp)
-    t, s = tp.frames.shape[2], point.shape[-1]
+    t = tp.frames.shape[2]
+    assert point.shape == (len(live), t, t)
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(point.shape) + 1j * rng.standard_normal(point.shape)
-    off = np.where(pair_mask(tp.kept[live, t - s :]), 0.0, noise)
+    off = np.where(pair_mask(tp.kept[live]), 0.0, noise)
     assert np.count_nonzero(off) > 0
     noisy = point + off
     unwritten = noisy.copy()
@@ -337,7 +334,7 @@ def test_split_and_map_read_only_the_windows():
     a, b = clean.child_plus, dirty.child_plus
     assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
     a, b = clean.child_minus, dirty.child_minus
-    assert a.labels == b.labels and a.ranks.tobytes() == b.ranks.tobytes()
+    assert a.labels == b.labels and a.kept.tobytes() == b.kept.tobytes()
     assert a.frames.tobytes() == b.frames.tobytes() and a.roots.tobytes() == b.roots.tobytes()
     a, b = clean.warm, dirty.warm
     assert a.weights.tobytes() == b.weights.tobytes()
@@ -347,13 +344,63 @@ def test_split_and_map_read_only_the_windows():
         with pytest.raises(SplitError):
             split_once(tp, live, bad)
     element = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
-    element[live, t - s :, t - s :] = point
+    element[live] = point
     noise = rng.standard_normal(element.shape) + 1j * rng.standard_normal(element.shape)
     off = np.where(pair_mask(tp.kept), 0.0, noise)
     assert np.array_equal(apply_tp(tp, element), apply_tp(tp, element + off))
     for bad in (element[:-1], element[:, 1:, 1:], element.reshape(len(element), -1)):
         with pytest.raises(ValueError):
             apply_tp(tp, bad)
+
+
+def test_split_checks_the_point_against_the_identity():
+    """A map whose frames are scaled by 1 + 1e-8 is not a measurement's:
+    T(I) = (1 + 1e-8)^2 I. The walk on it reaches a point with T(B) = T(I),
+    and the split rejects that point, since T(B) is 2e-8 sqrt(d) off I."""
+    povms = [povm for _, povm in inputs()] + [gen_covariant_sphere(50, seed=7)]
+    for povm in povms:
+        tp = build_tp_map(prune_and_merge(povm))
+        scaled = TpMap(tp.dim, tp.labels, tp.frames * (1.0 + 1e-8), tp.kept)
+        live, point = _extremal_direction(scaled)
+        split_once(tp, *_extremal_direction(tp))
+        with pytest.raises(SplitError, match="off the face"):
+            split_once(scaled, live, point)
+
+
+def test_kept_columns_may_stand_anywhere_in_their_block():
+    """Any full-column-rank factors give the same map up to a unitary per
+    block, so permuting each block's columns, kept mask with them, leaves
+    the domain, the kernel dimension and the margin as they were, and the
+    split accepts the (live, t, t) point the walk reaches on it."""
+    rng = np.random.default_rng(11)
+    moved = 0
+    for _, povm in inputs():
+        povm = prune_and_merge(povm)
+        tp = build_tp_map(povm)
+        n, d, t = tp.frames.shape
+        perm = np.argsort(rng.random((n, t)), axis=1)
+        moved += np.count_nonzero(perm != np.arange(t))
+        permuted = TpMap(
+            d,
+            tp.labels,
+            np.take_along_axis(tp.frames, perm[:, None, :], axis=2),
+            np.take_along_axis(tp.kept, perm, axis=1),
+        )
+        assert permuted.domain_dim == tp.domain_dim
+        a, b = verdict_from_tp(tp), verdict_from_tp(permuted)
+        assert a.kernel_dim == b.kernel_dim > 0
+        assert abs(a.margin - b.margin) <= 1e-12
+        live, point = _extremal_direction(permuted)
+        assert point.shape == (len(live), t, t)
+        split = split_once(permuted, live, point)
+        rest = split.child_minus.to_povm()
+        mixed = np.zeros_like(povm.effects)
+        mixed[[povm.labels.index(label) for label in rest.labels]] = (
+            split.weight_minus * rest.effects
+        )
+        mixed[live] += split.weight_plus * split.child_plus.effects
+        assert np.max(np.abs(mixed - povm.effects)) <= 1e-12
+    assert moved > 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -388,9 +435,13 @@ def test_root_split_peels_an_extreme_point(case):
     assert np.all(ranks <= tp.ranks[index]) and ranks.sum() < sum(tp.ranks)
     top, _ = ref_peel(live, point, tp)
     dead = np.setdiff1d(np.arange(len(tp.ranks)), live)
-    t, width = tp.frames.shape[2], split.child_minus.frames.shape[2]
-    carried = split.child_minus.frames[np.searchsorted(index, dead)]
-    assert np.array_equal(carried, tp.frames[dead][..., t - width :] * np.sqrt(top / (top - 1.0)))
+    child = split.child_minus
+    rows = np.searchsorted(index, dead)
+    assert np.array_equal(child.ranks[rows], tp.ranks[dead])
+    carried = child.frames[rows].swapaxes(1, 2)
+    assert not np.any(carried[~child.kept[rows]])
+    scaled = tp.frames[dead].swapaxes(1, 2)[tp.kept[dead]] * np.sqrt(top / (top - 1.0))
+    assert np.array_equal(carried[child.kept[rows]], scaled)
 
 
 def test_rank_one_split_is_bit_identical():
