@@ -71,9 +71,9 @@ _PIVOT_TOL = 1e-8
 
 DEFAULT_MAX_LEAVES = 4096
 
-# verify_barycenter evaluates its trials in stacks of at most this many, so
-# its (trials, outcomes) arrays stay small.
-_TRIAL_CHUNK = 8
+# verify_barycenter evaluates its trials in stacks whose (trials, outcomes)
+# arrays hold at most this many entries (at least one trial per stack).
+_CHUNK_ENTRIES = 2**13
 
 
 class SplitError(RuntimeError):
@@ -102,13 +102,14 @@ class WarmStart:
 class SplitResult:
     """One peel of a measurement: P = weight_plus E + weight_minus R.
 
-    child_plus is the leaf E, over the split's live blocks only; child_minus
-    is the remainder's map, and warm the parent's point written on its
-    roots."""
+    child_plus is the leaf E, one effect per live block in live order, and
+    plus_map its map; child_minus is the remainder's map, and warm the
+    parent's point written on its roots."""
 
     weight_plus: float
     weight_minus: float
     child_plus: FinitePOVM
+    plus_map: TpMap
     child_minus: TpMap
     warm: WarmStart
 
@@ -183,88 +184,94 @@ def _live_eigh(h: np.ndarray, kept: np.ndarray):
 
 
 def split_once(
-    tp: TpMap, live: np.ndarray, point: np.ndarray, rank_tol: float = RANK_TOL
+    tp: TpMap, live: np.ndarray, point: tuple, rank_tol: float = RANK_TOL
 ) -> SplitResult:
     """Peel a point B of the face off a measurement's map: P = (1/lam) E + (1 - 1/lam) R.
 
     live lists the blocks where B may be nonzero, in increasing order, and
-    point (live, t, t) stacks their B_i in the map's t x t blocks, read only
-    on the kept pairs pair_mask(tp.kept[live]); a point of another shape
-    raises SplitError. With lam = lambda_max(B), the leaf E = S B S^dag over
-    the live blocks has weight 1/lam, and the remainder R, weight
-    1 - 1/lam, is S (lam I - B) S^dag / (lam - 1) on the live blocks and
-    P_i lam / (lam - 1) on every other block. The split raises SplitError
-    unless lam exceeds 1 and T(B) = I up to RESIDUAL_TOL after scaling by
+    point is B in spectral form, (u, lam) of shapes (live, t, t) and
+    (live, t): B_i = u_i diag(lam_i) u_i^dag in the map's t x t blocks, its
+    eigenpairs on the positions tp.kept[live] marks. u is read only on the
+    kept pairs and lam on the kept positions; a point of other shapes
+    raises SplitError. With v = S u, the leaf E has effects
+    e_i = v_i diag(lam_i) v_i^dag over the live blocks and weight 1/lam,
+    lam = max lam_ik; the remainder R, weight 1 - 1/lam, is
+    S (lam I - B) S^dag / (lam - 1) on the live blocks and P_i lam / (lam - 1)
+    on every other block. The split raises SplitError unless lam exceeds 1
+    and T(B) - I = sum_i e_i - I is within RESIDUAL_TOL after scaling by
     max(1, 1/(lam - 1)); checking against I, not the carried T(I), also
-    sees the drift of a long chain. It makes one eigh, of the live blocks,
-    B_i = U_i diag(lam_k) U_i^dag.
+    sees the drift of a long chain. It makes no eigh.
 
-    The remainder comes back as its map. Every other block's frame is
-    scaled by sqrt(lam / (lam - 1)). A live block's frame is S_i U_i
-    sqrt(sigma), sigma_k = (lam - lam_k) / (lam - 1), written in place:
-    column k is kept by the map's rank rule on the squared norms
-    |S_i u_k|^2 sigma_k. R is PSD by construction, so the split makes no PSD
-    decision. Blocks whose rank falls to zero are dropped by index, and
-    columns dead in every remaining block are trimmed. The map carries its
-    root columns: the parent's scaled by lam / (lam - 1) on every other
-    block, and those of S_i u_k scaled by sigma_k on the live ones. The warm
-    start writes B on the remainder's roots.
+    Both children come back as maps, from the squared norms |v_k|^2. The
+    leaf's map has frames v_k sqrt(lam_k), column k kept by the rank rule
+    on |v_k|^2 lam_k, one block per live block, in live order. In the
+    remainder's map every other block's frame is scaled by
+    sqrt(lam / (lam - 1)), and a live block's frame is v_k sqrt(sigma_k),
+    sigma_k = (lam - lam_k) / (lam - 1), column k kept by the rank rule on
+    |v_k|^2 sigma_k and written in place. R is PSD by construction, so the
+    split makes no PSD decision. Blocks whose rank falls to zero are
+    dropped by index, and columns dead in every remaining block are
+    trimmed. The remainder's map carries its root columns: the parent's
+    scaled by lam / (lam - 1) on every other block, and those of v_k
+    scaled by sigma_k on the live ones. The warm start writes B on the
+    remainder's roots.
     """
     n, d, t = tp.frames.shape
     live = np.asarray(live)
+    index = live.tolist()
     if live.ndim != 1 or live.size == 0 or live.dtype.kind not in "iu" or not (
-        0 <= live[0] and live[-1] < n and np.all(np.diff(live) > 0)
+        0 <= index[0] and index[-1] < n and all(map(int.__lt__, index, index[1:]))
     ):
         raise SplitError(f"live blocks {live!r} are not increasing block indices below {n}")
-    if np.shape(point) != (live.size, t, t):
+    u, lam = point
+    if np.shape(u) != (live.size, t, t) or np.shape(lam) != (live.size, t):
         raise SplitError(
-            f"point shape {np.shape(point)} does not match live stack {(live.size, t, t)}"
+            f"point shapes {np.shape(u)}, {np.shape(lam)} do not fit {live.size} blocks of {t}"
         )
     kept = tp.kept[live]
-    frames = tp.frames[live]
-    x = np.where(pair_mask(kept), point, 0j)
-    x = (x + _dagger(x)) / 2.0
-    offset = (frames @ x @ _dagger(frames)).sum(axis=0) - np.eye(d)
-    lam, u, on = _live_eigh(x, kept)
-    top = float(lam[on].max(initial=0.0))
+    v = tp.frames[live] @ np.where(pair_mask(kept), u, 0.0)
+    lam = np.where(kept, lam, 0.0)
+    top = float(lam.max())
     if top - 1.0 <= 1e-12 * top:
         raise SplitError(f"point's top eigenvalue {top:.3e} is not above 1")
-    residual = float(np.linalg.norm(offset))
+    # Leaf and remainder eigenvalues of the live blocks, saturated.
+    lam, sigma = _saturate(np.stack([lam, np.where(kept, (top - lam) / (top - 1.0), 0.0)]))
+    e = (v * lam[:, None, :]) @ _dagger(v)
+    e = (e + _dagger(e)) / 2.0
+    residual = float(np.linalg.norm(e.sum(axis=0) - np.eye(d)))
     amplification = max(1.0, 1.0 / (top - 1.0))
     if amplification * residual > RESIDUAL_TOL:
         raise SplitError(
             f"point is off the face: ||T(B) - I|| = {residual:.3e} "
             f"with amplification {amplification:.3e}"
         )
-    # Leaf and remainder eigenvalues of the live blocks, saturated.
-    lam, sigma = _saturate(
-        np.stack([np.where(on, lam, 0.0), np.where(on, (top - lam) / (top - 1.0), 0.0)])
-    )
-    m = (u * lam[:, None, :]) @ _dagger(u)
-    e = frames @ ((m + _dagger(m)) / 2.0) @ _dagger(frames)
-    minus, warm = _remainder(tp, live, frames @ u, lam, sigma, top, rank_tol)
-    labels = tuple(tp.labels[i] for i in live.tolist())
+    norms = np.einsum("kdj,kdj->kj", v.conj(), v).real
+    labels = tuple(tp.labels[i] for i in index)
+    keep = rank_ok(norms * lam, rank_tol)
+    plus_map = TpMap(d, labels, v * np.sqrt(np.where(keep, lam, 0.0))[:, None, :], keep)
+    minus, warm = _remainder(tp, live, v, norms, lam, sigma, top, rank_tol)
     return SplitResult(
         weight_plus=1.0 / top,
         weight_minus=1.0 - 1.0 / top,
-        child_plus=FinitePOVM._with_normal_labels(d, labels, (e + _dagger(e)) / 2.0),
+        child_plus=FinitePOVM._with_normal_labels(d, labels, e),
+        plus_map=plus_map,
         child_minus=minus,
         warm=warm,
     )
 
 
-def _remainder(tp, live, v, lam, sigma, top, rank_tol):
+def _remainder(tp, live, v, norms, lam, sigma, top, rank_tol):
     """The remainder's map and warm start, as split_once describes them.
 
-    v (live, d, t) stacks the columns S_i u_k of the live blocks, and lam
-    and sigma (live, t) their saturated leaf and remainder eigenvalues, zero
-    off each block's live eigenpairs. Every array is written in place on
-    the live blocks, then restricted to the surviving blocks and the
-    columns some surviving block keeps."""
+    v (live, d, t) stacks the columns v_k = S_i u_k of the live blocks,
+    norms (live, t) their squared norms, and lam and sigma (live, t) their
+    saturated leaf and remainder eigenvalues, zero off each block's kept
+    positions. Every array is written in place on the live blocks, then
+    restricted to the surviving blocks and the columns some surviving block
+    keeps."""
     n, d, t = tp.frames.shape
     scale = top / (top - 1.0)
-    # the rank rule on the squared norms |S_i u_k|^2 sigma_k
-    keep = rank_ok(np.einsum("kdj,kdj->kj", v.conj(), v).real * sigma, rank_tol)
+    keep = rank_ok(norms * sigma, rank_tol)
     kept_sigma = np.where(keep, sigma, 0.0)
     frames = tp.frames * np.sqrt(scale)
     frames[live] = v * np.sqrt(kept_sigma)[:, None, :]
@@ -276,7 +283,7 @@ def _remainder(tp, live, v, lam, sigma, top, rank_tol):
     labels = tp.labels if alive.all() else tuple(itertools.compress(tp.labels, alive.tolist()))
     child = TpMap(d, labels, frames[alive][:, :, used], kept[alive][:, used])
     # The roots, carried, fill the cache that TpMap.roots would compute.
-    cols = frame_columns(v, np.broadcast_to(np.eye(t, dtype=bool), (live.size, t, t)))
+    cols = frame_columns(v, np.eye(t, dtype=bool)[None].repeat(live.size, axis=0))
     cols = cols.reshape(-1, live.size, t)
     roots = tp.roots.reshape(-1, n, t) * scale
     roots[:, live] = cols * kept_sigma
@@ -462,10 +469,11 @@ def _extremal_direction(
     Starting from the measurement itself (every c_ij = 1, B_i = identity),
     it moves along kernel directions, zeroing at least one root per step,
     until the current point is extreme. It returns (live, B): the blocks
-    with a live root, in increasing order, and their B_i (live, t, t) in
-    the map's blocks, zero off each block's kept pairs; every other block
-    ends at B_i = 0. T(B) = I, so split_once peels S B S^dag off as one
-    extreme component.
+    with a live root, in increasing order, and their B_i in spectral form
+    (u, lam), B_i = u_i diag(lam_i) u_i^dag, each block's eigenpairs on the
+    positions tp.kept[live] marks, u zero and lam 0 elsewhere; every other
+    block ends at B_i = 0. T(B) = I, so split_once peels S B S^dag off as
+    one extreme component.
 
     Below the root the walk normally starts warm: warm, from the split that
     made this map, is the parent's extreme point written on this node's
@@ -484,17 +492,19 @@ def _extremal_direction(
     window, then elimination along the kernel (see _scalar_walk). The same
     scalar walk then runs over single roots until their columns are
     injective, which leaves at most d^2 live roots. Either start ends here,
-    with injective live roots. The live blocks are held
-    as one stack of t x t blocks: their frames, and factors
-    G_i = diag(sqrt(c_ij)) with B_i = G_i G_i^dag. If
+    with injective live roots: B_i = diag(c_ij), so u = I and lam = c. If
     every live block has one live root, the point is extreme (a rank-one
     block's map column is its scalar column), and the walk ends. Otherwise
-    the general walk refines the live blocks. A step takes one SVD of the
+    the general walk refines the live blocks, held as one stack of t x t
+    blocks: their frames, and factors G_i = diag(sqrt(c_ij)) with
+    B_i = G_i G_i^dag. A step takes one SVD of the
     real map on the kept pairs of S_i G_i's live columns, sum_i |kept_i|^2
     columns, and one eigh of its first kernel vector's Hermitian stack, and
     updates G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become
     zero columns, dropped from the next step by mask where they stand. Each
     step kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
+    It ends with one eigh of G G^dag, its live eigenpairs put back on the
+    kept positions.
     """
     n, d, t = tp.frames.shape
     d2 = d * d
@@ -511,15 +521,16 @@ def _extremal_direction(
         scale = _scalar_walk(columns, scale, 0, margin_factor)
     scale = scale.reshape(n, t)
     live = np.flatnonzero(scale.any(axis=1))
-    # Factors G (B = G G^dag) of the live blocks, t x t. kept marks G's live
-    # columns, anywhere in the block.
     weights = scale[live]
     kept = weights > 0.0
-    pos = np.arange(t)
-    factors = np.zeros((live.size, t, t), dtype=np.complex128)
-    factors[:, pos, pos] = np.sqrt(weights)
+    u = np.eye(t)[None].repeat(live.size, axis=0)
     # With one live root per block the point is already extreme.
     if np.count_nonzero(kept, axis=1).max() > 1:
+        # Factors G (B = G G^dag) of the live blocks, t x t. kept marks G's
+        # live columns, anywhere in the block.
+        pos = np.arange(t)
+        factors = np.zeros((live.size, t, t), dtype=np.complex128)
+        factors[:, pos, pos] = np.sqrt(weights)
         frames = tp.frames[live]
         for _ in range(tp.domain_dim + 16):
             pairs = pair_mask(kept)
@@ -537,7 +548,12 @@ def _extremal_direction(
             kept = sat > 0.0
         else:
             raise SplitError("walk failed to reach an extreme point")
-    return live, factors @ _dagger(factors)
+        # B in spectral form, the live eigenpairs back on the kept positions
+        b, at = factors @ _dagger(factors), tp.kept[live]
+        w, vecs, on = _live_eigh((b + _dagger(b)) / 2.0, at)
+        weights, u = np.zeros((live.size, t)), np.zeros_like(vecs)
+        weights[at], u.swapaxes(1, 2)[at] = w[on], vecs.swapaxes(1, 2)[on]
+    return live, (u, weights)
 
 
 def decompose_extremal(
@@ -558,11 +574,11 @@ def decompose_extremal(
     R_(k+1) drops rank, so it lies outside the face of R_(k+1), which holds
     every later leaf: no two leaves coincide, and the chain has at most
     dim F + 1 leaves. Labels are merged once, at the root: children carry the root's
-    merged labels, which are pairwise distinct. Only the root and each
-    + child get a map built from effects; every remainder's map, without
-    its blocks of rank zero, and the warm start of its walk come from its
-    split, and its effects are formed once it is the last leaf. psd_tol
-    is the PSD rule of the maps built from effects. Once
+    merged labels, which are pairwise distinct. Only the root gets a map
+    built from effects, with psd_tol as its PSD rule: each split hands back
+    the leaf's map, which gives the + verdict, the remainder's map, without
+    its blocks of rank zero, and the warm start of its walk, and a
+    remainder's effects are formed once it is the last leaf. Once
     max_leaves - 1 leaves are peeled, the remainder is emitted with its
     non-extreme verdict and the mixture is flagged incomplete; the convex
     reconstruction identity holds either way.
@@ -580,14 +596,14 @@ def decompose_extremal(
             split = split_once(tp, live, point, rank_tol)
         except SplitError as exc:
             raise SplitError(f"split failed at leaf {len(leaves)}: {exc}") from exc
-        plus = split.child_plus
-        plus = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
-        plus_verdict = verdict_from_tp(build_tp_map(plus, rank_tol, psd_tol), margin_factor)
+        plus_verdict = verdict_from_tp(split.plus_map, margin_factor)
         if not plus_verdict.is_extreme:
             raise SplitError(
                 f"split failed at leaf {len(leaves)}: the + child is not extreme "
                 f"(margin {plus_verdict.margin:.3e}, threshold {plus_verdict.threshold:.3e})"
             )
+        plus = split.child_plus
+        plus = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
         leaves.append(MixtureComponent(weight * split.weight_plus, plus, plus_verdict))
         weight *= split.weight_minus
         tp, warm = split.child_minus, split.warm
@@ -649,10 +665,11 @@ def verify_barycenter(
     effect_residual = float(np.max(np.abs(residual)))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, trials, _TRIAL_CHUNK):
+    chunk = max(1, _CHUNK_ENTRIES // len(effects))
+    for start in range(0, trials, chunk):
         # gen_random_state's draw, then the outcome values, trial by trial
         factors, values = [], []
-        for t in range(start, min(start + _TRIAL_CHUNK, trials)):
+        for t in range(start, min(start + chunk, trials)):
             factors.append(_state_factor(rng, povm.dim, pure=(t % 2 == 0)))
             values.append(rng.standard_normal(len(universe)))
         states = _densities(np.array(factors))

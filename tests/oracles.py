@@ -114,3 +114,19 @@ def apply_tp(tp, element):
     if np.shape(element) != (n, t, t):
         raise ValueError(f"element shape {np.shape(element)} does not match stack {(n, t, t)}")
     return (tp.frames @ element @ tp.frames.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def spectral_point(tp, live, b):
+    """The (u, lam) form split_once reads of a point B given as Hermitian
+    blocks (live, t, t): per live block, the eigh of B_i on its kept
+    positions, eigenpairs put on those positions; u is zero and lam 0
+    elsewhere. This is the factorization the split itself does not make."""
+    kept = tp.kept[np.asarray(live)]
+    n, t = kept.shape
+    u = np.zeros((n, t, t), dtype=np.complex128)
+    lam = np.zeros((n, t))
+    for k, mask in enumerate(kept):
+        at = np.ix_(mask, mask)
+        block = np.asarray(b[k], dtype=np.complex128)[at]
+        lam[k, mask], u[k][at] = np.linalg.eigh((block + block.conj().T) / 2.0)
+    return u, lam

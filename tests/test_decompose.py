@@ -15,11 +15,18 @@ from povmix.decompose import (
     split_once,
     verify_barycenter,
 )
-from povmix.extremality import MARGIN_FACTOR, build_tp_map, frame_columns, is_extreme, pair_mask
+from povmix.extremality import (
+    MARGIN_FACTOR,
+    build_tp_map,
+    frame_columns,
+    is_extreme,
+    pair_mask,
+    verdict_from_tp,
+)
 from povmix.model import FinitePOVM, convex_combine, effects_distance
 from povmix.outcomes import gen_covariant_sphere, gen_random_povm, gen_random_state, gen_trine
 
-from oracles import frame_oracle
+from oracles import frame_oracle, spectral_point
 from test_acceptance import _rank_cap
 from test_extremality import haar_unitary
 
@@ -43,7 +50,8 @@ def test_split_coin_with_explicit_kernel_element():
     # off with weight 1/2 and leaves {0, I}, whose zero block is dropped
     povm = coin()
     tp = build_tp_map(povm)
-    result = split_once(tp, np.array([0, 1]), np.array([2 * I2, 0 * I2]))
+    live = np.array([0, 1])
+    result = split_once(tp, live, spectral_point(tp, live, [2 * I2, 0 * I2]))
     assert result.weight_plus == pytest.approx(0.5)
     assert result.weight_minus == pytest.approx(0.5)
     assert result.child_plus.labels == (0, 1)
@@ -53,12 +61,31 @@ def test_split_coin_with_explicit_kernel_element():
     assert rest.labels == (1,)
     assert np.allclose(rest.effects, [I2], atol=1e-14)
     # the same point with block 1 dead: the leaf carries block 0 only
-    result = split_once(tp, np.array([0]), np.array([2 * I2]))
+    result = split_once(tp, np.array([0]), spectral_point(tp, [0], [2 * I2]))
     assert result.child_plus.labels == (0,)
     assert np.allclose(result.child_plus.effects, [I2], atol=1e-14)
     rest = result.child_minus.to_povm()
     assert rest.labels == (1,)
     assert np.allclose(rest.effects, [I2], atol=1e-14)
+
+
+def test_leaf_map_drops_a_root_below_the_rank_rule():
+    """The leaf's map keeps column k when |v_k|^2 lambda_k passes the rank
+    rule, as build_tp_map keeps an eigenvalue: the coin peeled at
+    B = (diag(2, 2 - eps), diag(0, eps)) leaves an effect of trace eps / 2,
+    above the prune cutoff but below the rank cutoff, and both maps give
+    it rank 0 and the same verdict."""
+    eps = 5e-11
+    tp = build_tp_map(coin())
+    live = np.array([0, 1])
+    b = [np.diag([2.0, 2.0 - eps]), np.diag([0.0, eps])]
+    split = split_once(tp, live, spectral_point(tp, live, b))
+    assert split.weight_plus == 0.5
+    assert list(split.plus_map.ranks) == [2, 0]
+    leaf = model._prune(2, split.child_plus.labels, split.child_plus.effects, model.PRUNE_TOL)
+    assert leaf.labels == (0, 1)
+    got, want = verdict_from_tp(split.plus_map), verdict_from_tp(build_tp_map(leaf))
+    assert got.is_extreme and (got.kernel_dim, got.domain_dim) == (want.kernel_dim, want.domain_dim)
 
 
 def test_split_reconstructs_parent():
@@ -92,18 +119,21 @@ def test_split_rejects_non_kernel_and_one_sided_elements():
     live = np.array([0, 1])
     with pytest.raises(SplitError, match="not above 1"):
         # B = I is the measurement itself: lambda = 1, nothing to peel
-        split_once(tp, live, np.array([I2, I2]))
+        split_once(tp, live, spectral_point(tp, live, [I2, I2]))
     with pytest.raises(SplitError, match="off the face"):
         # T(B) = 3I/2, not I: the residual check trips
-        split_once(tp, live, np.array([3 * I2, 0 * I2]))
+        split_once(tp, live, spectral_point(tp, live, [3 * I2, 0 * I2]))
+    u, lam = spectral_point(tp, live, [2 * I2, 0 * I2])
     for bad_live, bad_point in [
-        (live, np.array([2 * I2])),
-        (live, np.zeros((2, 3, 3))),
-        (live, np.zeros((2, 4))),
-        (np.array([1, 0]), np.array([2 * I2, 0 * I2])),
-        (np.array([0, 0]), np.array([2 * I2, 0 * I2])),
-        (np.array([0, 2]), np.array([2 * I2, 0 * I2])),
-        (np.array([], dtype=int), np.zeros((0, 2, 2))),
+        (live, (u[:1], lam[:1])),
+        (live, (u, lam[:1])),
+        (live, (np.zeros((2, 3, 3)), np.zeros((2, 3)))),
+        (live, (u, np.zeros((2, 4)))),
+        (live, (u.reshape(2, 4), lam)),
+        (np.array([1, 0]), (u, lam)),
+        (np.array([0, 0]), (u, lam)),
+        (np.array([0, 2]), (u, lam)),
+        (np.array([], dtype=int), (np.zeros((0, 2, 2)), np.zeros((0, 2)))),
     ]:
         with pytest.raises(SplitError):
             split_once(tp, bad_live, bad_point)
@@ -191,8 +221,10 @@ def test_chain_raises_when_a_peeled_child_is_not_extreme(monkeypatch):
         nonlocal calls
         calls += 1
         result = split_once(tp, *args, **kwargs)
-        # the node itself is not extreme: hand it back as the + child
-        return dataclasses.replace(result, child_plus=tp.to_povm()) if calls == 2 else result
+        # the node itself is not extreme: hand it back as the + child, map and all
+        if calls == 2:
+            return dataclasses.replace(result, child_plus=tp.to_povm(), plus_map=tp)
+        return result
 
     assert len(decompose_extremal(povm).components) > 2
     monkeypatch.setattr(decompose, "split_once", bad_second_split)
@@ -293,11 +325,13 @@ def test_verify_barycenter_aligns_labels_once(monkeypatch):
 
 
 def test_verify_barycenter_states_are_gen_random_state_draws(monkeypatch):
-    """Trials are evaluated in stacks of at most 8 states. Each state equals
-    gen_random_state's draw bit for bit, from the one generator, with each
-    trial's outcome values drawn after its state."""
+    """Trials are evaluated in stacks of at most _CHUNK_ENTRIES // K states,
+    K the leaves' outcomes, and the report does not depend on the stack
+    size. Each state equals gen_random_state's draw bit for bit, from the
+    one generator, with each trial's outcome values drawn after its state."""
     povm = gen_random_povm(3, 7, seed=2)
     mixture = decompose_extremal(povm)
+    outcomes = sum(c.povm.n_outcomes for c in mixture.components)
     stacks = []
     densities = decompose._densities
 
@@ -306,7 +340,12 @@ def test_verify_barycenter_states_are_gen_random_state_draws(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(decompose, "_densities", recorded)
-    assert verify_barycenter(povm, mixture, trials=19, seed=4).within(1e-8)
+    report = verify_barycenter(povm, mixture, trials=19, seed=4)
+    assert report.within(1e-8)
+    assert [len(s) for s in stacks] == [19]
+    stacks.clear()
+    monkeypatch.setattr(decompose, "_CHUNK_ENTRIES", 9 * outcomes - 1)
+    assert verify_barycenter(povm, mixture, trials=19, seed=4) == report
     assert [len(s) for s in stacks] == [8, 8, 3]
     universe, _ = model.align_label_universe(
         [povm.labels] + [c.povm.labels for c in mixture.components]
@@ -372,10 +411,10 @@ def criterion_2_draws(per_dim=3):
             yield gen_random_povm(d, k, rank_cap=cap, seed=int(rng.integers(2**32)))
 
 
-def test_chain_builds_one_map_per_leaf(monkeypatch):
-    """Complexity guard: the chain builds the root's map and each + leaf's;
-    every remainder's map comes from its split, so L leaves cost exactly L
-    maps."""
+def test_chain_builds_one_map_per_decomposition(monkeypatch):
+    """Complexity guard: the chain builds the root's map only; each split
+    hands back the + leaf's map and the remainder's, so L leaves cost one
+    map, not L."""
     built = 0
 
     def counting_build_tp_map(*args, **kwargs):
@@ -391,8 +430,38 @@ def test_chain_builds_one_map_per_leaf(monkeypatch):
         assert mixture.complete
         leaves = len(mixture.components)
         peeled += leaves - 1
-        assert built == leaves
+        assert built == 1
     assert peeled > 50
+
+
+def test_split_makes_no_eigh(monkeypatch):
+    """Complexity guard: the split reads the walk's spectral point, so it
+    calls no eigh, and a sphere decomposition, whose walks never leave the
+    diagonal, calls it once, for the root's map."""
+    calls = Counter()
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    splits = 0
+    for povm in [*criterion_2_draws(), gen_random_povm(3, 27, rank_cap=3, seed=7)]:
+        tp, warm = build_tp_map(model.prune_and_merge(povm)), None
+        while not verdict_from_tp(tp).is_extreme:
+            live, point = _extremal_direction(tp, MARGIN_FACTOR, warm)
+            calls.clear()
+            split = split_once(tp, live, point)
+            assert calls["eigh"] == 0
+            splits += 1
+            tp, warm = split.child_minus, split.warm
+    assert splits > 20
+    sphere = gen_covariant_sphere(50, seed=7)
+    calls.clear()
+    mixture = decompose_extremal(sphere)
+    assert len(mixture.components) == 47
+    assert calls["eigh"] == 1
 
 
 def face_dim(povm):

@@ -253,11 +253,13 @@ def test_unitary_covariance_of_verdict():
 
 def walk_offset(tp):
     """The walk's point minus the measurement, B - I, as the map's (n, t, t)
-    stack: B on the live blocks' kept pairs, I on every block's kept pairs."""
-    live, point = _extremal_direction(tp)
+    stack: B = u diag(lam) u^dag on the live blocks' kept pairs, I on every
+    block's kept pairs."""
+    live, (u, lam) = _extremal_direction(tp)
     n, _, t = tp.frames.shape
     element = np.zeros((n, t, t), dtype=np.complex128)
-    element[live] = np.where(pair_mask(tp.kept[live]), point, 0.0)
+    b = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
+    element[live] = np.where(pair_mask(tp.kept[live]), b, 0.0)
     pos = np.arange(t)
     element[:, pos, pos] -= tp.kept
     return element

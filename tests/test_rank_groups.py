@@ -110,7 +110,10 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
     floor on each block's dead diagonal, so the dead eigenvalues sort first,
     negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda) and
     drops the saturated columns from the mask wherever they stand. Returns
-    the live blocks and their points B = g g^dag.
+    the live blocks and their points in spectral form (u, lam): u = I and
+    lam = c on the diagonal, and after a general walk the eigh of
+    B = g g^dag with the floor on the dead diagonal, its live eigenpairs
+    put back on the block's kept positions, u zero and lam 0 elsewhere.
     """
     t = tp.frames.shape[2]
     live = [i for i in range(len(tp.ranks)) if np.any(weights[i] > 0.0)]
@@ -146,11 +149,20 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
                 kepts[k] = sat > 0.0
         else:
             raise AssertionError("reference walk did not end")
-    return np.array(live), np.array([g @ g.conj().T for g in factors])
+        kepts = [tp.kept[i] for i in live]
+        hs = [(b + b.conj().T) / 2.0 for b in (g @ g.conj().T for g in factors)]
+        us, lams = [], []
+        for kept, (w, u, lv) in zip(kepts, ref_live_eigh(hs, kepts)):
+            us.append(np.zeros((t, t), dtype=np.complex128))
+            us[-1][:, kept] = u[:, lv]
+            lams.append(np.zeros(t))
+            lams[-1][kept] = w[lv]
+        return np.array(live), (np.array(us), np.array(lams))
+    return np.array(live), (np.array([np.eye(t)] * len(live)), weights[live])
 
 
 def walk_with_root_weights(tp, monkeypatch):
-    """The walk's (live, point) and the (n, t) root weights that its last
+    """The walk's (live, (u, lam)) and the (n, t) root weights that its last
     scalar walk, the one over single roots, returns."""
     weights = []
     walk = decompose._scalar_walk
@@ -166,42 +178,51 @@ def walk_with_root_weights(tp, monkeypatch):
 
 
 def ref_peel(live, point, tp):
-    """lambda and the per-block eigenpairs of a split, one padded block at a
-    time, each block read on the kept pairs of its point."""
-    hs, kepts = [], []
-    for b, i in zip(point, live):
+    """lambda and each live block's (u, lam) of a split's spectral point,
+    one padded block at a time, u read on the block's kept pairs and lam on
+    its kept positions."""
+    blocks = []
+    for u, lam, i in zip(*point, live):
         kept = tp.kept[i]
-        x = np.where(np.outer(kept, kept), b, 0j)
-        hs.append((x + x.conj().T) / 2.0)
-        kepts.append(kept)
-    eighs = ref_live_eigh(hs, kepts)
-    return float(max(w[lv].max() for w, _, lv in eighs)), eighs
+        blocks.append((np.where(np.outer(kept, kept), u, 0.0), np.where(kept, lam, 0.0)))
+    return float(max(lam.max() for _, lam in blocks)), blocks
+
+
+def ref_rank_rule(eig, rank_tol):
+    return eig > rank_tol * max(float(eig.max()), 1.0)
 
 
 def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
-    """(weights, leaf effects, remainder labels, kept masks and frames) of a
-    split, one padded block at a time. The leaf S B S^dag of each live block
-    comes from its own eigh, B = U diag(lambda_k) U^dag, as does the
-    remainder's eigenvalue sigma_k = (lambda - lambda_k) / (lambda - 1). The
-    remainder's frame is S_i sqrt(lambda / (lambda - 1)) on every other
-    block. A live block keeps each column v_k = S u_k whose squared norm
-    |v_k|^2 sigma_k passes the rank rule, scaled by sqrt(sigma_k), in its
-    own position k. Blocks of rank zero are dropped, and so are the columns
-    that no remaining block keeps."""
-    top, eighs = ref_peel(live, point, tp)
+    """(weights, leaf effects, leaf kept masks and frames, remainder labels,
+    kept masks and frames) of a split, one padded block at a time. Each
+    live block's columns v_k = S u_k give its leaf effect
+    V diag(lambda_k) V^dag and its leaf frame, column k v_k sqrt(lambda_k)
+    kept when |v_k|^2 lambda_k passes the rank rule. With
+    sigma_k = (lambda - lambda_k) / (lambda - 1), the remainder keeps each
+    column v_k whose |v_k|^2 sigma_k passes the rank rule, scaled by
+    sqrt(sigma_k), in its own position k; its frame is
+    S_i sqrt(lambda / (lambda - 1)) on every other block. Blocks of rank
+    zero are dropped from the remainder, and so are the columns that no
+    remaining block keeps."""
+    top, blocks = ref_peel(live, point, tp)
     scale = top / (top - 1.0)
+    t = tp.frames.shape[2]
     leaf = np.zeros((len(live), tp.dim, tp.dim), dtype=np.complex128)
+    leaf_frames = np.zeros((len(live), tp.dim, t), dtype=np.complex128)
+    leaf_kept = np.zeros((len(live), t), dtype=bool)
     frames = [f * np.sqrt(scale) for f in tp.frames]
     kepts = list(tp.kept)
-    for k, (i, (lam, u, lv)) in enumerate(zip(live, eighs)):
-        frame = tp.frames[i]
-        m = (u * _saturate(np.where(lv, lam, 0.0))) @ u.conj().T
-        e = frame @ ((m + m.conj().T) / 2.0) @ frame.conj().T
+    for k, (i, (u, lam)) in enumerate(zip(live, blocks)):
+        kept = tp.kept[i]
+        sigma = _saturate(np.where(kept, (top - lam) / (top - 1.0), 0.0))
+        lam = _saturate(lam)
+        v = tp.frames[i] @ u
+        e = (v * lam) @ v.conj().T
         leaf[k] = (e + e.conj().T) / 2.0
-        sigma = _saturate(np.where(lv, (top - lam) / (top - 1.0), 0.0))
-        v = frame @ u
-        eig = np.sum(v.conj() * v, axis=0).real * sigma
-        keep = eig > rank_tol * max(float(eig.max()), 1.0)
+        norms = np.sum(v.conj() * v, axis=0).real
+        leaf_kept[k] = ref_rank_rule(norms * lam, rank_tol)
+        leaf_frames[k] = v * np.sqrt(np.where(leaf_kept[k], lam, 0.0))
+        keep = ref_rank_rule(norms * sigma, rank_tol)
         frames[i] = np.zeros_like(frames[i])
         frames[i][:, keep] = v[:, keep] * np.sqrt(sigma[keep])
         kepts[i] = keep
@@ -210,6 +231,8 @@ def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
     return (
         (1.0 / top, 1.0 - 1.0 / top),
         leaf,
+        leaf_kept,
+        leaf_frames,
         tuple(tp.labels[i] for i in alive),
         np.array([kepts[i][used] for i in alive]),
         np.array([frames[i][:, used] for i in alive]),
@@ -259,10 +282,12 @@ def assert_same_map(tp, ref):
 
 def assert_same_split(live, point, tp):
     got = split_once(tp, live, point)
-    weights, leaf, labels, kept, frames = ref_split_once(live, point, tp)
+    weights, leaf, leaf_kept, leaf_frames, labels, kept, frames = ref_split_once(live, point, tp)
     assert (got.weight_plus, got.weight_minus) == weights
-    assert got.child_plus.labels == tuple(tp.labels[i] for i in live)
+    assert got.child_plus.labels == got.plus_map.labels == tuple(tp.labels[i] for i in live)
     assert np.array_equal(got.child_plus.effects, leaf)
+    assert np.array_equal(got.plus_map.kept, leaf_kept)
+    assert np.array_equal(got.plus_map.frames, leaf_frames)
     rest = got.child_minus
     assert rest.labels == labels
     assert np.array_equal(rest.kept, kept)
@@ -288,7 +313,8 @@ def test_stacked_walk_split_and_map_are_bit_identical(name, povm, monkeypatch):
         general += np.count_nonzero(weights, axis=1).max() > 1
         ref_live, ref_point = ref_general_walk(tp, weights)
         assert np.array_equal(live, ref_live)
-        assert np.array_equal(point, ref_point)
+        assert np.array_equal(point[0], ref_point[0])
+        assert np.array_equal(point[1], ref_point[1])
         assert_same_split(live, point, tp)
         dead |= np.count_nonzero(tp.ranks) > len(live)
     # two splits down, blocks of one original rank have different ranks
@@ -312,27 +338,31 @@ def test_map_frames_are_one_stack_padded_in_front():
 
 
 def test_split_and_map_read_only_the_windows():
-    """The point contract: entries off the live blocks' kept pairs are
-    ignored and the caller's point is not written; a point not shaped like
-    the live stack of t x t blocks is rejected. The apply_tp oracle reads
-    the map's whole stack the same way."""
+    """The point contract: entries of u off the live blocks' kept pairs and
+    of lam off their kept positions are ignored, and the caller's point is
+    not written; a point not shaped like the live stacks of t x t blocks
+    and of t eigenvalues is rejected. The apply_tp oracle reads the map's
+    whole stack the way the split reads u."""
     povm = mixed_rank_povm(0)
     tp = build_tp_map(povm)
-    live, point = _extremal_direction(tp)
+    live, (u, lam) = _extremal_direction(tp)
     t = tp.frames.shape[2]
-    assert point.shape == (len(live), t, t)
+    assert u.shape == (len(live), t, t) and lam.shape == (len(live), t)
     rng = np.random.default_rng(3)
-    noise = rng.standard_normal(point.shape) + 1j * rng.standard_normal(point.shape)
+    noise = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
     off = np.where(pair_mask(tp.kept[live]), 0.0, noise)
-    assert np.count_nonzero(off) > 0
-    noisy = point + off
-    unwritten = noisy.copy()
-    clean, dirty = split_once(tp, live, point), split_once(tp, live, noisy)
-    assert np.array_equal(noisy, unwritten)
+    off_lam = np.where(tp.kept[live], 0.0, rng.standard_normal(lam.shape))
+    assert np.count_nonzero(off) > 0 and np.count_nonzero(off_lam) > 0
+    noisy = (u + off, lam + off_lam)
+    unwritten = (noisy[0].copy(), noisy[1].copy())
+    clean, dirty = split_once(tp, live, (u, lam)), split_once(tp, live, noisy)
+    assert np.array_equal(noisy[0], unwritten[0]) and np.array_equal(noisy[1], unwritten[1])
     for name in ("weight_plus", "weight_minus"):
         assert getattr(clean, name) == getattr(dirty, name)
     a, b = clean.child_plus, dirty.child_plus
     assert a.labels == b.labels and a.effects.tobytes() == b.effects.tobytes()
+    a, b = clean.plus_map, dirty.plus_map
+    assert a.kept.tobytes() == b.kept.tobytes() and a.frames.tobytes() == b.frames.tobytes()
     a, b = clean.child_minus, dirty.child_minus
     assert a.labels == b.labels and a.kept.tobytes() == b.kept.tobytes()
     assert a.frames.tobytes() == b.frames.tobytes() and a.roots.tobytes() == b.roots.tobytes()
@@ -340,11 +370,17 @@ def test_split_and_map_read_only_the_windows():
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.peeled.tobytes() == b.peeled.tobytes()
     assert a.peeled_weights.tobytes() == b.peeled_weights.tobytes()
-    for bad in (point[:-1], point[:, 1:, 1:], point.reshape(len(point), -1)):
+    for bad in (
+        (u[:-1], lam[:-1]),
+        (u[:, 1:, 1:], lam[:, 1:]),
+        (u.reshape(len(u), -1), lam),
+        (u, lam[:, 1:]),
+        (u, lam.reshape(-1)),
+    ):
         with pytest.raises(SplitError):
             split_once(tp, live, bad)
     element = np.zeros((len(tp.ranks), t, t), dtype=np.complex128)
-    element[live] = point
+    element[live] = u
     noise = rng.standard_normal(element.shape) + 1j * rng.standard_normal(element.shape)
     off = np.where(pair_mask(tp.kept), 0.0, noise)
     assert np.array_equal(apply_tp(tp, element), apply_tp(tp, element + off))
@@ -390,9 +426,9 @@ def test_kept_columns_may_stand_anywhere_in_their_block():
         a, b = verdict_from_tp(tp), verdict_from_tp(permuted)
         assert a.kernel_dim == b.kernel_dim > 0
         assert abs(a.margin - b.margin) <= 1e-12
-        live, point = _extremal_direction(permuted)
-        assert point.shape == (len(live), t, t)
-        split = split_once(permuted, live, point)
+        live, (u, lam) = _extremal_direction(permuted)
+        assert u.shape == (len(live), t, t) and lam.shape == (len(live), t)
+        split = split_once(permuted, live, (u, lam))
         rest = split.child_minus.to_povm()
         mixed = np.zeros_like(povm.effects)
         mixed[[povm.labels.index(label) for label in rest.labels]] = (
@@ -455,10 +491,11 @@ def test_rank_one_split_is_bit_identical():
 
 def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     """Complexity guard: a general walk step makes one eigh of the whole
-    live stack, not one per outcome or sub-rank; the scalar walk makes none.
-    A split makes exactly one eigh, of the walk's live blocks only: at most
-    d^2 of them, however many blocks the measurement has, and the remainder's
-    map reuses it, also for blocks the general walk left off the diagonal.
+    live stack, not one per outcome or sub-rank, and the general walk ends
+    with one more, of the walk's live blocks only: at most d^2 of them,
+    however many blocks the measurement has. The scalar walk makes none, and
+    neither does the split: both children's maps come from the walk's
+    spectral point, also for blocks the general walk left off the diagonal.
     Only the general walk calls kernel_basis, once per step."""
     d = 4
     povm = gen_random_povm(d, 12, rank_cap=4, seed=1)
@@ -480,24 +517,26 @@ def test_walk_and_split_make_a_bounded_number_of_eigh_calls(monkeypatch):
     monkeypatch.setattr(decompose, "kernel_basis", counting("steps", decompose.kernel_basis))
     live, point = _extremal_direction(tp)
     # one kernel SVD per general step, plus the last one, which finds none
+    # and is followed by the eigh of the point
     general_steps = counts["steps"]
     assert general_steps > d
-    assert counts["eigh"] <= general_steps
+    assert counts["eigh"] == general_steps
+    assert blocks[-1] == len(live) <= d * d
     counts.clear()
-    blocks.clear()
     split_once(tp, live, point)
-    assert counts["eigh"] == 1
-    assert blocks == [len(live)] and len(live) <= d * d
+    assert counts["eigh"] == 0
     # the general walk left a live block off the diagonal
-    assert np.any(point[:, ~np.eye(point.shape[-1], dtype=bool)])
-    # a sphere has many more blocks than d^2 = 4; the split's eigh sees the live ones
+    u, lam = point
+    b = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
+    assert np.any(np.abs(b[:, ~np.eye(b.shape[-1], dtype=bool)]) > 1e-3)
+    # a sphere has many more blocks than d^2 = 4; its walk and split make no eigh
     sphere = gen_covariant_sphere(50, seed=7)
     sphere_tp = build_tp_map(sphere)
-    live, point = _extremal_direction(sphere_tp)
     counts.clear()
+    live, point = _extremal_direction(sphere_tp)
     split_once(sphere_tp, live, point)
-    assert counts["eigh"] == 1
-    assert blocks[-1] == len(live) <= 4 < len(sphere_tp.ranks)
+    assert counts["eigh"] == 0
+    assert len(live) <= 4 < len(sphere_tp.ranks)
 
 
 def corpus_povms(per_d=(7, 7, 6)):

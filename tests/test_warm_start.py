@@ -92,6 +92,36 @@ def test_carried_map_gives_the_verdict_of_a_rebuilt_map(monkeypatch):
     assert started > nodes // 2 and warm_nodes >= started
 
 
+def test_carried_leaf_map_gives_the_verdict_of_a_rebuilt_map(monkeypatch):
+    """At every split, the leaf's map from the split gives the verdict of
+    build_tp_map on the leaf the chain emits, pruned, and every leaf passes
+    a fresh is_extreme: the chain takes its + verdicts from those maps."""
+    splits = []
+    split = decompose.split_once
+
+    def recorded(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(decompose, "split_once", recorded)
+    full_rank = [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    checked = 0
+    for povm in [*ladder(), *full_rank]:
+        splits.clear()
+        mixture = decompose_extremal(povm)
+        assert mixture.complete and len(mixture.components) == len(splits) + 1
+        for s, leaf in zip(splits, mixture.components):
+            got = verdict_from_tp(s.plus_map)
+            want = verdict_from_tp(build_tp_map(leaf.povm))
+            assert (got.is_extreme, got.kernel_dim, got.domain_dim) == (
+                want.is_extreme, want.kernel_dim, want.domain_dim
+            )
+            checked += 1
+        for c in mixture.components:
+            assert is_extreme(c.povm).is_extreme
+    assert checked > 700
+
+
 def test_every_split_writes_its_point_on_the_remainders_roots():
     """Every split, live blocks off the diagonal included, hands the
     remainder a warm start: its weighted root columns plus its weighted
@@ -127,7 +157,9 @@ def test_unconstrained_draws_give_extreme_leaves_that_recombine(monkeypatch):
     split = decompose.split_once
 
     def recorded(tp, live, point, *args):
-        points["off"] += bool(np.any(point[:, ~np.eye(point.shape[-1], dtype=bool)]))
+        u, lam = point
+        b = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
+        points["off"] += bool(np.any(np.abs(b[:, ~np.eye(b.shape[-1], dtype=bool)]) > 1e-12))
         points["all"] += 1
         return split(tp, live, point, *args)
 
@@ -236,7 +268,7 @@ def test_window_factorizations_run_only_at_the_root(monkeypatch):
 
 def test_eigh_below_the_root_sees_at_most_d2_blocks(monkeypatch):
     """Complexity guard: after the root's map, every eigh of a decomposition
-    (split, general walk step and each leaf's map)
+    (general walk step and the point a general walk ends at)
     sees at most d^2 blocks, however many outcomes the node has."""
     blocks = []
 
