@@ -46,12 +46,10 @@ from .linalg import (
 )
 from .model import (
     LABEL_TOL,
-    PRUNE_TOL,
     FinitePOVM,
     PovmError,
     _born_stack,
     _check_densities,
-    _prune,
     align_label_universe,
     prune_and_merge,
 )
@@ -61,8 +59,8 @@ from .outcomes import _densities, _state_factor
 # this; the children would then miss exact normalization.
 RESIDUAL_TOL = 1e-9
 
-# Eigenvalues of the saturated block factors with |x| at or below this are
-# written as exact zeros, forcing the rank drop the step is designed for.
+# _saturate writes values at or below this, relative to their scale, as
+# exact zeros, forcing the rank drop the step is designed for.
 _CLAMP = 1e-12
 
 # Elimination pivots on an entry above this fraction of its column's
@@ -102,9 +100,9 @@ class WarmStart:
 class SplitResult:
     """One peel of a measurement: P = weight_plus E + weight_minus R.
 
-    child_plus is the leaf E, one effect per live block in live order, and
-    plus_map its map; child_minus is the remainder's map, and warm the
-    parent's point written on its roots."""
+    plus_map is the leaf E's map over the live blocks of positive rank, and
+    child_plus is E, formed from it; child_minus is the remainder's map, and
+    warm the parent's point written on its roots."""
 
     weight_plus: float
     weight_minus: float
@@ -150,16 +148,17 @@ class ExtremalMixture:
         return np.array([c.weight for c in self.components])
 
 
-def _saturate(vals: np.ndarray) -> np.ndarray:
-    """Saturated factor eigenvalues, such as 1 + tau*lambda, clamped in place.
+def _saturate(vals: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Values that must not go negative, clamped in place: the saturated
+    factors 1 + tau*lambda, or basic weights with scale their largest.
 
-    Entries at or below _CLAMP become exact zeros; an entry below -_CLAMP
-    means the step overshot and raises SplitError.
+    Entries at or below _CLAMP * scale become exact zeros; an entry below
+    -_CLAMP * scale means an overshoot and raises SplitError.
     """
     low = vals.min(initial=0.0)
-    if low < -_CLAMP:
-        raise SplitError(f"saturated factor has negative eigenvalue {low:.3e}")
-    vals[vals <= _CLAMP] = 0.0
+    if low < -_CLAMP * scale:
+        raise SplitError(f"saturated value {low:.3e} is negative")
+    vals[vals <= _CLAMP * scale] = 0.0
     return vals
 
 
@@ -193,28 +192,25 @@ def split_once(
     (live, t): B_i = u_i diag(lam_i) u_i^dag in the map's t x t blocks, its
     eigenpairs on the positions tp.kept[live] marks. u is read only on the
     kept pairs and lam on the kept positions; a point of other shapes
-    raises SplitError. With v = S u, the leaf E has effects
-    e_i = v_i diag(lam_i) v_i^dag over the live blocks and weight 1/lam,
-    lam = max lam_ik; the remainder R, weight 1 - 1/lam, is
-    S (lam I - B) S^dag / (lam - 1) on the live blocks and P_i lam / (lam - 1)
-    on every other block. The split raises SplitError unless lam exceeds 1
-    and T(B) - I = sum_i e_i - I is within RESIDUAL_TOL after scaling by
-    max(1, 1/(lam - 1)); checking against I, not the carried T(I), also
-    sees the drift of a long chain. It makes no eigh.
+    raises SplitError. With v = S u and lam = max lam_ik, the leaf E,
+    weight 1/lam, has frames v_k sqrt(lam_k) on the live blocks; the
+    remainder R, weight 1 - 1/lam, has frames v_k sqrt(sigma_k),
+    sigma_k = (lam - lam_k) / (lam - 1), on the live blocks and
+    S_i sqrt(lam / (lam - 1)) on every other block. It makes no eigh, and
+    no PSD decision: R is PSD by construction.
 
-    Both children come back as maps, from the squared norms |v_k|^2. The
-    leaf's map has frames v_k sqrt(lam_k), column k kept by the rank rule
-    on |v_k|^2 lam_k, one block per live block, in live order. In the
-    remainder's map every other block's frame is scaled by
-    sqrt(lam / (lam - 1)), and a live block's frame is v_k sqrt(sigma_k),
-    sigma_k = (lam - lam_k) / (lam - 1), column k kept by the rank rule on
-    |v_k|^2 sigma_k and written in place. R is PSD by construction, so the
-    split makes no PSD decision. Blocks whose rank falls to zero are
-    dropped by index, and columns dead in every remaining block are
-    trimmed. The remainder's map carries its root columns: the parent's
-    scaled by lam / (lam - 1) on every other block, and those of v_k
-    scaled by sigma_k on the live ones. The warm start writes B on the
-    remainder's roots.
+    Both children come back as maps. Column k of a live block stays in
+    place, kept by the rank rule on |v_k|^2 lam_k in the leaf and on
+    |v_k|^2 sigma_k in the remainder; a block whose rank falls to zero
+    leaves its child, dropped by index, and columns dead in every block of
+    the remainder are trimmed. The leaf's effects are formed once, from its
+    map. The split raises SplitError unless lam exceeds 1 and T(B) - I, the
+    leaf's effect sum minus I, is within RESIDUAL_TOL after scaling by
+    max(1, 1/(lam - 1)); checking against I, not the carried T(I), also
+    sees the drift of a long chain. The remainder's map carries its root
+    columns: the parent's scaled by lam / (lam - 1) on every other block,
+    and those of v_k scaled by sigma_k on the live ones. The warm start
+    writes B on the remainder's roots.
     """
     n, d, t = tp.frames.shape
     live = np.asarray(live)
@@ -236,24 +232,25 @@ def split_once(
         raise SplitError(f"point's top eigenvalue {top:.3e} is not above 1")
     # Leaf and remainder eigenvalues of the live blocks, saturated.
     lam, sigma = _saturate(np.stack([lam, np.where(kept, (top - lam) / (top - 1.0), 0.0)]))
-    e = (v * lam[:, None, :]) @ _dagger(v)
-    e = (e + _dagger(e)) / 2.0
-    residual = float(np.linalg.norm(e.sum(axis=0) - np.eye(d)))
+    norms = np.einsum("kdj,kdj->kj", v.conj(), v).real
+    keep = rank_ok(norms * lam, rank_tol)
+    leaf = keep.any(axis=1)
+    labels = tuple(tp.labels[i] for i in live[leaf].tolist())
+    frames = v[leaf] * np.sqrt(np.where(keep, lam, 0.0)[leaf])[:, None, :]
+    plus_map = TpMap(d, labels, frames, keep[leaf])
+    plus = plus_map.to_povm()
+    residual = float(np.linalg.norm(plus.effects.sum(axis=0) - np.eye(d)))
     amplification = max(1.0, 1.0 / (top - 1.0))
     if amplification * residual > RESIDUAL_TOL:
         raise SplitError(
             f"point is off the face: ||T(B) - I|| = {residual:.3e} "
             f"with amplification {amplification:.3e}"
         )
-    norms = np.einsum("kdj,kdj->kj", v.conj(), v).real
-    labels = tuple(tp.labels[i] for i in index)
-    keep = rank_ok(norms * lam, rank_tol)
-    plus_map = TpMap(d, labels, v * np.sqrt(np.where(keep, lam, 0.0))[:, None, :], keep)
     minus, warm = _remainder(tp, live, v, norms, lam, sigma, top, rank_tol)
     return SplitResult(
         weight_plus=1.0 / top,
         weight_minus=1.0 - 1.0 / top,
-        child_plus=FinitePOVM._with_normal_labels(d, labels, e),
+        child_plus=plus,
         plus_map=plus_map,
         child_minus=minus,
         warm=warm,
@@ -294,22 +291,23 @@ def _remainder(tp, live, v, norms, lam, sigma, top, rank_tol):
     return child, WarmStart(weights[alive][:, used].reshape(-1), cols[:, peeled], lam[peeled])
 
 
-def _saturating_step(lam: np.ndarray):
-    """Step length tau and whether to flip a walk direction with spectrum lam.
+def _saturating_step(h: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    """The saturated factors 1 + tau*h of a walk direction h, zero off live.
 
-    The flip puts the dominant eigenvalue on the negative side. The
-    saturating step is then tau = 1/radius, the smallest possible, which
-    keeps each step's kernel-residual amplification at machine level even
-    when the direction is nearly one-sided.
+    |tau| = 1/radius of h on live (all of h when live is None), the least
+    step that zeroes a factor, and its sign puts the dominant eigenvalue on
+    the negative side. That keeps each step's kernel-residual amplification
+    at machine level even when h is nearly one-sided.
     """
     # min and max of a Python list: cheaper than two numpy reductions on
     # the short spectra a walk step sees
-    values = lam.tolist()
+    values = (h if live is None else h[live]).tolist()
     lam_min, lam_max = min(values), max(values)
     radius = max(abs(lam_min), abs(lam_max))
     if radius <= 0.0:
         raise SplitError("kernel direction is zero")
-    return 1.0 / radius, lam_max > -lam_min
+    tau = (-1.0 if lam_max > -lam_min else 1.0) / radius
+    return _saturate(1.0 + tau * h if live is None else np.where(live, 1.0 + tau * h, 0.0))
 
 
 def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_factor: float):
@@ -353,9 +351,7 @@ def _scalar_walk(columns: np.ndarray, scale: np.ndarray, stop: int, margin_facto
                 return scale
             # Every later column lies in the range of a window of full row rank.
             spans = sub.size - z.shape[1] == columns.shape[0]
-        h = z[:, 0] / rel
-        tau, flip = _saturating_step(h)
-        f = _saturate(1.0 - tau * h if flip else 1.0 + tau * h)
+        f = _saturating_step(z[:, 0] / rel)
         scale[sub] *= f
         zeroed = (f == 0.0).nonzero()[0]
         rel *= f
@@ -406,12 +402,11 @@ def _pivot(columns: np.ndarray, warm: WarmStart, d: int):
     test picks the leaving column, peeled ones first on ties and then the
     lowest index (Bland's rule, which also picks the entering column after
     a degenerate step). Once no peeled column is left, the weights are
-    solved again on the final d^2 x d^2 basis, and those within _CLAMP of
-    zero, relative to the largest, become exact zeros. Returns the weights
-    on the columns, or None when the warm point is unusable: fewer than d^2
-    active columns, no column improves (or the entering one has no positive
-    step), d^2 + 16 pivots do not clear the peeled columns, or a solved
-    weight falls below -_CLAMP relative to the largest.
+    solved again on the final d^2 x d^2 basis and clamped by _saturate,
+    relative to the largest. Returns the weights on the columns, or None
+    when the warm point is unusable: fewer than d^2 active columns, no
+    column improves (or the entering one has no positive step), d^2 + 16
+    pivots do not clear the peeled columns, or _saturate rejects a weight.
     """
     d2 = d * d
     m = warm.peeled_weights.size
@@ -450,10 +445,10 @@ def _pivot(columns: np.ndarray, warm: WarmStart, d: int):
     else:
         return None
     x = np.linalg.solve(basis, herm_coords(np.eye(d)))
-    if x.min() < -_CLAMP * x.max():
+    try:
+        _saturate(x, x.max())  # degenerate basic weights become exact zeros
+    except SplitError:
         return None
-    # degenerate basic weights, as _saturate clamps factors
-    x[x <= _CLAMP * x.max()] = 0.0
     weights = np.zeros(columns.shape[1])
     weights[var - m] = x
     return weights
@@ -503,8 +498,9 @@ def _extremal_direction(
     updates G_i <- G_i U_i sqrt(1 + tau lambda_i); saturated roots become
     zero columns, dropped from the next step by mask where they stand. Each
     step kills a root, so a general walk makes at most d^2 + 1 kernel SVDs.
-    It ends with one eigh of G G^dag, its live eigenpairs put back on the
-    kept positions.
+    A walk that stepped drops the blocks with no live root left and ends
+    with one eigh of G G^dag, its live eigenpairs put back on the kept
+    positions; one whose first SVD finds no kernel keeps u = I and lam = c.
     """
     n, d, t = tp.frames.shape
     d2 = d * d
@@ -532,7 +528,7 @@ def _extremal_direction(
         factors = np.zeros((live.size, t, t), dtype=np.complex128)
         factors[:, pos, pos] = np.sqrt(weights)
         frames = tp.frames[live]
-        for _ in range(tp.domain_dim + 16):
+        for steps in range(tp.domain_dim + 16):
             pairs = pair_mask(kept)
             basis = kernel_basis(frame_columns(frames @ factors, pairs), margin_factor)
             if basis.shape[1] == 0:
@@ -540,19 +536,20 @@ def _extremal_direction(
             y = np.zeros((live.size, t * t))
             y[pairs.reshape(live.size, -1)] = basis[:, 0]
             w, u, live_eig = _live_eigh(herm_matrices(y, t), kept)
-            tau, flip = _saturating_step(w[live_eig])
-            if flip:
-                w = -w
-            sat = _saturate(np.where(live_eig, 1.0 + tau * w, 0.0))
+            sat = _saturating_step(w, live_eig)
             factors = factors @ (u * np.sqrt(sat)[:, None, :])
             kept = sat > 0.0
         else:
             raise SplitError("walk failed to reach an extreme point")
-        # B in spectral form, the live eigenpairs back on the kept positions
-        b, at = factors @ _dagger(factors), tp.kept[live]
-        w, vecs, on = _live_eigh((b + _dagger(b)) / 2.0, at)
-        weights, u = np.zeros((live.size, t)), np.zeros_like(vecs)
-        weights[at], u.swapaxes(1, 2)[at] = w[on], vecs.swapaxes(1, 2)[on]
+        if steps:
+            # B in spectral form on the blocks with a live root left, the
+            # live eigenpairs back on the kept positions
+            alive = kept.any(axis=1)
+            live, factors = live[alive], factors[alive]
+            b, at = factors @ _dagger(factors), tp.kept[live]
+            w, vecs, on = _live_eigh((b + _dagger(b)) / 2.0, at)
+            weights, u = np.zeros((live.size, t)), np.zeros_like(vecs)
+            weights[at], u.swapaxes(1, 2)[at] = w[on], vecs.swapaxes(1, 2)[on]
     return live, (u, weights)
 
 
@@ -573,12 +570,13 @@ def decompose_extremal(
     not extreme raises SplitError. E_k has weight on the direction where
     R_(k+1) drops rank, so it lies outside the face of R_(k+1), which holds
     every later leaf: no two leaves coincide, and the chain has at most
-    dim F + 1 leaves. Labels are merged once, at the root: children carry the root's
-    merged labels, which are pairwise distinct. Only the root gets a map
-    built from effects, with psd_tol as its PSD rule: each split hands back
-    the leaf's map, which gives the + verdict, the remainder's map, without
-    its blocks of rank zero, and the warm start of its walk, and a
-    remainder's effects are formed once it is the last leaf. Once
+    dim F + 1 leaves. Labels are merged and zero effects pruned once, at the
+    root: children carry the root's merged labels, which are pairwise
+    distinct. Only the root gets a map built from effects, with psd_tol as
+    its PSD rule: each split hands back the leaf's map, which gives the +
+    verdict, the leaf formed from it, emitted as it comes, the remainder's
+    map, and the warm start of its walk; a remainder's effects are formed
+    once it is the last leaf. Once
     max_leaves - 1 leaves are peeled, the remainder is emitted with its
     non-extreme verdict and the mixture is flagged incomplete; the convex
     reconstruction identity holds either way.
@@ -602,9 +600,7 @@ def decompose_extremal(
                 f"split failed at leaf {len(leaves)}: the + child is not extreme "
                 f"(margin {plus_verdict.margin:.3e}, threshold {plus_verdict.threshold:.3e})"
             )
-        plus = split.child_plus
-        plus = _prune(plus.dim, plus.labels, plus.effects, PRUNE_TOL)
-        leaves.append(MixtureComponent(weight * split.weight_plus, plus, plus_verdict))
+        leaves.append(MixtureComponent(weight * split.weight_plus, split.child_plus, plus_verdict))
         weight *= split.weight_minus
         tp, warm = split.child_minus, split.warm
     # a remainder's effects are formed once, as the last leaf

@@ -37,8 +37,8 @@ class TpMap:
     columns of frames[i] are a full-rank factor S_i (d x r_i) of
     P_i = S_i S_i^dag, in any positions, and every other column is zero.
     build_tp_map takes the eigenframe of sqrt(P_i), which fills the
-    trailing r_i columns; a split's remainder carries other factors, where
-    its eigh puts them. Its real map matrix is
+    trailing r_i columns; a split's children carry other factors, each
+    column written in place (decompose.split_once). Its real map matrix is
     frame_columns(frames, pair_mask(kept)). ranks, an int array, and
     domain_dim = sum r_i^2 are computed once from kept, on construction.
 

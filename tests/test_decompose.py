@@ -47,16 +47,16 @@ def reconstruct(mixture):
 
 def test_split_coin_with_explicit_kernel_element():
     # B = (2I, 0) is on the face: T(B) = I. lambda = 2 peels the leaf {I}
-    # off with weight 1/2 and leaves {0, I}, whose zero block is dropped
+    # off with weight 1/2 and leaves {0, I}; the zero block leaves both
+    # children
     povm = coin()
     tp = build_tp_map(povm)
     live = np.array([0, 1])
     result = split_once(tp, live, spectral_point(tp, live, [2 * I2, 0 * I2]))
     assert result.weight_plus == pytest.approx(0.5)
     assert result.weight_minus == pytest.approx(0.5)
-    assert result.child_plus.labels == (0, 1)
-    assert np.allclose(result.child_plus.effects[0], I2, atol=1e-14)
-    assert np.allclose(result.child_plus.effects[1], 0, atol=1e-14)
+    assert result.child_plus.labels == result.plus_map.labels == (0,)
+    assert np.allclose(result.child_plus.effects, [I2], atol=1e-14)
     rest = result.child_minus.to_povm()
     assert rest.labels == (1,)
     assert np.allclose(rest.effects, [I2], atol=1e-14)
@@ -72,18 +72,20 @@ def test_split_coin_with_explicit_kernel_element():
 def test_leaf_map_drops_a_root_below_the_rank_rule():
     """The leaf's map keeps column k when |v_k|^2 lambda_k passes the rank
     rule, as build_tp_map keeps an eigenvalue: the coin peeled at
-    B = (diag(2, 2 - eps), diag(0, eps)) leaves an effect of trace eps / 2,
-    above the prune cutoff but below the rank cutoff, and both maps give
-    it rank 0 and the same verdict."""
+    B = (diag(2, 2 - eps), diag(0, eps)) would leave an effect of trace
+    eps / 2, above the prune cutoff but below the rank cutoff. The leaf's
+    map drops that block, the leaf is the map's measurement bit for bit, and
+    both maps give the same verdict."""
     eps = 5e-11
     tp = build_tp_map(coin())
     live = np.array([0, 1])
     b = [np.diag([2.0, 2.0 - eps]), np.diag([0.0, eps])]
     split = split_once(tp, live, spectral_point(tp, live, b))
     assert split.weight_plus == 0.5
-    assert list(split.plus_map.ranks) == [2, 0]
-    leaf = model._prune(2, split.child_plus.labels, split.child_plus.effects, model.PRUNE_TOL)
-    assert leaf.labels == (0, 1)
+    assert list(split.plus_map.ranks) == [2]
+    leaf = split.child_plus
+    assert leaf.labels == split.plus_map.labels == (0,)
+    assert np.array_equal(leaf.effects, split.plus_map.to_povm().effects)
     got, want = verdict_from_tp(split.plus_map), verdict_from_tp(build_tp_map(leaf))
     assert got.is_extreme and (got.kernel_dim, got.domain_dim) == (want.kernel_dim, want.domain_dim)
 
@@ -462,6 +464,89 @@ def test_split_makes_no_eigh(monkeypatch):
     mixture = decompose_extremal(sphere)
     assert len(mixture.components) == 47
     assert calls["eigh"] == 1
+
+
+def test_every_live_block_reaches_the_split_with_weight(monkeypatch):
+    """The walk hands the split only blocks where B is nonzero, and each
+    peeled leaf is its map's measurement, bit for bit, so the chain emits
+    no zero effect and has nothing to prune."""
+    splits = []
+    split = decompose.split_once
+
+    def recorded(tp, live, point, *args):
+        splits.append((tp, live, point, split(tp, live, point, *args)))
+        return splits[-1][-1]
+
+    monkeypatch.setattr(decompose, "split_once", recorded)
+    full_rank = [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    for povm in [*criterion_2_draws(), *full_rank]:
+        splits.clear()
+        mixture = decompose_extremal(povm)
+        assert mixture.complete and len(mixture.components) == len(splits) + 1
+        for (tp, live, (_, lam), s), leaf in zip(splits, mixture.components):
+            assert np.where(tp.kept[live], lam, 0.0).any(axis=1).all()
+            assert leaf.povm is s.child_plus
+            own = s.plus_map.to_povm()
+            assert leaf.povm.labels == own.labels
+            assert np.array_equal(leaf.povm.effects, own.effects)
+            assert np.all(s.plus_map.ranks > 0)
+
+
+def test_only_the_root_is_pruned(monkeypatch):
+    """Complexity guard: zero effects are pruned once per decomposition, at
+    the root; the leaves and remainders below it carry no zero block."""
+    pruned = 0
+    prune = model._prune
+
+    def counted(*args):
+        nonlocal pruned
+        pruned += 1
+        return prune(*args)
+
+    for module in (model, decompose):
+        if hasattr(module, "_prune"):
+            monkeypatch.setattr(module, "_prune", counted)
+    for povm in [*criterion_2_draws(), gen_covariant_sphere(50, seed=7)]:
+        pruned = 0
+        assert len(decompose_extremal(povm).components) > 1
+        assert pruned == 1
+
+
+def test_a_general_walk_that_takes_no_step_makes_no_eigh(monkeypatch):
+    """A general walk whose first kernel SVD finds no kernel ends at the
+    diagonal point it started from, u = I and lam the root weights, with no
+    eigh; a walk that steps ends with one eigh of its point."""
+    walks, eighs = [], 0
+    walk, kernel, eigh = decompose._extremal_direction, decompose.kernel_basis, np.linalg.eigh
+
+    def counted_walk(*args):
+        walks.append(Counter(eigh=-eighs))
+        live, (u, lam) = walk(*args)
+        walks[-1]["eigh"] += eighs
+        walks[-1]["diagonal"] = np.array_equal(u, np.eye(u.shape[-1])[None].repeat(len(u), 0))
+        return live, (u, lam)
+
+    def counted_kernel(*args):
+        walks[-1]["kernel"] += 1
+        out = kernel(*args)
+        walks[-1]["steps"] += out.shape[1] > 0
+        return out
+
+    def counted_eigh(*args, **kwargs):
+        nonlocal eighs
+        eighs += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "_extremal_direction", counted_walk)
+    monkeypatch.setattr(decompose, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for povm in [*criterion_2_draws(), gen_random_povm(3, 27, rank_cap=3, seed=7)]:
+        decompose_extremal(povm)
+    still = [w for w in walks if w["kernel"] == 1 and w["steps"] == 0]
+    stepped = [w for w in walks if w["steps"] > 0]
+    assert still and stepped
+    assert all(w["eigh"] == 0 and w["diagonal"] for w in still)
+    assert all(w["eigh"] == w["steps"] + 1 for w in stepped)
 
 
 def face_dim(povm):

@@ -108,10 +108,12 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
     live root, the point is extreme as it stands. Otherwise a step reads each block's part of the real
     kernel vector as the Hermitian coordinates of its kept pairs, writes the
     floor on each block's dead diagonal, so the dead eigenvalues sort first,
-    negates the spectrum on a flip, maps g to g U sqrt(1 + tau*lambda) and
-    drops the saturated columns from the mask wherever they stand. Returns
-    the live blocks and their points in spectral form (u, lam): u = I and
-    lam = c on the diagonal, and after a general walk the eigh of
+    steps by tau = -+1/radius of the live spectra, the sign putting the
+    dominant eigenvalue on the negative side, maps g to
+    g U sqrt(1 + tau*lambda) and drops the saturated columns from the mask
+    wherever they stand. Returns the live blocks and their points in
+    spectral form (u, lam): u = I and lam = c when no step was taken, and
+    otherwise, over the blocks with a live root left, the eigh of
     B = g g^dag with the floor on the dead diagonal, its live eigenpairs
     put back on the block's kept positions, u zero and lam 0 elsewhere.
     """
@@ -123,12 +125,14 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
         frames.append(tp.frames[i])
         factors.append(np.diag(np.sqrt(c)).astype(np.complex128))
         kepts.append(c > 0.0)
+    stepped = False
     if max(np.count_nonzero(kept) for kept in kepts) > 1:
         for _ in range(tp.domain_dim + 16):
             matrix = ref_map_matrix([f @ g for f, g in zip(frames, factors)], kepts)
             basis = kernel_basis(matrix, margin_factor)
             if basis.shape[1] == 0:
                 break
+            stepped = True
             vec = basis[:, 0]
             assert vec.dtype == np.float64
             hs = []
@@ -140,15 +144,18 @@ def ref_general_walk(tp, weights, margin_factor=MARGIN_FACTOR):
                 hs.append(herm_matrices(y, t))
                 offset += k * k
             eighs = ref_live_eigh(hs, kepts)
-            tau, flip = _saturating_step(np.concatenate([w[lv] for w, _, lv in eighs]))
+            spectrum = np.concatenate([w[lv] for w, _, lv in eighs])
+            flip = spectrum.max() > -spectrum.min()
+            tau = (-1.0 if flip else 1.0) / np.abs(spectrum).max()
             for k, (w, u, lv) in enumerate(eighs):
-                if flip:
-                    w = -w
                 sat = _saturate(np.where(lv, 1.0 + tau * w, 0.0))
                 factors[k] = factors[k] @ (u * np.sqrt(sat))
                 kepts[k] = sat > 0.0
         else:
             raise AssertionError("reference walk did not end")
+    if stepped:
+        factors = [g for g, kept in zip(factors, kepts) if kept.any()]
+        live = [i for i, kept in zip(live, kepts) if kept.any()]
         kepts = [tp.kept[i] for i in live]
         hs = [(b + b.conj().T) / 2.0 for b in (g @ g.conj().T for g in factors)]
         us, lams = [], []
@@ -193,35 +200,36 @@ def ref_rank_rule(eig, rank_tol):
 
 
 def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
-    """(weights, leaf effects, leaf kept masks and frames, remainder labels,
-    kept masks and frames) of a split, one padded block at a time. Each
-    live block's columns v_k = S u_k give its leaf effect
-    V diag(lambda_k) V^dag and its leaf frame, column k v_k sqrt(lambda_k)
-    kept when |v_k|^2 lambda_k passes the rank rule. With
+    """(weights, leaf labels, effects, kept masks and frames, remainder
+    labels, kept masks and frames) of a split, one padded block at a time.
+    Each live block's columns v_k = S u_k give its leaf frame, column k
+    v_k sqrt(lambda_k) kept when |v_k|^2 lambda_k passes the rank rule, and
+    the leaf's effect is that frame times its adjoint. With
     sigma_k = (lambda - lambda_k) / (lambda - 1), the remainder keeps each
     column v_k whose |v_k|^2 sigma_k passes the rank rule, scaled by
     sqrt(sigma_k), in its own position k; its frame is
     S_i sqrt(lambda / (lambda - 1)) on every other block. Blocks of rank
-    zero are dropped from the remainder, and so are the columns that no
-    remaining block keeps."""
+    zero are dropped from both children, and columns that no remaining
+    block of the remainder keeps are dropped from it."""
     top, blocks = ref_peel(live, point, tp)
     scale = top / (top - 1.0)
-    t = tp.frames.shape[2]
-    leaf = np.zeros((len(live), tp.dim, tp.dim), dtype=np.complex128)
-    leaf_frames = np.zeros((len(live), tp.dim, t), dtype=np.complex128)
-    leaf_kept = np.zeros((len(live), t), dtype=bool)
+    leaf_labels, leaf, leaf_kept, leaf_frames = [], [], [], []
     frames = [f * np.sqrt(scale) for f in tp.frames]
     kepts = list(tp.kept)
-    for k, (i, (u, lam)) in enumerate(zip(live, blocks)):
+    for i, (u, lam) in zip(live, blocks):
         kept = tp.kept[i]
         sigma = _saturate(np.where(kept, (top - lam) / (top - 1.0), 0.0))
         lam = _saturate(lam)
         v = tp.frames[i] @ u
-        e = (v * lam) @ v.conj().T
-        leaf[k] = (e + e.conj().T) / 2.0
         norms = np.sum(v.conj() * v, axis=0).real
-        leaf_kept[k] = ref_rank_rule(norms * lam, rank_tol)
-        leaf_frames[k] = v * np.sqrt(np.where(leaf_kept[k], lam, 0.0))
+        keep = ref_rank_rule(norms * lam, rank_tol)
+        if keep.any():
+            f = v * np.sqrt(np.where(keep, lam, 0.0))
+            e = f @ f.conj().T
+            leaf_labels.append(tp.labels[i])
+            leaf.append((e + e.conj().T) / 2.0)
+            leaf_kept.append(keep)
+            leaf_frames.append(f)
         keep = ref_rank_rule(norms * sigma, rank_tol)
         frames[i] = np.zeros_like(frames[i])
         frames[i][:, keep] = v[:, keep] * np.sqrt(sigma[keep])
@@ -230,9 +238,10 @@ def ref_split_once(live, point, tp, rank_tol=RANK_TOL):
     used = np.any([kepts[i] for i in alive], axis=0)
     return (
         (1.0 / top, 1.0 - 1.0 / top),
-        leaf,
-        leaf_kept,
-        leaf_frames,
+        tuple(leaf_labels),
+        np.array(leaf),
+        np.array(leaf_kept),
+        np.array(leaf_frames),
         tuple(tp.labels[i] for i in alive),
         np.array([kepts[i][used] for i in alive]),
         np.array([frames[i][:, used] for i in alive]),
@@ -282,9 +291,11 @@ def assert_same_map(tp, ref):
 
 def assert_same_split(live, point, tp):
     got = split_once(tp, live, point)
-    weights, leaf, leaf_kept, leaf_frames, labels, kept, frames = ref_split_once(live, point, tp)
+    weights, leaf_labels, leaf, leaf_kept, leaf_frames, labels, kept, frames = ref_split_once(
+        live, point, tp
+    )
     assert (got.weight_plus, got.weight_minus) == weights
-    assert got.child_plus.labels == got.plus_map.labels == tuple(tp.labels[i] for i in live)
+    assert got.child_plus.labels == got.plus_map.labels == leaf_labels
     assert np.array_equal(got.child_plus.effects, leaf)
     assert np.array_equal(got.plus_map.kept, leaf_kept)
     assert np.array_equal(got.plus_map.frames, leaf_frames)

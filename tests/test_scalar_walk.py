@@ -16,7 +16,6 @@ from povmix import decompose, linalg
 from povmix.decompose import (
     SplitError,
     _extremal_direction,
-    _saturate,
     _saturating_step,
     split_once,
 )
@@ -45,10 +44,7 @@ def ref_scalar_walk(columns, scale, stop, margin_factor=MARGIN_FACTOR):
             return scale
         h = basis[:, 0]
         assert h.dtype == np.float64
-        tau, flip = _saturating_step(h)
-        if flip:
-            h = -h
-        scale[sub] *= _saturate(1.0 + tau * h)
+        scale[sub] *= _saturating_step(h)
     raise SplitError("reference walk did not end")
 
 

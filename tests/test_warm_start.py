@@ -92,6 +92,38 @@ def test_carried_map_gives_the_verdict_of_a_rebuilt_map(monkeypatch):
     assert started > nodes // 2 and warm_nodes >= started
 
 
+def test_carried_map_agrees_with_the_map_of_its_own_effects(monkeypatch):
+    """On long chains, every carried map below the root and build_tp_map on
+    the measurement its own frames form give the same verdict and the same
+    ranks, all positive. Nothing is subtracted: this checks that the split's
+    rank rule on |S_i u_k|^2 sigma_k agrees with the eigh rank rule on the
+    formed effects."""
+    nodes = []
+    split = decompose.split_once
+
+    def recorded(*args):
+        out = split(*args)
+        nodes.append(out.child_minus)
+        return out
+
+    monkeypatch.setattr(decompose, "split_once", recorded)
+    full_rank = [gen_random_povm(d, 3 * d * d, rank_cap=d, seed=7) for d in (3, 4)]
+    spheres = [gen_covariant_sphere(n, seed=7) for n in (50, 100)]
+    checked = 0
+    for povm in [*criterion_2_draws(), *full_rank, *unconstrained_draws(48), *spheres]:
+        nodes.clear()
+        assert decompose_extremal(povm).complete
+        for tp in nodes:
+            rebuilt = build_tp_map(tp.to_povm())
+            got, want = verdict_from_tp(tp), verdict_from_tp(rebuilt)
+            assert (got.is_extreme, got.kernel_dim, got.domain_dim) == (
+                want.is_extreme, want.kernel_dim, want.domain_dim
+            )
+            assert np.all(tp.ranks > 0) and np.array_equal(tp.ranks, rebuilt.ranks)
+        checked += len(nodes)
+    assert checked > 1000
+
+
 def test_carried_leaf_map_gives_the_verdict_of_a_rebuilt_map(monkeypatch):
     """At every split, the leaf's map from the split gives the verdict of
     build_tp_map on the leaf the chain emits, pruned, and every leaf passes
@@ -189,6 +221,30 @@ def test_every_sphere_node_below_the_root_starts_warm(n, monkeypatch):
     assert walks == Counter(warm=len(mixture.components) - 2)
 
 
+def resolve_case(last):
+    """d = 2 root columns a_0..a_3 with I = 400 a_0 + 300 a_1 + 300 a_2 + last a_3,
+    and a warm start on all four roots with no peeled column: _pivot makes
+    no pivot and goes straight to the re-solve on the d^2 roots."""
+    rng = np.random.default_rng(5)
+    columns = rng.standard_normal((4, 4))
+    rest = 300.0 * columns[:, 1] + 300.0 * columns[:, 2] + last * columns[:, 3]
+    columns[:, 0] = (linalg.herm_coords(np.eye(2)) - rest) / 400.0
+    return columns, decompose.WarmStart(np.ones(4), np.zeros((4, 0)), np.zeros(0))
+
+
+def test_pivot_re_solve_clamps_near_zero_weights_and_rejects_negative_ones():
+    """The re-solved weights are clamped relative to the largest, here 400:
+    one below -1e-12 of it makes the warm point unusable, and one within
+    1e-12 of it from zero, on either side, becomes an exact zero."""
+    assert decompose._pivot(*resolve_case(-1e-8), 2) is None
+    for last in (1e-10, -1e-10):
+        weights = decompose._pivot(*resolve_case(last), 2)
+        assert weights[3] == 0.0
+        assert np.allclose(weights[:3], [400.0, 300.0, 300.0], rtol=1e-12, atol=0)
+    weights = decompose._pivot(*resolve_case(1e-8), 2)
+    assert weights[3] == pytest.approx(1e-8, rel=1e-2)
+
+
 def octahedron():
     """The six Pauli eigenprojectors, each over 3: every extreme point of its face
     is a two-outcome projective measurement, two roots where d^2 = 4."""
@@ -269,7 +325,8 @@ def test_window_factorizations_run_only_at_the_root(monkeypatch):
 def test_eigh_below_the_root_sees_at_most_d2_blocks(monkeypatch):
     """Complexity guard: after the root's map, every eigh of a decomposition
     (general walk step and the point a general walk ends at)
-    sees at most d^2 blocks, however many outcomes the node has."""
+    sees at most d^2 blocks, however many outcomes the node has. Checked on
+    inputs with more than d^2 outcomes whose walks make eigh calls."""
     blocks = []
 
     def counting(fn):
@@ -282,7 +339,7 @@ def test_eigh_below_the_root_sees_at_most_d2_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     povms = [gen_covariant_sphere(200, seed=7), *criterion_2_draws()]
-    povms += [gen_random_povm(3, 27, rank_cap=3, seed=7)]
+    povms += [gen_random_povm(3, 27, rank_cap=3, seed=7), *unconstrained_draws(6)]
     wide = 0
     for povm in povms:
         node = prune_and_merge(povm)
